@@ -8,8 +8,10 @@ maximization, shardable), ``construct`` (extremal witness files), and
 Reports are JSON with a ``schema`` field, written to stdout or ``--out``.
 Output is a pure function of the configuration (seed included): reruns are
 byte-identical, and merged shard reports are byte-identical with the
-unsharded run.  Exit codes: 0 pass, 1 invariant failure or parameter
-mismatch, 2 budget refusal, 3 unknown bound.
+unsharded run.  Exit codes: 0 pass, 1 invariant failure, parameter
+mismatch or invalid input, 2 budget refusal or a negative ``--budget`` or
+``--cap``, 3 unknown bound.  Every nonzero exit without a report writes a
+one-line message to stderr.
 """
 
 from __future__ import annotations
@@ -284,11 +286,27 @@ def cmd_oracle(args) -> int:
     return code
 
 
+# Fields of a (partial) oracle report that merging reads.
+_MERGE_FIELDS = {
+    "config": ("p", "e", "q2", "n", "d", "variety"),
+    "scan": ("lo", "hi", "total_forms", "k", "n_points", "cap"),
+    "result": ("max_count", "n_maximizers", "maximizers"),
+}
+
+
+def _load_oracle_report(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    for section, keys in _MERGE_FIELDS.items():
+        part = payload.get(section) if isinstance(payload, dict) else None
+        for key in keys:
+            if not isinstance(part, dict) or key not in part:
+                raise ValueError(f"{path} is not an oracle report: it lacks {section}.{key}")
+    return payload
+
+
 def cmd_merge(args) -> int:
-    payloads = []
-    for path in args.partials:
-        with open(path, "r", encoding="utf-8") as fh:
-            payloads.append(json.load(fh))
+    payloads = [_load_oracle_report(path) for path in args.partials]
     configs = [p["config"] for p in payloads]
     if any(c != configs[0] for c in configs):
         sys.stderr.write("merge: partial reports disagree on configuration\n")
@@ -448,6 +466,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    for name in ("budget", "cap"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            sys.stderr.write(f"error: --{name} must be >= 0, got {value}\n")
+            return EXIT_BUDGET
     try:
         return args.func(args)
     except BudgetExceededError as exc:

@@ -210,25 +210,124 @@ def iter_coeff_blocks(
             yield b0, coeffs
 
 
+# Scan kernel sizes, counted in array elements.  The low table holds at most
+# SCAN_TABLE_ELEMS codes; one comparison chunk holds at most SCAN_CHUNK_ELEMS
+# booleans, or a single table's worth when one prefix already needs more.
+# Together they bound the scan's memory for every code length m.
+SCAN_TABLE_ELEMS = 1 << 20
+SCAN_CHUNK_ELEMS = 1 << 20
+
+
+def _code_dtype(q2: int):
+    """Narrowest unsigned dtype holding every element code of GF(q2)."""
+    if q2 <= 1 << 8:
+        return np.uint8
+    if q2 <= 1 << 16:
+        return np.uint16
+    return np.uint32
+
+
+def _combination_table(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
+    """(q2^L, m) table of every linear combination of the L given rows.  Row
+    j holds sum_i c_i * rows[i], where c_0 ... c_{L-1} are the base-q2
+    digits of j, most significant first: the enumeration-index order."""
+    m = rows.shape[1]
+    q2 = ctx.q2
+    codes = np.arange(q2, dtype=np.int64)[:, None]
+    table = np.zeros((1, m), dtype=np.int64)
+    for row in rows:
+        multiples = ctx.vmul(codes, row[None, :])
+        table = ctx.vadd(table[:, None, :], multiples[None, :, :]).reshape(len(table) * q2, m)
+    return table.astype(_code_dtype(q2))
+
+
+def _negated_prefixes(
+    ctx: FieldCtx, values: np.ndarray, t: int, n_high: int, h0: int, h1: int
+) -> np.ndarray:
+    """-(values[t] + sum of high digits times their rows) for the high-digit
+    prefixes h0 .. h1-1 of segment t; the high rows are t+1 .. t+n_high."""
+    m = values.shape[1]
+    q2 = ctx.q2
+    prefix = np.arange(h0, h1, dtype=np.int64)
+    acc = np.broadcast_to(values[t], (h1 - h0, m))
+    for i in range(n_high):
+        digits = (prefix // q2 ** (n_high - 1 - i)) % q2
+        acc = ctx.vadd(acc, ctx.vmul(digits[:, None], values[t + 1 + i][None, :]))
+    return ctx.vneg(acc).astype(_code_dtype(q2))
+
+
+def _reblock(start: int, chunks: Iterator[np.ndarray], block: int):
+    """Regroup consecutive count arrays that begin at global index ``start``
+    into (start, counts) pieces of exactly ``block`` classes, the last one
+    possibly shorter."""
+    pending: list[np.ndarray] = []
+    size = 0
+    for chunk in chunks:
+        pending.append(chunk)
+        size += len(chunk)
+        if size < block:
+            continue
+        buf = np.concatenate(pending)
+        full = size - size % block
+        for i in range(0, full, block):
+            yield start, buf[i : i + block]
+            start += block
+        pending, size = [buf[full:]], size - full
+    if size:
+        yield start, np.concatenate(pending)
+
+
+def _segment_counts(
+    ctx: FieldCtx, values: np.ndarray, table: np.ndarray, t: int, n_low: int, a: int, b: int
+) -> Iterator[np.ndarray]:
+    """Zero counts of the forms at local indices [a, b) of segment t, as
+    consecutive arrays; the last n_low free digits are looked up in
+    ``table``."""
+    k, m = values.shape
+    width = ctx.q2**n_low
+    low = table[:width]
+    n_high = k - 1 - t - n_low
+    per = max(1, SCAN_CHUNK_ELEMS // (width * max(m, 1)))
+    last = (b - 1) // width + 1
+    for h0 in range(a // width, last, per):
+        h1 = min(h0 + per, last)
+        neg = _negated_prefixes(ctx, values, t, n_high, h0, h1)
+        counts = (low[None, :, :] == neg[:, None, :]).sum(axis=-1).ravel()
+        base = h0 * width
+        yield counts[max(a, base) - base : min(b, h1 * width) - base]
+
+
 def scan_zero_counts(
     ctx: FieldCtx, values: np.ndarray, lo: int, hi: int, block: int = 1 << 15
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (global start index, per-form zero counts) for every
     projectivized coefficient vector with global index in [lo, hi),
-    evaluated against the (k, m) value matrix."""
+    evaluated against the (k, m) value matrix.
+
+    Blocks never cross a leading-coefficient segment and hold at most
+    ``block`` forms.  Within segment t the free coefficients split into
+    high digits (rows t+1 ..) and the last L low digits.  The table of all
+    q2^L combinations of the last L rows is built once; each high-digit
+    prefix is reduced once, negated, and compared with the whole table, as
+    a + b = 0 exactly when a = -b.  A form's zero count is the number of
+    positions where its table row equals its negated prefix.
+    """
     k, m = values.shape
     q2 = ctx.q2
-    for t, seg_lo, seg_hi in segments(q2, k):
-        s0, s1 = max(lo, seg_lo), min(hi, seg_hi)
-        for b0 in range(s0, s1, block):
-            b1 = min(b0 + block, s1)
-            suffix = np.arange(b0 - seg_lo, b1 - seg_lo, dtype=np.int64)
-            acc = np.broadcast_to(values[t], (b1 - b0, m)).copy()
-            for pos in range(t + 1, k):
-                div = q2 ** (k - 1 - pos)
-                digits = (suffix // div) % q2
-                acc = ctx.vadd(acc, ctx.vmul(digits[:, None], values[pos][None, :]))
-            yield b0, (acc == 0).sum(axis=1)
+    ranges = [
+        (t, seg_lo, max(lo, seg_lo) - seg_lo, min(hi, seg_hi) - seg_lo)
+        for t, seg_lo, seg_hi in segments(q2, k)
+        if max(lo, seg_lo) < min(hi, seg_hi)
+    ]
+    if not ranges:
+        return
+    n_low = 0
+    while n_low < k - 1 - ranges[0][0] and q2 ** (n_low + 1) * max(m, 1) <= SCAN_TABLE_ELEMS:
+        n_low += 1
+    table = _combination_table(ctx, values[k - n_low :])
+    for t, seg_lo, a, b in ranges:
+        chunks = _segment_counts(ctx, values, table, t, min(n_low, k - 1 - t), a, b)
+        yield from _reblock(seg_lo + a, chunks, block)
 
 
 def enumerate_forms_projective(

@@ -21,11 +21,12 @@ from .field import FieldCtx
 from .forms import (
     HomogeneousForm,
     form_values,
-    iter_coeff_blocks,
     monomial_basis,
     monomial_values,
     product_of_hyperplanes,
     projective_form_count,
+    scan_zero_counts,
+    segments,
 )
 from .hermitian import (
     canonical_congruence,
@@ -463,6 +464,8 @@ def check_maximizer_structure(ctx: FieldCtx, n: int, d: int) -> CheckResult:
     """Every cone maximizer is a union of generator lines of the expected
     cardinality, and (for n = 3) a cone with vertex at the singular point."""
     q = ctx.q
+    if n not in (2, 3, 4):
+        raise ValueError(f"maximizer structure is known for n in 2..4 only, got n = {n}")
     cone = make_standard_cone(ctx, n)
     result = bnd.bruteforce_max_intersection(ctx, cone, n, d)
     expected_lines = {2: d, 3: d * (q + 1), 4: bnd.sorensen_max(d, q) if d == 1 else None}[n]
@@ -583,19 +586,18 @@ def check_missing_vertex_margin(ctx: FieldCtx, n: int, d: int) -> CheckResult:
     k = len(basis)
     values = monomial_values(ctx, basis, cone.points)
     # value at the vertex [0:...:0:1] is the coefficient of x_n^d, the last
-    # graded-lex monomial, so the filter is "last coefficient nonzero"
+    # graded-lex monomial, so the filter is "last coefficient nonzero": the
+    # lowest base-q^2 digit of the in-segment index, or the leading 1 in the
+    # last segment
     assert basis.exponents[-1] == tuple([0] * n + [d])
     total = projective_form_count(ctx.q2, k)
+    seg_lo = np.array([lo for _, lo, _ in segments(ctx.q2, k)])
     limit = d * count_points_formula(n - 1, "nondegenerate", q)
     worst = -1
-    for start, coeffs in iter_coeff_blocks(ctx, k, 0, total):
-        acc = np.zeros((coeffs.shape[0], values.shape[1]), dtype=np.int64)
-        for pos in range(k):
-            col = coeffs[:, pos]
-            if col.any():
-                acc = ctx.vadd(acc, ctx.vmul(col[:, None], values[pos][None, :]))
-        counts = (acc == 0).sum(axis=1)
-        missing = coeffs[:, -1] != 0
+    for start, counts in scan_zero_counts(ctx, values, 0, total):
+        g = start + np.arange(len(counts))
+        t = np.searchsorted(seg_lo, g, side="right") - 1
+        missing = (t == k - 1) | ((g - seg_lo[t]) % ctx.q2 != 0)
         if missing.any():
             worst = max(worst, int(counts[missing].max()))
     ok = worst <= limit

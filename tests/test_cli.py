@@ -175,3 +175,38 @@ def test_cli_stdout(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["computed"]["dmin"] == 8
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    return err
+
+
+def test_negative_budget_and_cap_refused(tmp_path, capsys):
+    oracle = ["oracle", "--p", "2", "--e", "1", "--n", "2", "--d", "1"]
+    params = ["params", "--p", "2", "--e", "1", "--n", "2", "--d", "1"]
+    for argv, flag in (
+        (oracle + ["--cap", "-1"], "--cap"),
+        (oracle + ["--budget", "-1"], "--budget"),
+        (params + ["--budget", "-1"], "--budget"),
+    ):
+        code, report, _ = run_cli(argv, tmp_path)
+        assert code == 2 and report is None
+        assert flag in _one_line_error(capsys)
+
+
+def test_verify_bounds_without_known_structure(capsys):
+    argv = ["verify", "--p", "2", "--e", "1", "--suite", "bounds", "--n", "5", "--d", "1"]
+    assert main(argv) == 1
+    assert "n = 5" in _one_line_error(capsys)
+
+
+def test_merge_rejects_report_without_config_n(tmp_path, capsys):
+    _, report, path = run_cli(
+        ["oracle", "--p", "2", "--e", "1", "--n", "2", "--d", "1", "--shard", "0/2"], tmp_path
+    )
+    del report["config"]["n"]
+    path.write_text(json.dumps(report))
+    assert main(["merge", str(path)]) == 1
+    assert "config.n" in _one_line_error(capsys)

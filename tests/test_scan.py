@@ -1,0 +1,131 @@
+"""The table-lookup scan kernel against a direct reference kernel.
+
+``reference_scan_zero_counts`` is the straightforward kernel: it rebuilds
+every coefficient vector of a block and accumulates the forms with
+``vmul`` + ``vadd`` over all k rows.  It is slow and allocates a (block, m)
+int64 array per step, which is why it lives here and not in the package.
+"""
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hermcodes import make_field, make_standard_cone, monomial_basis
+from hermcodes.forms import (
+    SCAN_TABLE_ELEMS,
+    monomial_values,
+    projective_form_count,
+    scan_zero_counts,
+    segments,
+)
+
+
+def reference_scan_zero_counts(ctx, values, lo, hi, block=1 << 15):
+    """(global start, zero counts) blocks of the forms in [lo, hi); blocks
+    start at lo or at a segment start and step by ``block``."""
+    k, m = values.shape
+    q2 = ctx.q2
+    for t, seg_lo, seg_hi in segments(q2, k):
+        s0, s1 = max(lo, seg_lo), min(hi, seg_hi)
+        for b0 in range(s0, s1, block):
+            b1 = min(b0 + block, s1)
+            suffix = np.arange(b0 - seg_lo, b1 - seg_lo, dtype=np.int64)
+            acc = np.broadcast_to(values[t], (b1 - b0, m)).copy()
+            for pos in range(t + 1, k):
+                div = q2 ** (k - 1 - pos)
+                digits = (suffix // div) % q2
+                acc = ctx.vadd(acc, ctx.vmul(digits[:, None], values[pos][None, :]))
+            yield b0, (acc == 0).sum(axis=1)
+
+
+def _collect(scan):
+    starts, counts = [], []
+    for start, zeros in scan:
+        assert zeros.dtype == np.int64
+        starts.append(start)
+        counts.append(zeros)
+    return starts, (np.concatenate(counts) if counts else np.zeros(0, dtype=np.int64))
+
+
+def _assert_same(ctx, values, lo, hi, block):
+    ref_starts, ref_counts = _collect(reference_scan_zero_counts(ctx, values, lo, hi, block))
+    starts, counts = _collect(scan_zero_counts(ctx, values, lo, hi, block))
+    assert starts == ref_starts
+    assert np.array_equal(counts, ref_counts)
+
+
+FIELDS = {(p, e): make_field(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (17, 1))}
+
+
+@st.composite
+def scan_cases(draw):
+    """A field, a random (k, m) value matrix with planted zeros, a global
+    range [lo, hi) of at most 2500 forms (possibly empty) and a block size."""
+    p, e = draw(st.sampled_from(sorted(FIELDS)))
+    ctx = FIELDS[(p, e)]
+    k = draw(st.integers(1, {4: 6, 9: 5, 16: 4, 289: 3}[ctx.q2]))
+    m = draw(st.integers(0, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, ctx.q2, size=(k, m))
+    values[rng.random((k, m)) < 0.3] = 0
+    total = projective_form_count(ctx.q2, k)
+    lo = draw(st.integers(0, total))
+    hi = draw(st.integers(lo, min(total, lo + 2500)))
+    block = draw(st.integers(1, 70))
+    return ctx, values, lo, hi, block
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scan_cases())
+def test_scan_matches_reference(case):
+    ctx, values, lo, hi, block = case
+    _assert_same(ctx, values, lo, hi, block)
+
+
+def test_scan_matches_reference_on_code_matrices():
+    """Whole and table-row-splitting ranges of real evaluation codes, where
+    the table covers several low digits."""
+    for (p, e), n, d in (((2, 1), 3, 2), ((3, 1), 2, 2), ((2, 2), 2, 1)):
+        ctx = FIELDS[(p, e)]
+        cone = make_standard_cone(ctx, n)
+        values = monomial_values(ctx, monomial_basis(n, d), cone.points)
+        total = projective_form_count(ctx.q2, values.shape[0])
+        if total < 100_000:
+            _assert_same(ctx, values, 0, total, 1 << 15)
+        _assert_same(ctx, values, total // 3 + 1, total // 3 + 40_000, 997)
+        _assert_same(ctx, values, total - 30_001, total - 5, 1 << 15)
+
+
+def test_scan_matches_reference_on_wide_matrix():
+    """m in the thousands leaves room for only a few low digits, so most
+    digits are prefix digits and ranges cut through table rows."""
+    ctx = FIELDS[(2, 2)]
+    rng = np.random.default_rng(7)
+    m = 3001
+    values = rng.integers(0, ctx.q2, size=(5, m))
+    values[rng.random(values.shape) < 0.2] = 0
+    assert ctx.q2**3 * m > SCAN_TABLE_ELEMS
+    total = projective_form_count(ctx.q2, 5)
+    assert total == 69905
+    for lo, hi, block in ((37, 3000, 333), (65530, 65545, 4), (69000, 69905, 256), (9, 9, 5)):
+        _assert_same(ctx, values, lo, hi, block)
+
+
+def test_scan_memory_is_bounded_on_long_code():
+    """A few thousand classes of the GF(16) rank-4 cone code (m = 17681)
+    stay far below the (block, m) int64 temporaries of a direct kernel."""
+    ctx = make_field(2, 2)
+    cone = make_standard_cone(ctx, 4)
+    values = monomial_values(ctx, monomial_basis(4, 1), cone.points)
+    assert values.shape == (5, 17681)
+    tracemalloc.start()
+    try:
+        classes = sum(len(z) for _, z in scan_zero_counts(ctx, values, 1000, 4000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert classes == 3000
+    assert peak < 64 * 2**20
