@@ -37,7 +37,14 @@ from .hermitian import (
     tangent_hyperplane,
 )
 from .limits import EVAL_BUDGET, MAXIMIZER_CAP, BudgetExceededError
-from .projspace import enumerate_points, enumerate_hyperplanes, incidence_values, line_through
+from .projspace import (
+    enumerate_hyperplanes,
+    enumerate_points,
+    incidence_values,
+    line_through,
+    normalize_rows,
+    normalize_vector,
+)
 
 __all__ = [
     "BoundValue",
@@ -405,51 +412,62 @@ def merge_oracle_results(parts: list[OracleResult]) -> OracleResult:
 # ---------------------------------------------------------------------------
 
 
+def _cone_line_cover(ctx: FieldCtx, zero_points: np.ndarray, vertex) -> tuple[bool, int]:
+    """Whether the distinct normalized points ``zero_points`` form a union of
+    full lines through ``vertex``, and how many lines.
+
+    Reproduces the greedy walk: visit the points other than the vertex in
+    canonical order, start a line at each point no earlier line covers, and
+    stop with ``(False, lines completed so far)`` at the first line that is
+    not wholly inside the set.  An empty set gives (True, 0); a nonempty set
+    without the vertex gives (False, 0).
+    """
+    vertex = np.asarray(normalize_vector(ctx, vertex), dtype=np.int64)
+    weights = ctx.q2 ** np.arange(len(vertex) - 1, -1, -1, dtype=np.int64)
+    zero_points = np.asarray(zero_points, dtype=np.int64)
+    # Keys sort in canonical enumeration order (lexicographic on codes).
+    keys = (zero_points * weights).sum(axis=1)
+    is_vertex = keys == (vertex * weights).sum()
+    if not is_vertex.any():
+        return len(keys) == 0, 0
+    others = zero_points[~is_vertex][np.argsort(keys[~is_vertex], kind="stable")]
+    # With v_j = 1 the vertex's last nonzero coordinate, X - X_j v is the same
+    # projective point for every X on one line through v and differs between
+    # lines, so its key names the line.
+    j = int(np.flatnonzero(vertex)[-1])
+    projected = ctx.vsub(others, ctx.vmul(others[:, j, None], vertex))
+    line_ids = (normalize_rows(ctx, projected) * weights).sum(axis=1)
+    # A zero starts a line iff it is the first zero on it; the line is whole
+    # iff all q^2 of its points other than the vertex are zeros.
+    _, starts, counts = np.unique(line_ids, return_index=True, return_counts=True)
+    broken = np.flatnonzero(counts[np.argsort(starts, kind="stable")] != ctx.q2)
+    if broken.size:
+        return False, int(broken[0])
+    return True, len(starts)
+
+
 def check_union_of_cone_lines(
     ctx: FieldCtx, variety: HermitianVariety, form: HomogeneousForm
 ) -> tuple[bool, int]:
     """Whether the intersection of the form's zero set with the rank-n cone
     is a union of full generator lines through the vertex, and how many.
-    The vertex lies on every generator line, so it never counts separately."""
+    The vertex lies on every generator line, so it never counts separately.
+
+    When the check fails the count is the number of generator lines the
+    walk over the zeros in canonical order completed before it met the
+    first zero whose line is not wholly inside the zero set; it is 0 when
+    the vertex is not a zero or is the only one."""
     if not variety.is_rank_n_cone:
         raise ValueError("checker requires a rank-n cone")
-    zeros = form_values(ctx, form, variety.points) == 0
-    zset = {tuple(int(c) for c in p) for p in variety.points[zeros]}
-    if not zset:
-        return True, 0
-    vertex = variety.vertex
-    if vertex not in zset:
+    zero_points = variety.points[form_values(ctx, form, variety.points) == 0]
+    if len(zero_points) == 1:
         return False, 0
-    if len(zset) == 1:
-        return False, 0
-    covered = {vertex}
-    n_lines = 0
-    for x in sorted(zset):
-        if x in covered:
-            continue
-        line = {tuple(int(c) for c in p) for p in line_through(ctx, vertex, x)}
-        if not line <= zset:
-            return False, n_lines
-        covered |= line
-        n_lines += 1
-    return True, n_lines
+    return _cone_line_cover(ctx, zero_points, variety.vertex)
 
 
 def is_cone_with_vertex(ctx: FieldCtx, form: HomogeneousForm, vertex) -> bool:
     """True iff the form's zero set in P^n is a union of full lines through
     the given vertex: every rational zero other than the vertex extends to
     a line of zeros through it."""
-    n = form.basis.n
-    space = enumerate_points(ctx, n)
-    zeros = form_values(ctx, form, space) == 0
-    zset = {tuple(int(c) for c in p) for p in space[zeros]}
-    vertex = tuple(int(c) for c in vertex)
-    covered = {vertex}
-    for x in sorted(zset):
-        if x in covered:
-            continue
-        line = {tuple(int(c) for c in p) for p in line_through(ctx, vertex, x)}
-        if not line <= zset:
-            return False
-        covered |= line
-    return True
+    space = enumerate_points(ctx, form.basis.n)
+    return _cone_line_cover(ctx, space[form_values(ctx, form, space) == 0], vertex)[0]

@@ -295,10 +295,21 @@ _MERGE_FIELDS = {
 
 
 def _load_oracle_report(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # invalid JSON or not UTF-8
+        raise ValueError(f"{path} is not a JSON report: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path} is not an oracle report: it is not a JSON object")
+    if payload.get("schema") != 1:
+        raise ValueError(f"{path} has report schema {payload.get('schema')!r}, expected 1")
+    if payload.get("command") != "oracle":
+        raise ValueError(f"{path} is a {payload.get('command')!r} report, not an oracle report")
     for section, keys in _MERGE_FIELDS.items():
-        part = payload.get(section) if isinstance(payload, dict) else None
+        part = payload.get(section)
         for key in keys:
             if not isinstance(part, dict) or key not in part:
                 raise ValueError(f"{path} is not an oracle report: it lacks {section}.{key}")

@@ -276,6 +276,11 @@ class FieldCtx:
             return self._mul_t[a, b]
         return self._vmul_logexp(a, b)
 
+    def vinv(self, a):
+        if np.any(np.asarray(a) == 0):
+            raise ZeroDivisionError("inverse of zero")
+        return self._inv_t[a]
+
     def vfrob(self, a):
         return self._frob_t[a]
 

@@ -21,6 +21,7 @@ from .limits import POINT_BUDGET, BudgetExceededError
 __all__ = [
     "pi_count",
     "normalize_vector",
+    "normalize_rows",
     "enumerate_points",
     "enumerate_hyperplanes",
     "incidence",
@@ -54,6 +55,18 @@ def normalize_vector(ctx: FieldCtx, vec) -> tuple[int, ...]:
         return tuple(vec)
     s = ctx.inv(vec[last])
     return tuple(ctx.mul(s, c) for c in vec)
+
+
+def normalize_rows(ctx: FieldCtx, rows) -> np.ndarray:
+    """Vector twin of :func:`normalize_vector`: scale every coordinate vector
+    along the last axis so its last nonzero entry is 1."""
+    rows = np.asarray(rows, dtype=np.int64)
+    nonzero = rows != 0
+    if not nonzero.any(axis=-1).all():
+        raise ValueError("zero vector does not define a projective point")
+    last = rows.shape[-1] - 1 - np.argmax(nonzero[..., ::-1], axis=-1)
+    lead = np.take_along_axis(rows, last[..., None], axis=-1)
+    return ctx.vmul(ctx.vinv(lead), rows)
 
 
 def _enumerate_points_raw(ctx: FieldCtx, n: int, budget: int) -> np.ndarray:

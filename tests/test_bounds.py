@@ -1,7 +1,16 @@
 """Bound calculators, extremal constructions, the exhaustive oracle, and the
-structural checkers for maximizers."""
+structural checkers for maximizers.
 
+``reference_line_walk`` and the two reference checkers below are direct
+per-point loops, one scalar ``line_through`` and one tuple set per line.
+They are slow, which is why they live here; the package checkers share the
+vectorised ``bounds._cone_line_cover``.
+"""
+
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hermcodes import (
     BudgetExceededError,
@@ -23,8 +32,11 @@ from hermcodes import (
     serre_bound,
     sorensen_max,
 )
+from hermcodes.bounds import _cone_line_cover
+from hermcodes.forms import form_values
 from hermcodes.hermitian import count_points_formula
-from hermcodes.projspace import enumerate_points
+from hermcodes.limits import POINT_BUDGET
+from hermcodes.projspace import enumerate_points, line_through, normalize_rows, normalize_vector
 from hermcodes.verify import (
     check_hyperplane_margin,
     check_missing_vertex_margin,
@@ -243,3 +255,239 @@ def test_tangent_section_structure_q3():
     ctx = make_field(3, 1)
     assert check_tangent_section_structure(ctx, 1, samples=8, seed=0).passed
     assert check_tangent_section_structure(ctx, 2, samples=8, seed=0).passed
+
+
+# ---------------------------------------------------------------------------
+# The vectorised line cover against the per-point loops
+# ---------------------------------------------------------------------------
+
+
+def reference_line_walk(ctx, zset, vertex):
+    """Walk the zeros in canonical order; start a line through the vertex at
+    each point no earlier line covers; stop at the first line not inside."""
+    covered = {vertex}
+    n_lines = 0
+    for x in sorted(zset):
+        if x in covered:
+            continue
+        line = {tuple(int(c) for c in p) for p in line_through(ctx, vertex, x)}
+        if not line <= zset:
+            return False, n_lines
+        covered |= line
+        n_lines += 1
+    return True, n_lines
+
+
+def _zero_set(ctx, form, points):
+    return {tuple(int(c) for c in p) for p in points[form_values(ctx, form, points) == 0]}
+
+
+def reference_check_union_of_cone_lines(ctx, variety, form):
+    zset = _zero_set(ctx, form, variety.points)
+    if not zset:
+        return True, 0
+    if variety.vertex not in zset or len(zset) == 1:
+        return False, 0
+    return reference_line_walk(ctx, zset, variety.vertex)
+
+
+def reference_is_cone_with_vertex(ctx, form, vertex):
+    space = enumerate_points(ctx, form.basis.n)
+    return reference_line_walk(ctx, _zero_set(ctx, form, space), tuple(int(c) for c in vertex))[0]
+
+
+CONE_FIELDS = [make_field(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (11, 1))]
+CONE_CELLS = [
+    (ctx, n) for ctx in CONE_FIELDS for n in (2, 3, 4) if ctx.q2 ** (n + 1) <= POINT_BUDGET
+]
+# The GF(25) rank-4 cone (81,901 points) costs the reference loops seconds
+# per form; it gets one fixed example instead of random draws.
+LARGEST_CELL = (CONE_FIELDS[3], 4)
+CONES = {}
+GENERATOR_LINES = {}
+
+
+def _cone(ctx, n):
+    key = (ctx.q2, n)
+    if key not in CONES:
+        CONES[key] = make_standard_cone(ctx, n)
+    return CONES[key]
+
+
+def _generator_lines(ctx, n):
+    """Every generator line of the cone as a set of point tuples."""
+    key = (ctx.q2, n)
+    if key not in GENERATOR_LINES:
+        cone = _cone(ctx, n)
+        lines, covered = [], {cone.vertex}
+        for x in cone.points:
+            x = tuple(int(c) for c in x)
+            if x not in covered:
+                lines.append({tuple(int(c) for c in p) for p in line_through(ctx, cone.vertex, x)})
+                covered |= lines[-1]
+        GENERATOR_LINES[key] = lines
+    return GENERATOR_LINES[key]
+
+
+def _random_dual(ctx, rng, n, through_vertex):
+    """A nonzero dual vector; the standard vertex e_n lies on the hyperplane
+    iff the last coordinate is 0."""
+    dual = rng.integers(0, ctx.q2, size=n + 1)
+    dual[n] = 0 if through_vertex else rng.integers(1, ctx.q2)
+    if not dual.any():
+        dual[rng.integers(0, n)] = 1
+    return [int(c) for c in dual]
+
+
+def _anisotropic_binary_quadric(ctx, n):
+    """x0^2 + x0 x1 + b x1^2 with t^2 + t + b irreducible: its zeros are the
+    points with x0 = x1 = 0."""
+    t = np.arange(ctx.q2)
+    for b in range(1, ctx.q2):
+        if not (ctx.vadd(ctx.vadd(ctx.vmul(t, t), t), b) == 0).any():
+            break
+    basis = monomial_basis(n, 2)
+    coeffs = [0] * len(basis)
+    for exps, c in (((2, 0), 1), ((1, 1), 1), ((0, 2), b)):
+        coeffs[basis.exponents.index(exps + (0,) * (n - 1))] = c
+    return HomogeneousForm(basis, tuple(coeffs))
+
+
+@st.composite
+def cone_forms(draw):
+    """A cone cell and a form on it: random, missing the vertex, a product of
+    hyperplanes through the vertex, such a product with one hyperplane that
+    misses it (the partial failures), or one whose zeros on the n = 2, 3
+    cones are the vertex alone."""
+    ctx, n = draw(st.sampled_from([c for c in CONE_CELLS if c != LARGEST_CELL]))
+    kind = draw(st.sampled_from(["random", "misses_vertex", "through_vertex", "partial", "vertex_only"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2 if kind == "partial" else 1, min(ctx.q, 3)))
+    if kind == "vertex_only":
+        return ctx, n, _anisotropic_binary_quadric(ctx, n)
+    if kind in ("through_vertex", "partial"):
+        duals = [_random_dual(ctx, rng, n, through_vertex=True) for _ in range(d)]
+        if kind == "partial":
+            duals[-1] = _random_dual(ctx, rng, n, through_vertex=False)
+            if draw(st.booleans()):
+                # zeros with x0 = 0 sort first, so full lines precede the break
+                duals[0] = [1] + [0] * n
+        return ctx, n, product_of_hyperplanes(ctx, duals)
+    basis = monomial_basis(n, d)
+    coeffs = rng.integers(0, ctx.q2, size=len(basis))
+    if kind == "misses_vertex":
+        coeffs[basis.exponents.index((0,) * n + (d,))] = rng.integers(1, ctx.q2)
+    if not coeffs.any():
+        coeffs[0] = 1
+    return ctx, n, HomogeneousForm(basis, tuple(int(c) for c in coeffs))
+
+
+def _assert_checkers_match(ctx, n, form):
+    cone = _cone(ctx, n)
+    assert check_union_of_cone_lines(ctx, cone, form) == reference_check_union_of_cone_lines(
+        ctx, cone, form
+    )
+    assert is_cone_with_vertex(ctx, form, cone.vertex) == reference_is_cone_with_vertex(
+        ctx, form, cone.vertex
+    )
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cone_forms())
+def test_checkers_match_reference_loops(case):
+    _assert_checkers_match(*case)
+
+
+def test_checkers_match_reference_loops_on_largest_cone():
+    ctx, n = LARGEST_CELL
+    assert len(_cone(ctx, n).points) == 81901
+    rng = np.random.default_rng(5)
+    for through_vertex in (True, False):
+        form = product_of_hyperplanes(ctx, [_random_dual(ctx, rng, n, through_vertex)])
+        _assert_checkers_match(ctx, n, form)
+
+
+@st.composite
+def cone_point_sets(draw):
+    """A point set of a cone: a random choice of its generator lines, with
+    or without the vertex, plus a few stray cone points."""
+    ctx, n = draw(st.sampled_from([c for c in CONE_CELLS if len(_cone(*c).points) <= 3200]))
+    cone = _cone(ctx, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = set()
+    share = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    for line in _generator_lines(ctx, n):
+        if rng.random() < share:
+            pts |= line
+    stray = rng.random(len(cone.points)) < draw(st.sampled_from([0.0, 0.002, 0.02]))
+    pts |= {tuple(int(c) for c in p) for p in cone.points[stray]}
+    vertex = cone.vertex
+    if draw(st.booleans()):
+        pts.add(vertex)
+    else:
+        pts.discard(vertex)
+    return ctx, n, pts, vertex
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cone_point_sets())
+def test_cone_line_cover_matches_reference_walk(case):
+    ctx, n, pts, vertex = case
+    rows = np.array(sorted(pts), dtype=np.int64).reshape(-1, n + 1)
+    shuffled = rows[np.random.default_rng(len(rows)).permutation(len(rows))]
+    if vertex in pts:
+        expected = reference_line_walk(ctx, pts, vertex)
+    else:
+        expected = (not pts, 0)
+    assert _cone_line_cover(ctx, shuffled, vertex) == expected
+
+
+def test_cone_line_cover_edge_cases(gf4, gf9):
+    cone = make_standard_cone(gf4, 3)
+    vertex = cone.vertex
+    empty = np.zeros((0, 4), dtype=np.int64)
+    assert _cone_line_cover(gf4, empty, vertex) == (True, 0)
+    only_vertex = np.array([vertex], dtype=np.int64)
+    assert _cone_line_cover(gf4, only_vertex, vertex) == (True, 0)
+    # one full line, then a stray point on a second line: one line completed
+    first = cone.points[0] if tuple(cone.points[0]) != vertex else cone.points[1]
+    line = line_through(gf4, vertex, first)
+    stray = cone.points[-1]
+    assert not any((line == stray).all(axis=1))
+    assert _cone_line_cover(gf4, np.vstack([line, stray]), vertex) == (False, 1)
+    # a vertex given unnormalized is the same point
+    assert _cone_line_cover(gf4, line, [0, 0, 0, 3]) == (True, 1)
+    # the forms behind the early exits and a partial failure
+    assert check_union_of_cone_lines(gf4, cone, _anisotropic_binary_quadric(gf4, 3)) == (False, 0)
+    assert is_cone_with_vertex(gf4, _anisotropic_binary_quadric(gf4, 2), (0, 0, 1))
+    x0x3 = product_of_hyperplanes(gf4, [(1, 0, 0, 0), (0, 0, 0, 1)])
+    assert check_union_of_cone_lines(gf4, cone, x0x3) == (False, 3)
+    assert reference_check_union_of_cone_lines(gf4, cone, x0x3) == (False, 3)
+    plane = make_standard_cone(gf9, 2)
+    assert check_union_of_cone_lines(gf9, plane, _anisotropic_binary_quadric(gf9, 2)) == (False, 0)
+
+
+SPARSE = make_field(17, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(CONE_FIELDS + [SPARSE]),
+    st.integers(1, 5),
+    st.integers(0, 40),
+    st.integers(0, 2**32 - 1),
+)
+def test_normalize_rows_matches_normalize_vector(ctx, width, count, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, ctx.q2, size=(count, 2, width))
+    rows[rng.random(rows.shape) < 0.4] = 0
+    rows[..., rng.integers(0, width)] |= (rows == 0).all(axis=-1)
+    got = normalize_rows(ctx, rows)
+    assert got.shape == rows.shape
+    for vec, norm in zip(rows.reshape(-1, width), got.reshape(-1, width)):
+        assert tuple(int(c) for c in norm) == normalize_vector(ctx, vec)
+
+
+def test_normalize_rows_rejects_zero_vector(gf4):
+    with pytest.raises(ValueError):
+        normalize_rows(gf4, [[1, 2, 1], [0, 0, 0]])

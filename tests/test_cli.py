@@ -210,3 +210,41 @@ def test_merge_rejects_report_without_config_n(tmp_path, capsys):
     path.write_text(json.dumps(report))
     assert main(["merge", str(path)]) == 1
     assert "config.n" in _one_line_error(capsys)
+
+
+def test_merge_rejects_unreadable_input(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["merge", str(missing)]) == 1
+    assert "missing.json" in _one_line_error(capsys)
+    assert main(["merge", str(tmp_path)]) == 1  # a directory
+    _one_line_error(capsys)
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{ not json")
+    assert main(["merge", str(garbled)]) == 1
+    assert "garbled.json" in _one_line_error(capsys)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    assert main(["merge", str(binary)]) == 1
+    _one_line_error(capsys)
+
+
+def test_merge_rejects_wrong_schema_and_command(tmp_path, capsys):
+    _, report, path = run_cli(
+        ["oracle", "--p", "2", "--e", "1", "--n", "2", "--d", "1", "--shard", "0/2"], tmp_path
+    )
+    for field, value, needle in (
+        ("schema", 7, "schema 7"),
+        ("command", "params", "'params'"),
+        ("schema", None, "schema None"),
+    ):
+        bad = dict(report)
+        if value is None:
+            del bad[field]
+        else:
+            bad[field] = value
+        path.write_text(json.dumps(bad))
+        assert main(["merge", str(path)]) == 1
+        assert needle in _one_line_error(capsys)
+    path.write_text(json.dumps([report]))
+    assert main(["merge", str(path)]) == 1
+    assert "JSON object" in _one_line_error(capsys)

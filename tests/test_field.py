@@ -3,8 +3,11 @@ oracle and hand-computed tables for GF(4) and GF(9)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermcodes import BudgetExceededError, make_field
+from hermcodes.limits import DENSE_TABLE_LIMIT
 
 # -- independent oracle: direct polynomial arithmetic over GF(p) ------------
 
@@ -39,6 +42,10 @@ def oracle_add(a, b, p, width):
     )
 
 
+def oracle_neg(a, p, width):
+    return poly_code([(-x) % p for x in poly_digits(a, p, width)], p)
+
+
 # -- construction ------------------------------------------------------------
 
 
@@ -66,6 +73,43 @@ def test_arithmetic_matches_polynomial_oracle(p, e):
         for b in range(ctx.q2):
             assert ctx.mul(a, b) == oracle_mul(a, b, list(ctx.modulus), p)
             assert ctx.add(a, b) == oracle_add(a, b, p, width)
+
+
+# Fields above DENSE_TABLE_LIMIT: log/exp multiply, XOR or digit-wise add.
+SPARSE_FIELDS = [make_field(p, e) for p, e in ((17, 1), (5, 2), (3, 3), (2, 5))]
+
+
+@st.composite
+def sparse_operands(draw):
+    ctx = draw(st.sampled_from(SPARSE_FIELDS))
+    codes = st.integers(0, ctx.q2 - 1)
+    return ctx, draw(st.lists(st.tuples(codes, codes), min_size=1, max_size=30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_operands())
+def test_sparse_arithmetic_matches_polynomial_oracle(case):
+    ctx, pairs = case
+    assert ctx.q2 > DENSE_TABLE_LIMIT
+    p, width, modulus = ctx.p, 2 * ctx.e, list(ctx.modulus)
+    a = np.array([x for x, _ in pairs], dtype=np.int64)
+    b = np.array([y for _, y in pairs], dtype=np.int64)
+    want_add = [oracle_add(x, y, p, width) for x, y in pairs]
+    want_mul = [oracle_mul(x, y, modulus, p) for x, y in pairs]
+    want_neg = [oracle_neg(x, p, width) for x, _ in pairs]
+    assert [ctx.add(x, y) for x, y in pairs] == want_add
+    assert [ctx.mul(x, y) for x, y in pairs] == want_mul
+    assert [ctx.neg(x) for x, _ in pairs] == want_neg
+    assert ctx.vadd(a, b).tolist() == want_add
+    assert ctx.vmul(a, b).tolist() == want_mul
+    assert ctx.vneg(a).tolist() == want_neg
+    nonzero = a[a != 0]
+    inverses = ctx.vinv(nonzero)
+    assert inverses.tolist() == [ctx.inv(int(x)) for x in nonzero]
+    assert all(oracle_mul(int(x), int(y), modulus, p) == 1 for x, y in zip(nonzero, inverses))
+    if (a == 0).any():
+        with pytest.raises(ZeroDivisionError):
+            ctx.vinv(a)
 
 
 def test_gf4_hand_tables(gf4):
@@ -113,8 +157,12 @@ def test_inverses_and_pow(p, e):
         for k in range(5):
             assert ctx.pow(a, k) == acc
             acc = ctx.mul(acc, a)
+    nonzero = np.arange(1, ctx.q2)
+    assert ctx.vinv(nonzero).tolist() == [ctx.inv(int(a)) for a in nonzero]
     with pytest.raises(ZeroDivisionError):
         ctx.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        ctx.vinv(np.arange(ctx.q2))
     with pytest.raises(ZeroDivisionError):
         ctx.div(1, 0)
 
