@@ -308,6 +308,8 @@ def _load_oracle_report(path: str) -> dict:
         raise ValueError(f"{path} has report schema {payload.get('schema')!r}, expected 1")
     if payload.get("command") != "oracle":
         raise ValueError(f"{path} is a {payload.get('command')!r} report, not an oracle report")
+    if payload.get("partial") is not True:
+        raise ValueError(f"{path} is not a partial oracle report: it lacks \"partial\": true")
     for section, keys in _MERGE_FIELDS.items():
         part = payload.get(section)
         for key in keys:

@@ -11,9 +11,20 @@ A :class:`FieldCtx` is immutable after construction and safe to share
 between workers.  Scalar operations are methods (``add``, ``mul``, ``inv``,
 ``frob``, ``norm``, ``trace``, ...); the ``v``-prefixed variants operate on
 numpy arrays of codes and broadcast, which is what the enumeration loops
-use.  Nonzero codes index a discrete-log table for a fixed primitive
-element, giving O(1) multiplication; for fields with q^2 <= 256 full
-pairwise add/mul tables are built as well.
+use.  Every operation is a gather from tables built once per context:
+
+- q^2 <= 256 (``DENSE_TABLE_LIMIT``): full pairwise q^2 x q^2 add and mul
+  tables, indexed as ``table[a, b]``.
+- Larger fields multiply through a zero-sentinel log/antilog pair: the log
+  of 0 is 2(q^2 - 1) and the antilog table holds the powers of the
+  primitive element twice, then zeros, so ``a * b`` is
+  ``antilog[log[a] + log[b]]`` with no modulus and no zero test.
+- Larger fields of odd characteristic add by carry-free digit spreading:
+  a code's base-p digits are re-read in base 2p - 1, where the digit sums
+  of two operands cannot carry, and an unspread table maps each sum back to
+  the code with digits (sum digit mod p).  The 2e digits are split evenly
+  into as few groups as keep every unspread table within ``TABLE_LIMIT``
+  entries; the sum is one lookup per group.  Characteristic 2 adds by XOR.
 
 The intermediate field GF(q) is not modelled separately: it is the fixed
 set of the conjugation ``x -> x^q`` inside GF(q^2), exposed as the sorted
@@ -130,6 +141,25 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     return True
 
 
+def _digits(x, base: int, width: int) -> np.ndarray:
+    """Base-``base`` digits of an integer array along a new last axis,
+    least significant first."""
+    return np.asarray(x)[..., None] // base ** np.arange(width, dtype=np.int64) % base
+
+
+def _digit_groups(width: int, base: int, limit: int) -> list[tuple[int, int]]:
+    """Split digit positions [0, width) into the fewest consecutive groups
+    with base**(group width) <= limit, as evenly as possible (balanced groups
+    keep every table small: GF(3^10) gets two 3,125-entry tables, not one of
+    390,625 and one of 25)."""
+    widest = 1
+    while base ** (widest + 1) <= limit:
+        widest += 1
+    count = -(-width // widest)
+    bounds = [width * i // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 def _smallest_irreducible(p: int, degree: int) -> tuple[int, ...]:
     """Monic irreducible of the given degree with smallest lower-coefficient
     code; returned as the full ascending coefficient tuple (monic)."""
@@ -149,9 +179,17 @@ class FieldCtx:
     p, e, q, q2     -- characteristic, exponent, q = p^e, q2 = q^2
     modulus         -- ascending monic coefficient tuple of the modulus
     exp_table       -- powers of the primitive element, length q2 - 1
+                       (a read-only view of the zero-sentinel antilog table)
     log_table       -- inverse of exp_table on nonzero codes (log[0] = -1)
     generator       -- code of the primitive element used by the tables
     base_embed      -- sorted tuple of the q codes fixed by x -> x^q
+
+    Private tables, all read-only and indexed by codes: ``_add_t``/``_mul_t``
+    (q2 x q2, only for q2 <= DENSE_TABLE_LIMIT, else None), ``_log0``/``_exp0``
+    (zero-sentinel log/antilog, log0[0] = 2(q2 - 1)), ``_spread_t`` (one
+    (spread, unspread) pair per digit group for odd p, each unspread table
+    at most TABLE_LIMIT entries), and the unary maps ``_neg_t``, ``_inv_t``,
+    ``_frob_t``, ``_norm_t``, ``_trace_t``.
     """
 
     def __init__(self, p: int, e: int):
@@ -168,7 +206,6 @@ class FieldCtx:
         self.q = p**e
         self.q2 = self.q**2
         self.modulus = _smallest_irreducible(p, 2 * e)
-        self._mod_low = self.modulus[:-1]
         self._build_tables()
 
     # -- construction -------------------------------------------------------
@@ -199,7 +236,7 @@ class FieldCtx:
         raise AssertionError("no primitive element found")  # unreachable
 
     def _build_tables(self) -> None:
-        q2 = self.q2
+        p, q2 = self.p, self.q2
         order = q2 - 1
         self.generator = self._find_generator()
         exp = np.empty(order, dtype=np.int64)
@@ -209,10 +246,33 @@ class FieldCtx:
             acc = self._code_mul(acc, self.generator)
         log = np.full(q2, -1, dtype=np.int64)
         log[exp] = np.arange(order)
-        self.exp_table = exp
+        # Zero-sentinel log/antilog: log0 + log0 of two nonzero codes stays
+        # below 2 * order; a zero operand lands in the zero tail.
+        self._exp0 = np.zeros(4 * order + 1, dtype=np.int64)
+        self._exp0[: 2 * order] = np.tile(exp, 2)
+        self._log0 = log.copy()
+        self._log0[0] = 2 * order
+        self.exp_table = self._exp0[:order]
         self.log_table = log
 
         codes = np.arange(q2, dtype=np.int64)
+        width = 2 * self.e
+        digits = _digits(codes, p, width)
+        place = p ** np.arange(width, dtype=np.int64)
+        self._neg_t = ((-digits) % p * place).sum(axis=-1)
+        # (spread, unspread) per digit group; p = 2 adds by XOR instead.
+        self._spread_t = []
+        if p > 2:
+            base = 2 * p - 1
+            for lo, hi in _digit_groups(width, base, TABLE_LIMIT):
+                size = hi - lo
+                spread = (digits[:, lo:hi] * base ** np.arange(size, dtype=np.int64)).sum(axis=-1)
+                sums = _digits(np.arange(base**size, dtype=np.int64), base, size)
+                unspread = (sums % p * place[lo:hi]).sum(axis=-1)
+                self._spread_t.append((spread, unspread))
+        self._add_t = None
+        self._mul_t = None
+
         nz = codes[1:]
         frob = np.zeros(q2, dtype=np.int64)
         frob[nz] = exp[(log[nz] * self.q) % order]
@@ -220,7 +280,6 @@ class FieldCtx:
         inv = np.zeros(q2, dtype=np.int64)
         inv[nz] = exp[(-log[nz]) % order]
         self._inv_t = inv
-        self._neg_t = self._digitwise(codes, codes * 0, lambda x, _: (-x) % self.p)
         norm = np.zeros(q2, dtype=np.int64)
         norm[nz] = exp[(log[nz] * (self.q + 1)) % order]
         self._norm_t = norm
@@ -228,42 +287,30 @@ class FieldCtx:
 
         if q2 <= DENSE_TABLE_LIMIT:
             self._add_t = self.vadd(codes[:, None], codes[None, :])
-            self._mul_t = self._vmul_logexp(codes[:, None], codes[None, :])
-        else:
-            self._add_t = None
-            self._mul_t = None
+            self._mul_t = self.vmul(codes[:, None], codes[None, :])
 
         self.base_embed = tuple(int(c) for c in codes[frob == codes])
         self._base_set = frozenset(self.base_embed)
-        for t in (self.exp_table, self.log_table, self._frob_t, self._inv_t,
-                  self._neg_t, self._norm_t, self._trace_t):
-            t.setflags(write=False)
+        tables = [self._exp0, self.exp_table, self.log_table, self._log0, self._frob_t,
+                  self._inv_t, self._neg_t, self._norm_t, self._trace_t]
+        tables += [t for pair in self._spread_t for t in pair]
         if self._add_t is not None:
-            self._add_t.setflags(write=False)
-            self._mul_t.setflags(write=False)
-
-    def _digitwise(self, a, b, op):
-        out = np.zeros_like(np.broadcast_arrays(a, b)[0])
-        pw = 1
-        for _ in range(2 * self.e):
-            out += op((a // pw) % self.p, (b // pw) % self.p) * pw
-            pw *= self.p
-        return out
-
-    def _vmul_logexp(self, a, b):
-        la = self.log_table[a]
-        lb = self.log_table[b]
-        out = self.exp_table[(la + lb) % (self.q2 - 1)]
-        return np.where((np.asarray(a) == 0) | (np.asarray(b) == 0), 0, out)
+            tables += [self._add_t, self._mul_t]
+        for t in tables:
+            t.setflags(write=False)
 
     # -- vectorized operations on arrays of codes ---------------------------
 
     def vadd(self, a, b):
-        if getattr(self, "_add_t", None) is not None:
+        if self._add_t is not None:
             return self._add_t[a, b]
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        return self._digitwise(a, b, lambda x, y: (x + y) % self.p)
+        (spread, unspread), *rest = self._spread_t
+        out = unspread[spread[a] + spread[b]]
+        for spread, unspread in rest:
+            out = out + unspread[spread[a] + spread[b]]
+        return out
 
     def vsub(self, a, b):
         return self.vadd(a, self.vneg(b))
@@ -274,7 +321,7 @@ class FieldCtx:
     def vmul(self, a, b):
         if self._mul_t is not None:
             return self._mul_t[a, b]
-        return self._vmul_logexp(a, b)
+        return self._exp0[self._log0[a] + self._log0[b]]
 
     def vinv(self, a):
         if np.any(np.asarray(a) == 0):
@@ -283,6 +330,12 @@ class FieldCtx:
 
     def vfrob(self, a):
         return self._frob_t[a]
+
+    def vnorm(self, a):
+        return self._norm_t[a]
+
+    def vtrace(self, a):
+        return self._trace_t[a]
 
     # -- scalar operations --------------------------------------------------
 
@@ -331,11 +384,11 @@ class FieldCtx:
 
     def norm(self, a: int) -> int:
         """Relative norm a -> a^(q+1); lands in GF(q)."""
-        return int(self._norm_t[a])
+        return int(self.vnorm(a))
 
     def trace(self, a: int) -> int:
         """Relative trace a -> a + a^q; lands in GF(q)."""
-        return int(self._trace_t[a])
+        return int(self.vtrace(a))
 
     def in_base_field(self, a: int) -> bool:
         return a in self._base_set

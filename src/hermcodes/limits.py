@@ -7,10 +7,13 @@ the defaults keep the q = 2, 3 verification runs instant while refusing
 accidental explosions.
 """
 
-# Largest extension field GF(q^2) for which log/exp tables are built.
+# Entries in one field table: the largest GF(q^2) whose context is built
+# (log/antilog, unary maps), and the cap on each digit group's unspread
+# table in the odd-characteristic spread add (the 2e digits split into as
+# few groups as keep every (2p - 1)^width <= TABLE_LIMIT).
 TABLE_LIMIT = 1 << 20
 
-# Full q^2 x q^2 addition/multiplication tables are built below this size.
+# Full q^2 x q^2 addition/multiplication tables are built up to this size.
 DENSE_TABLE_LIMIT = 256
 
 # Raw coordinate tuples visited by one projective-space enumeration.

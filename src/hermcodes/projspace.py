@@ -11,8 +11,6 @@ identically.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .field import FieldCtx
@@ -77,18 +75,22 @@ def _enumerate_points_raw(ctx: FieldCtx, n: int, budget: int) -> np.ndarray:
         raise BudgetExceededError(
             f"enumerating P^{n}(GF({ctx.q2})) scans {raw} tuples > budget {budget}"
         )
-    pts = []
-    for tup in itertools.product(range(ctx.q2), repeat=n + 1):
-        last = 0
-        for c in reversed(tup):
-            if c:
-                last = c
-                break
-        if last == 1:
-            pts.append(tup)
-    arr = np.array(pts, dtype=np.int64)
-    arr.setflags(write=False)
-    return arr
+    # Canonical (lexicographic) order without a sort: the normalized vectors
+    # of length k + 1 are (0, x), then (1, 0, ..., 0), then (c, x) for
+    # c = 1 .. q^2 - 1, with x running over those of length k in order.
+    q2 = ctx.q2
+    pts = np.ones((1, 1), dtype=np.int64)
+    for k in range(1, n + 1):
+        m = len(pts)
+        out = np.zeros((q2 * m + 1, k + 1), dtype=np.int64)
+        out[:m, 1:] = pts
+        out[m, 0] = 1
+        tail = out[m + 1 :].reshape(q2 - 1, m, k + 1)
+        tail[:, :, 0] = np.arange(1, q2)[:, None]
+        tail[:, :, 1:] = pts
+        pts = out
+    pts.setflags(write=False)
+    return pts
 
 
 def enumerate_points(ctx: FieldCtx, n: int, budget: int = POINT_BUDGET) -> np.ndarray:

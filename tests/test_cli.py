@@ -248,3 +248,23 @@ def test_merge_rejects_wrong_schema_and_command(tmp_path, capsys):
     path.write_text(json.dumps([report]))
     assert main(["merge", str(path)]) == 1
     assert "JSON object" in _one_line_error(capsys)
+
+
+def test_merge_rejects_reports_that_are_not_partial(tmp_path, capsys):
+    oracle = ["oracle", "--p", "2", "--e", "1", "--n", "2", "--d", "1"]
+    code, full, full_path = run_cli(oracle, tmp_path, "full.json")
+    assert code == 0 and "partial" not in full
+    assert main(["merge", str(full_path)]) == 1
+    assert "full.json is not a partial oracle report" in _one_line_error(capsys)
+    _, shard, shard_path = run_cli(oracle + ["--shard", "0/2"], tmp_path, "shard.json")
+    for value in (False, None, "true", 1):
+        bad = dict(shard)
+        if value is None:
+            del bad["partial"]
+        else:
+            bad["partial"] = value
+        shard_path.write_text(json.dumps(bad))
+        assert main(["merge", str(shard_path)]) == 1
+        assert "not a partial oracle report" in _one_line_error(capsys)
+    shard_path.write_text(json.dumps(shard))
+    assert main(["merge", str(shard_path), "--out", str(tmp_path / "merged.json")]) == 0

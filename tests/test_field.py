@@ -1,6 +1,9 @@
 """Field tower arithmetic, checked against an independent polynomial-model
 oracle and hand-computed tables for GF(4) and GF(9)."""
 
+import copy
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from hermcodes import BudgetExceededError, make_field
 from hermcodes.limits import DENSE_TABLE_LIMIT
+from hermcodes.verify import check_norm_trace_maps
 
 # -- independent oracle: direct polynomial arithmetic over GF(p) ------------
 
@@ -110,6 +114,169 @@ def test_sparse_arithmetic_matches_polynomial_oracle(case):
     if (a == 0).any():
         with pytest.raises(ZeroDivisionError):
             ctx.vinv(a)
+
+
+# -- reference implementations of the sparse path before the gather tables ---
+# A digit loop per add and a modular log/exp with a zero test per multiply;
+# the gather-only ops must agree with them (and with the oracle) exactly.
+
+
+def reference_add(ctx, a, b):
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+    pw = 1
+    for _ in range(2 * ctx.e):
+        out += ((a // pw) % ctx.p + (b // pw) % ctx.p) % ctx.p * pw
+        pw *= ctx.p
+    return out
+
+
+def reference_mul(ctx, a, b):
+    out = ctx.exp_table[(ctx.log_table[a] + ctx.log_table[b]) % (ctx.q2 - 1)]
+    return np.where((np.asarray(a) == 0) | (np.asarray(b) == 0), 0, out)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_field(p, e):
+    return make_field(p, e)
+
+
+# GF(3^10): its spread add needs two digit groups (5^10 > TABLE_LIMIT).
+TWO_GROUP_FIELD = (3, 5)
+GATHER_FIELDS = [(17, 1), (5, 2), (3, 3), (2, 5), TWO_GROUP_FIELD]
+
+
+def test_two_group_field_splits_its_digits():
+    ctx = cached_field(*TWO_GROUP_FIELD)
+    assert [len(unspread) for _, unspread in ctx._spread_t] == [5**5, 5**5]
+    assert all(len(unspread) == 33**2 for _, unspread in cached_field(17, 1)._spread_t)
+
+
+def oracle_grid(op, a, b):
+    """A scalar oracle op broadcast over two code arrays (or ints)."""
+    return np.asarray(np.frompyfunc(lambda x, y: op(int(x), int(y)), 2, 1)(a, b), dtype=np.int64)
+
+
+@st.composite
+def broadcast_operands(draw):
+    ctx = cached_field(*draw(st.sampled_from(GATHER_FIELDS)))
+    codes = st.lists(st.integers(0, ctx.q2 - 1), min_size=1, max_size=12)
+    xs, ys = draw(codes), draw(codes)
+    shape = draw(st.sampled_from(["scalar-array", "array-scalar", "outer", "pairs"]))
+    if shape == "scalar-array":
+        return ctx, xs[0], np.array(ys, dtype=np.int64)
+    if shape == "array-scalar":
+        return ctx, np.array(xs, dtype=np.int64), ys[0]
+    if shape == "outer":
+        return ctx, np.array(xs, dtype=np.int64)[:, None], np.array(ys, dtype=np.int64)[None, :]
+    size = min(len(xs), len(ys))
+    return ctx, np.array(xs[:size], dtype=np.int64), np.array(ys[:size], dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(broadcast_operands())
+def test_gather_arithmetic_matches_references_and_oracle(case):
+    ctx, a, b = case
+    assert ctx.q2 > DENSE_TABLE_LIMIT
+    p, width, modulus = ctx.p, 2 * ctx.e, list(ctx.modulus)
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+    want_add = oracle_grid(lambda x, y: oracle_add(x, y, p, width), a, b)
+    want_mul = oracle_grid(lambda x, y: oracle_mul(x, y, modulus, p), a, b)
+    neg_b = oracle_grid(lambda y, _: oracle_neg(y, p, width), b, 0)
+    got_add, got_mul, got_sub = ctx.vadd(a, b), ctx.vmul(a, b), ctx.vsub(a, b)
+    for got in (got_add, got_mul, got_sub):
+        assert got.shape == shape and got.dtype == np.int64
+    assert np.array_equal(got_add, reference_add(ctx, a, b))
+    assert np.array_equal(got_add, want_add)
+    assert np.array_equal(got_mul, reference_mul(ctx, a, b))
+    assert np.array_equal(got_mul, want_mul)
+    assert np.array_equal(got_sub, reference_add(ctx, a, neg_b))
+    # scalar wrappers return plain ints equal to the vector ops
+    for x, y in zip(*(arr.ravel().tolist() for arr in np.broadcast_arrays(a, b))):
+        assert ctx.add(x, y) == oracle_add(x, y, p, width)
+        assert ctx.mul(x, y) == oracle_mul(x, y, modulus, p)
+        assert ctx.sub(x, y) == oracle_add(x, oracle_neg(y, p, width), p, width)
+        assert type(ctx.add(x, y)) is int and type(ctx.mul(x, y)) is int
+
+
+def test_gather_arithmetic_full_gf289_grid():
+    ctx = cached_field(17, 1)
+    assert ctx.q2 > DENSE_TABLE_LIMIT
+    a = np.arange(ctx.q2, dtype=np.int64)[:, None]
+    b = np.arange(ctx.q2, dtype=np.int64)[None, :]
+    assert np.array_equal(ctx.vadd(a, b), reference_add(ctx, a, b))
+    assert np.array_equal(ctx.vmul(a, b), reference_mul(ctx, a, b))
+    modulus = list(ctx.modulus)
+    want_mul = oracle_grid(lambda x, y: oracle_mul(x, y, modulus, 17), a, b)
+    assert np.array_equal(ctx.vmul(a, b), want_mul)
+    assert ctx.exp_table.tolist() == [ctx.pow(ctx.generator, k) for k in range(ctx.q2 - 1)]
+    assert ctx.log_table[0] == -1 and not ctx.exp_table.flags.writeable
+
+
+# -- check_norm_trace_maps against its former scalar loop ---------------------
+
+
+def reference_check_norm_trace_maps(ctx):
+    """The scalar-loop body of verify.check_norm_trace_maps before it ran on
+    the q^2 x q^2 grid; returns (passed, detail)."""
+    q, q2 = ctx.q, ctx.q2
+    codes = np.arange(q2, dtype=np.int64)
+    norm_ab = np.array([[ctx.norm(ctx.mul(a, b)) for b in range(q2)] for a in range(q2)])
+    norm_a_norm_b = np.array(
+        [[ctx.mul(ctx.norm(a), ctx.norm(b)) for b in range(q2)] for a in range(q2)]
+    )
+    multiplicative = np.array_equal(norm_ab, norm_a_norm_b)
+    fixed = tuple(int(a) for a in codes if ctx.frob(a) == a) == ctx.base_embed
+    involution = all(ctx.frob(ctx.frob(a)) == a for a in range(q2))
+    norms = [ctx.norm(a) for a in range(1, q2)]
+    fibers_norm = {b: norms.count(b) for b in set(norms)}
+    norm_ok = set(fibers_norm) == set(ctx.base_embed) - {0} and all(
+        v == q + 1 for v in fibers_norm.values()
+    )
+    traces = [ctx.trace(a) for a in range(q2)]
+    fibers_trace = {b: traces.count(b) for b in set(traces)}
+    trace_ok = set(fibers_trace) == set(ctx.base_embed) and all(
+        v == q for v in fibers_trace.values()
+    )
+    additive = all(
+        ctx.trace(ctx.add(a, b)) == ctx.add(ctx.trace(a), ctx.trace(b))
+        for a in range(q2)
+        for b in range(q2)
+    )
+    ok = multiplicative and fixed and involution and norm_ok and trace_ok and additive
+    detail = (
+        f"norm fibers {q + 1} onto GF({q})*, trace fibers {q} onto GF({q}), "
+        "conjugation involutive with fixed field GF(q)"
+    )
+    return bool(ok), detail
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (17, 1), (5, 2)])
+def test_norm_trace_check_matches_scalar_reference(p, e):
+    ctx = cached_field(p, e)
+    result = check_norm_trace_maps(ctx)
+    assert result.name == "norm_trace_maps" and result.passed
+    assert (result.passed, result.detail) == reference_check_norm_trace_maps(ctx)
+
+
+def with_corrupted_entry(ctx, table, code):
+    """Shallow copy of ctx whose ``table`` maps ``code`` to another element
+    of GF(q) (so only fiber counts and the algebraic laws can catch it)."""
+    bad = copy.copy(ctx)
+    values = getattr(ctx, table).copy()
+    values[code] = next(b for b in ctx.base_embed if b != values[code])
+    setattr(bad, table, values)
+    return bad
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (17, 1)])
+@pytest.mark.parametrize("table", ["_norm_t", "_trace_t"])
+def test_norm_trace_check_catches_a_corrupted_entry(p, e, table):
+    ctx = cached_field(p, e)
+    bad = with_corrupted_entry(ctx, table, ctx.q2 - 1)
+    assert not check_norm_trace_maps(bad).passed
+    assert not reference_check_norm_trace_maps(bad)[0]
+    assert check_norm_trace_maps(ctx).passed  # the original is untouched
 
 
 def test_gf4_hand_tables(gf4):

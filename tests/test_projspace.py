@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from hermcodes import BudgetExceededError, make_field, pi_count
+from hermcodes import verify
 from hermcodes.projspace import (
     _enumerate_points_raw,
     enumerate_hyperplanes,
@@ -52,6 +55,59 @@ def test_enumeration_reproducible(gf4):
 def test_enumeration_budget(gf4):
     with pytest.raises(BudgetExceededError):
         _enumerate_points_raw(gf4, 3, budget=10)
+
+
+def reference_enumerate_points(ctx, n):
+    """The former tuple walk: every q^2^(n+1) coordinate tuple in
+    lexicographic order, keeping those whose last nonzero entry is 1."""
+    pts = []
+    for tup in itertools.product(range(ctx.q2), repeat=n + 1):
+        last = next((c for c in reversed(tup) if c), 0)
+        if last == 1:
+            pts.append(tup)
+    return np.array(pts, dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "p,e,n",
+    [(2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 1, 3), (2, 1, 6), (2, 2, 4), (5, 1, 3), (17, 1, 1)],
+)
+def test_enumeration_matches_tuple_walk(p, e, n):
+    ctx = make_field(p, e)
+    pts = _enumerate_points_raw(ctx, n, POINT_BUDGET)
+    want = reference_enumerate_points(ctx, n)
+    assert pts.dtype == want.dtype and pts.shape == want.shape
+    assert np.array_equal(pts, want)
+    assert not pts.flags.writeable
+
+
+def test_enumeration_budget_counts_raw_tuples(gf4):
+    assert len(_enumerate_points_raw(gf4, 3, budget=4**4)) == pi_count(3, 4)
+    with pytest.raises(BudgetExceededError, match="scans 256 tuples > budget 255"):
+        _enumerate_points_raw(gf4, 3, budget=4**4 - 1)
+    with pytest.raises(ValueError):
+        _enumerate_points_raw(gf4, 0, POINT_BUDGET)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda pts: pts[::-1],  # order reversed
+        lambda pts: pts[1:],  # a point missing
+        lambda pts: np.concatenate([pts[:1], pts[:-1]]),  # a point repeated
+        lambda pts: np.where(pts == 1, 2, pts),  # not normalized
+        lambda pts: np.concatenate([np.zeros_like(pts[:1]), pts[1:]]),  # the zero vector
+        lambda pts: pts + (np.arange(len(pts)) == len(pts) - 1)[:, None] * [0, 4, 0],
+        # ^ the last point [3, 3, 1] becomes [3, 7, 1]: keys still increase
+    ],
+)
+def test_point_enumeration_check_is_not_vacuous(gf4, monkeypatch, corrupt):
+    good = verify.check_point_enumeration(gf4, 2)
+    assert good.passed
+    assert good.detail == "|P^2(GF(4))| = 21 = pi_2, order reproducible"
+    bad_points = corrupt(np.array(enumerate_points(gf4, 2)))
+    monkeypatch.setattr(verify, "enumerate_points", lambda ctx, n: bad_points)
+    assert not verify.check_point_enumeration(gf4, 2).passed
 
 
 def test_normalize_vector(gf4):
