@@ -57,6 +57,7 @@ __all__ = [
     "ExtremalWitness",
     "construct_extremal_form",
     "OracleResult",
+    "zero_count_summary",
     "bruteforce_max_intersection",
     "merge_oracle_results",
     "check_union_of_cone_lines",
@@ -180,11 +181,13 @@ def plane_cone_bound(d: int, q: int) -> int:
 @dataclass(frozen=True)
 class ExtremalWitness:
     """A form attaining an intersection bound against the standard cone,
-    with the attained count and a structural description tag."""
+    with the attained count, a structural description tag, and the duals of
+    the linear factors whose product it is."""
 
     form: HomogeneousForm
     predicted_count: int
     description: str
+    factor_duals: tuple[tuple[int, ...], ...]
 
 
 def _generator_line_dual(ctx: FieldCtx, base_point) -> list[int]:
@@ -251,8 +254,7 @@ def construct_extremal_form(ctx: FieldCtx, variety: HermitianVariety, d: int) ->
         raise ValueError("witness construction expects the standard cone (vertex last)")
     if n == 2:
         base = make_nondegenerate(ctx, 1)
-        duals3 = [_generator_line_dual(ctx, p) for p in base.points[:d]]
-        lifted = duals3
+        lifted = [_generator_line_dual(ctx, p) for p in base.points[:d]]
         predicted = plane_cone_bound(d, q)
         description = f"union-of-{d}-generator-lines"
     elif n == 3:
@@ -276,7 +278,12 @@ def construct_extremal_form(ctx: FieldCtx, variety: HermitianVariety, d: int) ->
         raise RuntimeError(
             f"geometry bug: witness attains {attained}, predicted {predicted}"
         )
-    return ExtremalWitness(form=form, predicted_count=predicted, description=description)
+    return ExtremalWitness(
+        form=form,
+        predicted_count=predicted,
+        description=description,
+        factor_duals=tuple(tuple(int(c) for c in u) for u in lifted),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +311,32 @@ class OracleResult:
     cap: int
 
 
+def zero_count_summary(
+    ctx: FieldCtx, values: np.ndarray, lo: int, hi: int, cap: int
+) -> tuple[np.ndarray, list[int]]:
+    """One pass of the exhaustive scan over the global form indices [lo, hi)
+    against the (k, m) value matrix, reduced to (histogram, maximizers).
+
+    ``histogram[z]`` is the number of forms with exactly z zeros (int64,
+    length m + 1); ``maximizers`` holds the global indices, in order, of the
+    first ``cap`` forms whose zero count is the largest.  The weight
+    distribution, the minimum distance and the maximum intersection with its
+    maximizers are all read off these two.
+    """
+    hist = np.zeros(values.shape[1] + 1, dtype=np.int64)
+    best = -1
+    kept: list[int] = []
+    for start, zeros in scan_zero_counts(ctx, values, lo, hi):
+        hist += np.bincount(zeros, minlength=len(hist))
+        piece_best = int(zeros.max())
+        if piece_best > best:
+            best, kept = piece_best, []
+        if piece_best == best and len(kept) < cap:
+            hits = np.flatnonzero(zeros == best)[: cap - len(kept)]
+            kept.extend(start + int(i) for i in hits)
+    return hist, kept
+
+
 def bruteforce_max_intersection(
     ctx: FieldCtx,
     target,
@@ -312,7 +345,6 @@ def bruteforce_max_intersection(
     shard: tuple[int, int] = (0, 1),
     budget: int = EVAL_BUDGET,
     cap: int = MAXIMIZER_CAP,
-    block: int = 1 << 15,
 ) -> OracleResult:
     """Exact global maximum of |target points intersect V(F)| over all
     projectivized degree-d forms in the shard, plus every maximizing form.
@@ -320,7 +352,8 @@ def bruteforce_max_intersection(
     ``target`` is a HermitianVariety or a raw (N, n+1) point array.  The
     scan is a pure map over contiguous index ranges followed by a
     deterministic (max, argmax-merge) reduction, so any sharding that
-    partitions the index space yields the same merged answer.
+    partitions the index space yields the same merged answer.  An empty
+    shard reports max_count -1 and no maximizers.
     """
     points = target.points if isinstance(target, HermitianVariety) else np.asarray(target)
     basis = monomial_basis(n, d)
@@ -333,22 +366,9 @@ def bruteforce_max_intersection(
             f"scan needs {evals} form evaluations > budget {budget}; shard or override"
         )
     values = monomial_values(ctx, basis, points)
-    best = -1
-    n_max = 0
-    kept: list[tuple[int, ...]] = []
-    for start, zeros in scan_zero_counts(ctx, values, lo, hi, block=block):
-        block_best = int(zeros.max())
-        if block_best > best:
-            best = block_best
-            n_max = 0
-            kept = []
-        if block_best == best:
-            idx = np.nonzero(zeros == best)[0]
-            n_max += int(idx.size)
-            for off in idx:
-                if len(kept) >= cap:
-                    break
-                kept.append(coeffs_at_index(ctx.q2, k, start + int(off)))
+    hist, kept = zero_count_summary(ctx, values, lo, hi, cap)
+    reached = np.flatnonzero(hist)
+    best = int(reached[-1]) if reached.size else -1
     return OracleResult(
         n=n,
         d=d,
@@ -359,8 +379,8 @@ def bruteforce_max_intersection(
         lo=lo,
         hi=hi,
         max_count=best,
-        n_maximizers=n_max,
-        maximizers=tuple(kept),
+        n_maximizers=int(hist[best]) if best >= 0 else 0,
+        maximizers=tuple(coeffs_at_index(ctx.q2, k, g) for g in kept),
         cap=cap,
     )
 

@@ -9,9 +9,9 @@ Reports are JSON with a ``schema`` field, written to stdout or ``--out``.
 Output is a pure function of the configuration (seed included): reruns are
 byte-identical, and merged shard reports are byte-identical with the
 unsharded run.  Exit codes: 0 pass, 1 invariant failure, parameter
-mismatch or invalid input, 2 budget refusal or a negative ``--budget`` or
-``--cap``, 3 unknown bound.  Every nonzero exit without a report writes a
-one-line message to stderr.
+mismatch, invalid input or an output file that cannot be written, 2 budget
+refusal or a negative ``--budget`` or ``--cap``, 3 unknown bound.  Every
+nonzero exit without a report writes a one-line message to stderr.
 """
 
 from __future__ import annotations
@@ -489,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         sys.stderr.write(f"budget refusal: {exc}\n")
         return EXIT_BUDGET
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FAIL
 

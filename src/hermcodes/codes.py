@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-import numpy as np
-
 from . import bounds
 from .field import FieldCtx
 from .forms import (
@@ -23,7 +21,6 @@ from .forms import (
     monomial_basis,
     monomial_values,
     projective_form_count,
-    scan_zero_counts,
 )
 from .hermitian import HermitianVariety, count_points_formula
 from .limits import CLASS_BUDGET, EVAL_BUDGET, BudgetExceededError
@@ -90,16 +87,6 @@ def code_dimension(ctx: FieldCtx, code: FunctionalCode) -> int:
     return matrix_rank(ctx, code.generator)
 
 
-def _exhaustive_weight_scan(ctx: FieldCtx, code: FunctionalCode, budget: int):
-    classes = projective_form_count(ctx.q2, code.n_rows)
-    if classes > budget:
-        raise BudgetExceededError(
-            f"{classes} message classes > budget {budget}; "
-            "use witness_only mode or raise the budget"
-        )
-    return scan_zero_counts(ctx, code.generator, 0, classes)
-
-
 def min_distance(
     ctx: FieldCtx,
     code: FunctionalCode,
@@ -120,16 +107,11 @@ def min_distance(
     m = code.m
     k = code_dimension(ctx, code)
     if mode == "exhaustive_messages":
-        best_weight = m + 1
-        for _, zeros in _exhaustive_weight_scan(ctx, code, budget or CLASS_BUDGET):
-            weights = m - zeros
-            nonzero = weights[weights > 0]
-            if nonzero.size:
-                best_weight = min(best_weight, int(nonzero.min()))
-        return CodeParameters(m=m, k=k, dmin=best_weight, dmin_status=EXACT)
+        weights = [w for w in weight_distribution(ctx, code, budget) if w > 0]
+        return CodeParameters(m=m, k=k, dmin=min(weights, default=m + 1), dmin_status=EXACT)
     if mode == "exhaustive_forms":
         result = bounds.bruteforce_max_intersection(
-            ctx, code.points, code.n, code.d, budget=budget or EVAL_BUDGET
+            ctx, code.points, code.n, code.d, budget=EVAL_BUDGET if budget is None else budget
         )
         return CodeParameters(m=m, k=k, dmin=m - result.max_count, dmin_status=EXACT)
     if mode == "witness_only":
@@ -145,11 +127,16 @@ def weight_distribution(
 ) -> dict[int, int]:
     """Weight -> count over the nonzero codewords up to scalar; the counts
     sum to (q^2^rows - 1)/(q^2 - 1)."""
-    m = code.m
-    tally = np.zeros(m + 1, dtype=np.int64)
-    for _, zeros in _exhaustive_weight_scan(ctx, code, budget or CLASS_BUDGET):
-        tally += np.bincount(m - zeros, minlength=m + 1)
-    return {w: int(c) for w, c in enumerate(tally) if c}
+    budget = CLASS_BUDGET if budget is None else budget
+    classes = projective_form_count(ctx.q2, code.n_rows)
+    if classes > budget:
+        raise BudgetExceededError(
+            f"{classes} message classes > budget {budget}; "
+            "use witness_only mode or raise the budget"
+        )
+    hist, _ = bounds.zero_count_summary(ctx, code.generator, 0, classes, cap=0)
+    # hist[z] counts the codewords with z zeros, i.e. of weight m - z.
+    return {code.m - z: int(hist[z]) for z in range(code.m, -1, -1) if hist[z]}
 
 
 @dataclass(frozen=True)

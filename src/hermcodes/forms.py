@@ -35,9 +35,9 @@ __all__ = [
     "shard_range",
     "segments",
     "coeffs_at_index",
-    "iter_coeff_blocks",
     "scan_zero_counts",
     "enumerate_forms_projective",
+    "multiply_linear",
     "product_of_hyperplanes",
     "projectivize_coeffs",
     "form_to_json",
@@ -191,25 +191,6 @@ def coeffs_at_index(q2: int, k: int, g: int) -> tuple[int, ...]:
     raise IndexError(f"form index {g} out of range")
 
 
-def iter_coeff_blocks(
-    ctx: FieldCtx, k: int, lo: int, hi: int, block: int = 1 << 15
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (global start index, (B, k) coefficient array) covering the
-    global index range [lo, hi) in order."""
-    q2 = ctx.q2
-    for t, seg_lo, seg_hi in segments(q2, k):
-        s0, s1 = max(lo, seg_lo), min(hi, seg_hi)
-        for b0 in range(s0, s1, block):
-            b1 = min(b0 + block, s1)
-            suffix = np.arange(b0 - seg_lo, b1 - seg_lo, dtype=np.int64)
-            coeffs = np.zeros((b1 - b0, k), dtype=np.int64)
-            coeffs[:, t] = 1
-            for pos in range(t + 1, k):
-                div = q2 ** (k - 1 - pos)
-                coeffs[:, pos] = (suffix // div) % q2
-            yield b0, coeffs
-
-
 # Scan kernel sizes, counted in array elements.  The low table holds at most
 # SCAN_TABLE_ELEMS codes; one comparison chunk holds at most SCAN_CHUNK_ELEMS
 # booleans, or a single table's worth when one prefix already needs more.
@@ -256,33 +237,19 @@ def _negated_prefixes(
     return ctx.vneg(acc).astype(_code_dtype(q2))
 
 
-def _reblock(start: int, chunks: Iterator[np.ndarray], block: int):
-    """Regroup consecutive count arrays that begin at global index ``start``
-    into (start, counts) pieces of exactly ``block`` classes, the last one
-    possibly shorter."""
-    pending: list[np.ndarray] = []
-    size = 0
-    for chunk in chunks:
-        pending.append(chunk)
-        size += len(chunk)
-        if size < block:
-            continue
-        buf = np.concatenate(pending)
-        full = size - size % block
-        for i in range(0, full, block):
-            yield start, buf[i : i + block]
-            start += block
-        pending, size = [buf[full:]], size - full
-    if size:
-        yield start, np.concatenate(pending)
-
-
 def _segment_counts(
-    ctx: FieldCtx, values: np.ndarray, table: np.ndarray, t: int, n_low: int, a: int, b: int
-) -> Iterator[np.ndarray]:
-    """Zero counts of the forms at local indices [a, b) of segment t, as
-    consecutive arrays; the last n_low free digits are looked up in
-    ``table``."""
+    ctx: FieldCtx,
+    values: np.ndarray,
+    table: np.ndarray,
+    t: int,
+    n_low: int,
+    seg_lo: int,
+    a: int,
+    b: int,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(global start, zero counts) of the forms at local indices [a, b) of
+    segment t, which begins at global index ``seg_lo``, as consecutive
+    pieces; the last n_low free digits are looked up in ``table``."""
     k, m = values.shape
     width = ctx.q2**n_low
     low = table[:width]
@@ -294,23 +261,26 @@ def _segment_counts(
         neg = _negated_prefixes(ctx, values, t, n_high, h0, h1)
         counts = (low[None, :, :] == neg[:, None, :]).sum(axis=-1).ravel()
         base = h0 * width
-        yield counts[max(a, base) - base : min(b, h1 * width) - base]
+        first = max(a, base)
+        yield seg_lo + first, counts[first - base : min(b, h1 * width) - base]
 
 
 def scan_zero_counts(
-    ctx: FieldCtx, values: np.ndarray, lo: int, hi: int, block: int = 1 << 15
+    ctx: FieldCtx, values: np.ndarray, lo: int, hi: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (global start index, per-form zero counts) for every
     projectivized coefficient vector with global index in [lo, hi),
     evaluated against the (k, m) value matrix.
 
-    Blocks never cross a leading-coefficient segment and hold at most
-    ``block`` forms.  Within segment t the free coefficients split into
-    high digits (rows t+1 ..) and the last L low digits.  The table of all
-    q2^L combinations of the last L rows is built once; each high-digit
-    prefix is reduced once, negated, and compared with the whole table, as
-    a + b = 0 exactly when a = -b.  A form's zero count is the number of
-    positions where its table row equals its negated prefix.
+    The pieces are contiguous from ``lo``, in index order, and never cross
+    a leading-coefficient segment; each is one of the kernel's comparison
+    chunks (see ``SCAN_CHUNK_ELEMS``).  Within segment t the free
+    coefficients split into high digits (rows t+1 ..) and the last L low
+    digits.  The table of all q2^L combinations of the last L rows is built
+    once; each high-digit prefix is reduced once, negated, and compared
+    with the whole table, as a + b = 0 exactly when a = -b.  A form's zero
+    count is the number of positions where its table row equals its
+    negated prefix.
     """
     k, m = values.shape
     q2 = ctx.q2
@@ -326,8 +296,7 @@ def scan_zero_counts(
         n_low += 1
     table = _combination_table(ctx, values[k - n_low :])
     for t, seg_lo, a, b in ranges:
-        chunks = _segment_counts(ctx, values, table, t, min(n_low, k - 1 - t), a, b)
-        yield from _reblock(seg_lo + a, chunks, block)
+        yield from _segment_counts(ctx, values, table, t, min(n_low, k - 1 - t), seg_lo, a, b)
 
 
 def enumerate_forms_projective(
@@ -347,9 +316,29 @@ def enumerate_forms_projective(
         raise BudgetExceededError(
             f"shard holds {hi - lo} forms > budget {budget}; shard further or override"
         )
-    for start, block in iter_coeff_blocks(ctx, len(basis), lo, hi):
-        for row in block:
-            yield HomogeneousForm(basis=basis, coeffs=tuple(int(c) for c in row))
+    for g in range(lo, hi):
+        yield HomogeneousForm(basis=basis, coeffs=coeffs_at_index(ctx.q2, len(basis), g))
+
+
+def multiply_linear(ctx: FieldCtx, form: HomogeneousForm, dual) -> HomogeneousForm:
+    """The degree-(d+1) product of ``form`` with the linear form whose
+    coefficient vector is ``dual``."""
+    dual = [int(u) for u in dual]
+    if len(dual) != form.basis.n + 1:
+        raise ValueError("dimension mismatch between form and linear form")
+    coeff_map: dict[tuple[int, ...], int] = {}
+    for exps, c in zip(form.basis.exponents, form.coeffs):
+        if c == 0:
+            continue
+        for var, u in enumerate(dual):
+            if u == 0:
+                continue
+            key = exps[:var] + (exps[var] + 1,) + exps[var + 1 :]
+            coeff_map[key] = ctx.add(coeff_map.get(key, 0), ctx.mul(c, u))
+    basis = monomial_basis(form.basis.n, form.basis.d + 1)
+    return HomogeneousForm(
+        basis=basis, coeffs=tuple(coeff_map.get(exps, 0) for exps in basis.exponents)
+    )
 
 
 def product_of_hyperplanes(ctx: FieldCtx, duals) -> HomogeneousForm:
@@ -361,22 +350,10 @@ def product_of_hyperplanes(ctx: FieldCtx, duals) -> HomogeneousForm:
     nvars = len(duals[0])
     if any(len(u) != nvars for u in duals):
         raise ValueError("hyperplane duals must share one dimension")
-    zero = tuple([0] * nvars)
-    coeff_map: dict[tuple[int, ...], int] = {zero: 1}
-    for dual in duals:
-        nxt: dict[tuple[int, ...], int] = {}
-        for exps, c in coeff_map.items():
-            for var, u in enumerate(dual):
-                if u == 0:
-                    continue
-                key = list(exps)
-                key[var] += 1
-                key = tuple(key)
-                nxt[key] = ctx.add(nxt.get(key, 0), ctx.mul(c, u))
-        coeff_map = nxt
-    basis = monomial_basis(nvars - 1, len(duals))
-    coeffs = tuple(coeff_map.get(exps, 0) for exps in basis.exponents)
-    return HomogeneousForm(basis=basis, coeffs=coeffs)
+    form = HomogeneousForm(basis=monomial_basis(nvars - 1, 1), coeffs=tuple(duals[0]))
+    for dual in duals[1:]:
+        form = multiply_linear(ctx, form, dual)
+    return form
 
 
 def projectivize_coeffs(ctx: FieldCtx, coeffs) -> tuple[int, ...]:

@@ -23,6 +23,7 @@ from .forms import (
     form_values,
     monomial_basis,
     monomial_values,
+    multiply_linear,
     product_of_hyperplanes,
     projective_form_count,
     scan_zero_counts,
@@ -540,15 +541,13 @@ def check_hyperplane_margin(ctx: FieldCtx, n: int, d: int, seed: int = 2) -> Che
     ok = True
     for _ in range(10):
         if d == 1:
-            cof = None
             form = product_of_hyperplanes(ctx, [plane_dual])
         else:
             coeffs = tuple(int(rng.integers(0, ctx.q2)) for _ in range(len(basis_cof)))
             if not any(coeffs):
                 continue
             cof = HomogeneousForm(basis=basis_cof, coeffs=coeffs)
-            # multiply the linear form into the cofactor through the dual map
-            form = _multiply_linear(ctx, cof, plane_dual)
+            form = multiply_linear(ctx, cof, plane_dual)
         vals = form_values(ctx, form, cone.points)
         off_plane = incidence_values(ctx, cone.points, plane_dual) != 0
         ok &= int(((vals == 0) & off_plane).sum()) <= margin
@@ -556,25 +555,6 @@ def check_hyperplane_margin(ctx: FieldCtx, n: int, d: int, seed: int = 2) -> Che
         f"hyperplane_margin_n{n}_d{d}",
         ok,
         f"off-hyperplane intersection stays within {margin}",
-    )
-
-
-def _multiply_linear(ctx: FieldCtx, form: HomogeneousForm, dual) -> HomogeneousForm:
-    nvars = form.basis.n + 1
-    coeff_map: dict[tuple[int, ...], int] = {}
-    for exps, c in zip(form.basis.exponents, form.coeffs):
-        if c == 0:
-            continue
-        for var, u in enumerate(dual):
-            if u == 0:
-                continue
-            key = list(exps)
-            key[var] += 1
-            key = tuple(key)
-            coeff_map[key] = ctx.add(coeff_map.get(key, 0), ctx.mul(c, int(u)))
-    basis = monomial_basis(form.basis.n, form.basis.d + 1)
-    return HomogeneousForm(
-        basis=basis, coeffs=tuple(coeff_map.get(exps, 0) for exps in basis.exponents)
     )
 
 
@@ -625,6 +605,7 @@ def check_tangent_section_structure(ctx: FieldCtx, d: int, samples: int, seed: i
     if samples and samples < len(avoiding):
         picks = rng.choice(len(avoiding), size=samples, replace=False)
         avoiding = [avoiding[i] for i in picks]
+    witness = None
     if q == 2 and d == 1:
         result = bnd.bruteforce_max_intersection(ctx, cone, 4, 1)
         forms = _maximizer_forms(ctx, result)
@@ -639,11 +620,11 @@ def check_tangent_section_structure(ctx: FieldCtx, d: int, samples: int, seed: i
             ok &= int((zeros & on_sigma).sum()) == base_max
     # witness factor structure: each tangent-plane factor meets the section
     # in the tangent-section count and pairwise intersections are secant
-    if not (q == 2 and d == 1):
+    if witness is not None:
         tangent_count = 1 + q * q * (q + 1)
-        witness = bnd.construct_extremal_form(ctx, cone, d)
-        factor_duals = _witness_factor_duals(ctx, witness, d)
-        factor_masks = [incidence_values(ctx, cone.points, u) == 0 for u in factor_duals]
+        factor_masks = [
+            incidence_values(ctx, cone.points, u) == 0 for u in witness.factor_duals
+        ]
         for on_sigma in sigma_masks:
             for on_u in factor_masks:
                 ok &= int((on_sigma & on_u).sum()) == tangent_count
@@ -656,13 +637,6 @@ def check_tangent_section_structure(ctx: FieldCtx, d: int, samples: int, seed: i
         f"q={q}, d={d}: sections on {len(avoiding)} vertex-avoiding hyperplanes all "
         f"attain {base_max}",
     )
-
-
-def _witness_factor_duals(ctx: FieldCtx, witness: bnd.ExtremalWitness, d: int):
-    # Rebuild the factor planes the construction used (deterministic).
-    base = make_nondegenerate(ctx, 3)
-    duals = bnd._tangent_plane_duals_through_secant(ctx, base, d)
-    return [tuple(list(u) + [0]) for u in duals]
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +700,7 @@ def _field_suite(ctx: FieldCtx, n: int | None, d: int | None, seed: int) -> list
 
 
 def _projspace_suite(ctx: FieldCtx, n: int | None, d: int | None, seed: int) -> list[CheckResult]:
-    n = n or 2
+    n = 2 if n is None else n
     return [
         check_point_enumeration(ctx, n),
         check_incidence_duality(ctx, n),
@@ -735,7 +709,7 @@ def _projspace_suite(ctx: FieldCtx, n: int | None, d: int | None, seed: int) -> 
 
 
 def _hermitian_suite(ctx: FieldCtx, n: int | None, d: int | None, seed: int) -> list[CheckResult]:
-    n_max = n or (4 if ctx.q <= 3 else 3)
+    n_max = n if n is not None else (4 if ctx.q <= 3 else 3)
     out = [
         check_point_count_formulas(ctx, n_max),
         check_congruence_reduction(ctx, 2, trials=25, seed=seed),
@@ -814,6 +788,8 @@ SUITES = {
 def run_suite(
     name: str, ctx: FieldCtx, n: int | None = None, d: int | None = None, seed: int = 0
 ) -> list[CheckResult]:
+    if n is not None and n < 1:
+        raise ValueError("n must be >= 1")
     if name == "all":
         out = []
         for suite in SUITES.values():

@@ -268,3 +268,52 @@ def test_merge_rejects_reports_that_are_not_partial(tmp_path, capsys):
         assert "not a partial oracle report" in _one_line_error(capsys)
     shard_path.write_text(json.dumps(shard))
     assert main(["merge", str(shard_path), "--out", str(tmp_path / "merged.json")]) == 0
+
+
+def test_params_budget_zero_is_honoured(tmp_path):
+    params = ["params", "--p", "2", "--e", "1", "--n", "2", "--d", "2"]
+    for budget in ("0", "1"):
+        code, report, _ = run_cli(params + ["--budget", budget], tmp_path)
+        assert code == 0
+        assert report["computed"]["dmin_status"] == "witness_upper_bound_only"
+    code, report, _ = run_cli(params, tmp_path)
+    assert code == 0 and report["computed"]["dmin_status"] == "exact"
+
+
+def test_verify_rejects_nonpositive_n(tmp_path, capsys):
+    for suite in ("projspace", "hermitian", "all"):
+        for n in ("0", "-1"):
+            code, report, _ = run_cli(
+                ["verify", "--p", "2", "--e", "1", "--suite", suite, "--n", n], tmp_path
+            )
+            assert code == 1 and report is None
+            assert _one_line_error(capsys) == "error: n must be >= 1\n"
+
+
+def test_unwritable_output_path(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir"
+    argvs = (
+        ["params", "--p", "2", "--e", "1", "--n", "2", "--d", "1",
+         "--weights-csv", str(missing / "w.csv")],
+        ["oracle", "--p", "2", "--e", "1", "--n", "2", "--d", "1",
+         "--out", str(missing / "o.json")],
+    )
+    for argv in argvs:
+        assert main(argv) == 1
+        assert "no-such-dir" in _one_line_error(capsys)
+
+
+def test_forty_shards_with_empty_ones_merge_byte_identical(tmp_path):
+    base = ["oracle", "--p", "2", "--e", "1", "--n", "2", "--d", "1"]
+    paths, empty = [], 0
+    for i in range(40):
+        code, report, path = run_cli(base + ["--shard", f"{i}/40"], tmp_path, f"s{i}.json")
+        assert code == 0
+        paths.append(str(path))
+        if report["scan"]["lo"] == report["scan"]["hi"]:
+            empty += 1
+            assert report["result"] == {"max_count": -1, "n_maximizers": 0, "maximizers": []}
+    assert empty == 19  # 21 forms over 40 shards
+    _, _, full = run_cli(base, tmp_path, "full.json")
+    assert main(["merge", *paths, "--out", str(tmp_path / "merged.json")]) == 0
+    assert (tmp_path / "merged.json").read_bytes() == full.read_bytes()

@@ -74,6 +74,11 @@ def test_min_distance_budget_refusal(gf4):
     code = build_code(gf4, make_standard_cone(gf4, 2), 2)
     with pytest.raises(BudgetExceededError):
         min_distance(gf4, code, "exhaustive_messages", budget=100)
+    for mode in ("exhaustive_messages", "exhaustive_forms"):
+        with pytest.raises(BudgetExceededError):
+            min_distance(gf4, code, mode, budget=0)
+    with pytest.raises(BudgetExceededError):
+        weight_distribution(gf4, code, budget=0)
     with pytest.raises(ValueError):
         min_distance(gf4, code, "witness_only")
     with pytest.raises(ValueError):

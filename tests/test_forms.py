@@ -27,6 +27,7 @@ from hermcodes.forms import (
     form_to_json,
     form_values,
     monomial_values,
+    multiply_linear,
     projective_form_count,
     projectivize_coeffs,
     scan_zero_counts,
@@ -139,6 +140,35 @@ def test_product_of_hyperplanes(gf4):
         product_of_hyperplanes(gf4, [])
 
 
+@pytest.mark.parametrize("field", ["gf4", "gf9"])
+def test_multiply_linear_matches_pointwise_product(field, request):
+    """Form times linear form, and the product of hyperplanes built from it,
+    take the pointwise product of the factors' values at every point."""
+    ctx = request.getfixturevalue(field)
+    rng = np.random.default_rng(5)
+    points = enumerate_points(ctx, 2)
+    for d in (1, 2):
+        for _ in range(5):
+            form = HomogeneousForm(
+                basis=monomial_basis(2, d),
+                coeffs=tuple(int(c) for c in rng.integers(1, ctx.q2, size=comb(2 + d, d))),
+            )
+            dual = [int(c) for c in rng.integers(0, ctx.q2, size=3)]
+            dual[0] = dual[0] or 1
+            product = multiply_linear(ctx, form, dual)
+            assert product.basis == monomial_basis(2, d + 1)
+            linear = product_of_hyperplanes(ctx, [dual])
+            expected = ctx.vmul(form_values(ctx, form, points), form_values(ctx, linear, points))
+            assert np.array_equal(form_values(ctx, product, points), expected)
+    duals = [[int(c) for c in rng.integers(1, ctx.q2, size=3)] for _ in range(3)]
+    expected = np.ones(len(points), dtype=np.int64)
+    for dual in duals:
+        single = product_of_hyperplanes(ctx, [dual])
+        expected = ctx.vmul(expected, form_values(ctx, single, points))
+    product = product_of_hyperplanes(ctx, duals)
+    assert np.array_equal(form_values(ctx, product, points), expected)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_concurrent_hyperplanes_attain_plane_count(gf4, n):
     # d = q concurrent hyperplanes: d*q^(2(n-1)) + pi_(n-2) rational zeros
@@ -187,13 +217,13 @@ def test_scalar_invariance(gf4):
 
 
 def test_scan_matches_direct_evaluation(gf4):
-    """The blocked zero-count kernel agrees with per-form evaluation."""
+    """The zero-count kernel agrees with per-form evaluation."""
     cone = make_standard_cone(gf4, 2)
     basis = monomial_basis(2, 1)
     values = monomial_values(gf4, basis, cone.points)
     total = projective_form_count(4, 3)
     scanned = np.concatenate(
-        [zeros for _, zeros in scan_zero_counts(gf4, values, 0, total, block=7)]
+        [zeros for _, zeros in scan_zero_counts(gf4, values, 0, total)]
     )
     direct = [
         intersection_count(gf4, f, cone.points)

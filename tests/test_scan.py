@@ -1,4 +1,5 @@
-"""The table-lookup scan kernel against a direct reference kernel.
+"""The table-lookup scan kernel and its zero-count reduction against a
+direct reference kernel.
 
 ``reference_scan_zero_counts`` is the straightforward kernel: it rebuilds
 every coefficient vector of a block and accumulates the forms with
@@ -7,12 +8,14 @@ int64 array per step, which is why it lives here and not in the package.
 """
 
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hermcodes import make_field, make_standard_cone, monomial_basis
+from hermcodes.bounds import zero_count_summary
 from hermcodes.forms import (
     SCAN_TABLE_ELEMS,
     monomial_values,
@@ -41,19 +44,30 @@ def reference_scan_zero_counts(ctx, values, lo, hi, block=1 << 15):
 
 
 def _collect(scan):
-    starts, counts = [], []
+    """(start, length) of each piece and the concatenated zero counts."""
+    pieces, counts = [], []
     for start, zeros in scan:
         assert zeros.dtype == np.int64
-        starts.append(start)
+        pieces.append((start, len(zeros)))
         counts.append(zeros)
-    return starts, (np.concatenate(counts) if counts else np.zeros(0, dtype=np.int64))
+    return pieces, (np.concatenate(counts) if counts else np.zeros(0, dtype=np.int64))
 
 
-def _assert_same(ctx, values, lo, hi, block):
-    ref_starts, ref_counts = _collect(reference_scan_zero_counts(ctx, values, lo, hi, block))
-    starts, counts = _collect(scan_zero_counts(ctx, values, lo, hi, block))
-    assert starts == ref_starts
+def _assert_same(ctx, values, lo, hi):
+    """Per-form counts equal the reference, and the kernel's pieces are
+    nonempty, contiguous over [lo, hi) clipped to the index space, and never
+    cross a segment."""
+    _, ref_counts = _collect(reference_scan_zero_counts(ctx, values, lo, hi))
+    pieces, counts = _collect(scan_zero_counts(ctx, values, lo, hi))
     assert np.array_equal(counts, ref_counts)
+    seg_starts = [seg_lo for _, seg_lo, _ in segments(ctx.q2, values.shape[0])]
+    total = projective_form_count(ctx.q2, values.shape[0])
+    at = max(lo, 0)
+    for start, size in pieces:
+        assert start == at and size > 0
+        assert bisect_right(seg_starts, start) == bisect_right(seg_starts, start + size - 1)
+        at += size
+    assert at == max(lo, 0, min(hi, total))
 
 
 FIELDS = {(p, e): make_field(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (17, 1))}
@@ -62,7 +76,7 @@ FIELDS = {(p, e): make_field(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (17, 1))
 @st.composite
 def scan_cases(draw):
     """A field, a random (k, m) value matrix with planted zeros, a global
-    range [lo, hi) of at most 2500 forms (possibly empty) and a block size."""
+    range [lo, hi) of at most 2500 forms (possibly empty)."""
     p, e = draw(st.sampled_from(sorted(FIELDS)))
     ctx = FIELDS[(p, e)]
     k = draw(st.integers(1, {4: 6, 9: 5, 16: 4, 289: 3}[ctx.q2]))
@@ -74,15 +88,47 @@ def scan_cases(draw):
     total = projective_form_count(ctx.q2, k)
     lo = draw(st.integers(0, total))
     hi = draw(st.integers(lo, min(total, lo + 2500)))
-    block = draw(st.integers(1, 70))
-    return ctx, values, lo, hi, block
+    return ctx, values, lo, hi
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scan_cases())
 def test_scan_matches_reference(case):
-    ctx, values, lo, hi, block = case
-    _assert_same(ctx, values, lo, hi, block)
+    _assert_same(*case)
+
+
+def reference_summary(ctx, values, lo, hi, cap):
+    """Histogram of the reference zero counts by ``bincount`` and the
+    global indices of the first ``cap`` forms with the largest count."""
+    _, counts = _collect(reference_scan_zero_counts(ctx, values, lo, hi))
+    hist = np.bincount(counts, minlength=values.shape[1] + 1)
+    if not counts.size:
+        return hist, []
+    return hist, [lo + int(i) for i in np.flatnonzero(counts == counts.max())[:cap]]
+
+
+def _assert_summary(ctx, values, lo, hi, cap):
+    hist, kept = zero_count_summary(ctx, values, lo, hi, cap)
+    ref_hist, ref_kept = reference_summary(ctx, values, lo, hi, cap)
+    assert hist.dtype == np.int64 and len(hist) == values.shape[1] + 1
+    assert np.array_equal(hist, ref_hist)
+    assert kept == ref_kept
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scan_cases(), st.sampled_from([0, 1, 10**9]))
+def test_zero_count_summary_matches_reference(case, cap):
+    _assert_summary(*case, cap)
+
+
+def test_zero_count_summary_on_empty_ranges():
+    for ctx in FIELDS.values():
+        values = np.arange(12).reshape(3, 4) % ctx.q2
+        total = projective_form_count(ctx.q2, 3)
+        for lo in (0, 1, ctx.q2**2, total):
+            for cap in (0, 1, 10**9):
+                hist, kept = zero_count_summary(ctx, values, lo, lo, cap)
+                assert hist.tolist() == [0] * 5 and kept == []
 
 
 def test_scan_matches_reference_on_code_matrices():
@@ -94,9 +140,9 @@ def test_scan_matches_reference_on_code_matrices():
         values = monomial_values(ctx, monomial_basis(n, d), cone.points)
         total = projective_form_count(ctx.q2, values.shape[0])
         if total < 100_000:
-            _assert_same(ctx, values, 0, total, 1 << 15)
-        _assert_same(ctx, values, total // 3 + 1, total // 3 + 40_000, 997)
-        _assert_same(ctx, values, total - 30_001, total - 5, 1 << 15)
+            _assert_same(ctx, values, 0, total)
+        _assert_same(ctx, values, total // 3 + 1, total // 3 + 40_000)
+        _assert_same(ctx, values, total - 30_001, total - 5)
 
 
 def test_scan_matches_reference_on_wide_matrix():
@@ -110,8 +156,8 @@ def test_scan_matches_reference_on_wide_matrix():
     assert ctx.q2**3 * m > SCAN_TABLE_ELEMS
     total = projective_form_count(ctx.q2, 5)
     assert total == 69905
-    for lo, hi, block in ((37, 3000, 333), (65530, 65545, 4), (69000, 69905, 256), (9, 9, 5)):
-        _assert_same(ctx, values, lo, hi, block)
+    for lo, hi in ((37, 3000), (65530, 65545), (69000, 69905), (9, 9)):
+        _assert_same(ctx, values, lo, hi)
 
 
 def test_scan_memory_is_bounded_on_long_code():
