@@ -4,6 +4,8 @@ The rank-n variety in P^n is a cone over the nondegenerate variety one
 dimension down; its point count is 1 + q^2 * |base|.
 """
 
+from collections import Counter
+
 import numpy as np
 
 from hermcodes import (
@@ -12,9 +14,8 @@ from hermcodes import (
     make_field,
     make_nondegenerate,
     make_standard_cone,
-    hyperplane_section,
 )
-from hermcodes.hermitian import congruence_transform
+from hermcodes.hermitian import congruence_transform, hyperplane_sections
 from hermcodes.projspace import enumerate_hyperplanes
 
 ctx = make_field(2, 1)
@@ -40,8 +41,6 @@ print(congruence_transform(ctx, h, s), "rank", r)
 # hyperplane sections of the rank-3 cone: the base variety away from the
 # vertex, cones over line sections through it
 cone = make_standard_cone(ctx, 3)
-tally = {}
-for dual in enumerate_hyperplanes(ctx, 3):
-    sec = hyperplane_section(ctx, cone, dual)
-    tally[(sec.kind, sec.point_count)] = tally.get((sec.kind, sec.point_count), 0) + 1
+_, counts, kinds = hyperplane_sections(ctx, cone, enumerate_hyperplanes(ctx, 3))
+tally = dict(Counter(zip(kinds.tolist(), counts.tolist())))
 print("\nsections of the rank-3 cone:", tally)

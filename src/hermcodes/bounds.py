@@ -40,10 +40,11 @@ from .limits import EVAL_BUDGET, MAXIMIZER_CAP, BudgetExceededError
 from .projspace import (
     enumerate_hyperplanes,
     enumerate_points,
-    incidence_values,
+    incidence_matrix,
     line_through,
     normalize_rows,
     normalize_vector,
+    point_keys,
 )
 
 __all__ = [
@@ -201,17 +202,12 @@ def _concurrent_secant_duals(ctx: FieldCtx, base: HermitianVariety, d: int) -> l
     the first exterior point in enumeration order."""
     space = enumerate_points(ctx, base.n)
     exterior = next(tuple(int(c) for c in p) for p in space if not base.contains(p))
-    duals = []
-    for dual in enumerate_hyperplanes(ctx, base.n):
-        dual = tuple(int(c) for c in dual)
-        if incidence_values(ctx, np.asarray([exterior], dtype=np.int64), dual)[0] != 0:
-            continue
-        on_line = incidence_values(ctx, base.points, dual) == 0
-        if int(on_line.sum()) == ctx.q + 1:
-            duals.append(dual)
-            if len(duals) == d:
-                return duals
-    raise RuntimeError("geometry bug: fewer secant lines through the exterior point than d")
+    hyps = enumerate_hyperplanes(ctx, base.n)
+    through = hyps[incidence_matrix(ctx, [exterior], hyps)[0]]
+    secants = through[incidence_matrix(ctx, base.points, through).sum(axis=0) == ctx.q + 1]
+    if len(secants) < d:
+        raise RuntimeError("geometry bug: fewer secant lines through the exterior point than d")
+    return [tuple(int(c) for c in dual) for dual in secants[:d]]
 
 
 def _tangent_plane_duals_through_secant(
@@ -443,11 +439,9 @@ def _cone_line_cover(ctx: FieldCtx, zero_points: np.ndarray, vertex) -> tuple[bo
     without the vertex gives (False, 0).
     """
     vertex = np.asarray(normalize_vector(ctx, vertex), dtype=np.int64)
-    weights = ctx.q2 ** np.arange(len(vertex) - 1, -1, -1, dtype=np.int64)
     zero_points = np.asarray(zero_points, dtype=np.int64)
-    # Keys sort in canonical enumeration order (lexicographic on codes).
-    keys = (zero_points * weights).sum(axis=1)
-    is_vertex = keys == (vertex * weights).sum()
+    keys = point_keys(ctx, zero_points)
+    is_vertex = keys == point_keys(ctx, vertex)
     if not is_vertex.any():
         return len(keys) == 0, 0
     others = zero_points[~is_vertex][np.argsort(keys[~is_vertex], kind="stable")]
@@ -456,7 +450,7 @@ def _cone_line_cover(ctx: FieldCtx, zero_points: np.ndarray, vertex) -> tuple[bo
     # lines, so its key names the line.
     j = int(np.flatnonzero(vertex)[-1])
     projected = ctx.vsub(others, ctx.vmul(others[:, j, None], vertex))
-    line_ids = (normalize_rows(ctx, projected) * weights).sum(axis=1)
+    line_ids = point_keys(ctx, normalize_rows(ctx, projected))
     # A zero starts a line iff it is the first zero on it; the line is whole
     # iff all q^2 of its points other than the vertex are zeros.
     _, starts, counts = np.unique(line_ids, return_index=True, return_counts=True)

@@ -105,9 +105,9 @@ def cmd_params(args) -> int:
         return EXIT_BUDGET
     budget = args.budget if args.budget is not None else CLASS_BUDGET
     try:
-        computed = cds.min_distance(ctx, code, "exhaustive_messages", budget=budget)
+        dist = cds.weight_distribution(ctx, code, budget=budget)
+        computed = cds.min_distance(ctx, code, "exhaustive_messages", distribution=dist)
         if args.weights_csv:
-            dist = cds.weight_distribution(ctx, code, budget=budget)
             with open(args.weights_csv, "w", encoding="utf-8") as fh:
                 fh.write("weight,count\n")
                 for w in sorted(dist):

@@ -93,11 +93,14 @@ def min_distance(
     mode: str = "exhaustive_messages",
     budget: int | None = None,
     witnesses: list[HomogeneousForm] | None = None,
+    distribution: dict[int, int] | None = None,
 ) -> CodeParameters:
     """Minimum distance of the code.
 
     exhaustive_messages -- enumerate codewords up to scalar through the
-        generator matrix; exact.
+        generator matrix; exact.  A ``distribution`` already computed by
+        :func:`weight_distribution` for this code is read instead of
+        scanning again.
     exhaustive_forms -- maximize the intersection count over all
         projectivized forms and return m minus the maximum; exact, and
         equal to the message route whenever evaluation is injective.
@@ -107,7 +110,9 @@ def min_distance(
     m = code.m
     k = code_dimension(ctx, code)
     if mode == "exhaustive_messages":
-        weights = [w for w in weight_distribution(ctx, code, budget) if w > 0]
+        if distribution is None:
+            distribution = weight_distribution(ctx, code, budget)
+        weights = [w for w in distribution if w > 0]
         return CodeParameters(m=m, k=k, dmin=min(weights, default=m + 1), dmin_status=EXACT)
     if mode == "exhaustive_forms":
         result = bounds.bruteforce_max_intersection(

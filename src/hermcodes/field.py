@@ -235,15 +235,28 @@ class FieldCtx:
                 return g
         raise AssertionError("no primitive element found")  # unreachable
 
+    def _powers(self, order: int) -> np.ndarray:
+        """g^0 .. g^(order-1) of the generator g, by doubling: the powers
+        [2^j, 2^(j+1)) are the powers [0, 2^j) times g^(2^j).  Multiplying by
+        a constant is GF(p)-linear on digit vectors, so each step is one
+        product with the 2e x 2e matrix whose row i holds the digits of
+        x^i * g^(2^j)."""
+        p, width = self.p, 2 * self.e
+        place = p ** np.arange(width, dtype=np.int64)
+        exp = np.ones(1, dtype=np.int64)
+        step = self.generator
+        while len(exp) < order:
+            matrix = _digits([self._code_mul(int(x), step) for x in place], p, width)
+            head = _digits(exp[: order - len(exp)], p, width)
+            exp = np.concatenate([exp, head @ matrix % p @ place])
+            step = self._code_mul(step, step)
+        return exp
+
     def _build_tables(self) -> None:
         p, q2 = self.p, self.q2
         order = q2 - 1
         self.generator = self._find_generator()
-        exp = np.empty(order, dtype=np.int64)
-        acc = 1
-        for i in range(order):
-            exp[i] = acc
-            acc = self._code_mul(acc, self.generator)
+        exp = self._powers(order)
         log = np.full(q2, -1, dtype=np.int64)
         log[exp] = np.arange(order)
         # Zero-sentinel log/antilog: log0 + log0 of two nonzero codes stays

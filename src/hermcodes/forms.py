@@ -35,6 +35,7 @@ __all__ = [
     "shard_range",
     "segments",
     "coeffs_at_index",
+    "class_indices",
     "scan_zero_counts",
     "enumerate_forms_projective",
     "multiply_linear",
@@ -189,6 +190,22 @@ def coeffs_at_index(q2: int, k: int, g: int) -> tuple[int, ...]:
                 s //= q2
             return tuple(coeffs)
     raise IndexError(f"form index {g} out of range")
+
+
+def class_indices(ctx: FieldCtx, coeffs) -> np.ndarray:
+    """Global index of the projectivized class of each nonzero coefficient
+    vector, one per row of an (N, k) array: the inverse of
+    :func:`coeffs_at_index` up to scalar.  Within segment t the index is the
+    base-q2 number formed by the entries after t, once entry t is scaled to 1."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    k = coeffs.shape[1]
+    first = np.argmax(coeffs != 0, axis=1)
+    lead = coeffs[np.arange(len(coeffs)), first]
+    scaled = ctx.vmul(ctx.vinv(lead)[:, None], coeffs)
+    tail = np.where(np.arange(k)[None, :] > first[:, None], scaled, 0)
+    weights = ctx.q2 ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    seg_lo = np.array([lo for _, lo, _ in segments(ctx.q2, k)], dtype=np.int64)
+    return seg_lo[first] + (tail * weights).sum(axis=1)
 
 
 # Scan kernel sizes, counted in array elements.  The low table holds at most

@@ -6,13 +6,16 @@ zero set of x^T H x^(q).  The module provides form evaluation, rank,
 congruence reduction to diag(1,...,1,0,...,0), the standard rank-n cone
 and nondegenerate varieties, closed-form point counts, line
 classification, polar tangent hyperplanes, and hyperplane sections with
-their rank-based classification.
+their rank-based classification.  The scalar helpers (one point, one line,
+one hyperplane) wrap the vectorized routes over stacks.
 
-Sections are computed by re-expressing the form in a basis of the
-hyperplane (a basis-completion matrix), not by filtering points, so the
-restricted rank is available; the section's point count is still obtained
-by direct incidence filtering, which keeps the two answers independently
-checkable.
+Sections are computed for a whole stack of hyperplanes at once.  The rank
+of each section is the rank of the Gram matrix B^T H B^(q) of the form in
+a basis B of the hyperplane (a basis-completion matrix), from one batched
+elimination over all the Gram matrices.  The point count is read
+separately, as the zero count of the linear form u.x on the variety's
+points from the exhaustive scan kernel, so the two answers stay
+independently checkable.
 """
 
 from __future__ import annotations
@@ -23,8 +26,16 @@ from functools import cached_property
 import numpy as np
 
 from .field import FieldCtx
-from .linalg import identity, mat_mul, matrix_rank, nullspace
-from .projspace import enumerate_points, incidence_values, line_through, normalize_vector
+from .linalg import batch_rank, identity, mat_mul, matrix_rank, nullspace
+from .projspace import (
+    CHUNK_ELEMS,
+    enumerate_points,
+    hyperplane_point_counts,
+    incidence_matrix,
+    line_through,
+    normalize_rows,
+    normalize_vector,
+)
 
 __all__ = [
     "is_hermitian",
@@ -41,8 +52,10 @@ __all__ = [
     "LineClass",
     "classify_line",
     "tangent_hyperplane",
+    "tangent_hyperplanes",
     "SectionInfo",
     "hyperplane_section",
+    "hyperplane_sections",
 ]
 
 
@@ -65,19 +78,10 @@ def validate_hermitian(ctx: FieldCtx, matrix) -> np.ndarray:
 def evaluate_hermitian_form(ctx: FieldCtx, matrix, x) -> int:
     """x^T H x^(q); lies in GF(q), zero iff x is on the variety."""
     h = np.asarray(matrix, dtype=np.int64)
-    x = [int(c) for c in x]
-    if len(x) != h.shape[0]:
+    x = np.asarray(x, dtype=np.int64)
+    if x.shape != h.shape[:1]:
         raise ValueError("dimension mismatch between matrix and point")
-    y = [ctx.frob(c) for c in x]
-    acc = 0
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        row = 0
-        for j, yj in enumerate(y):
-            row = ctx.add(row, ctx.mul(int(h[i, j]), yj))
-        acc = ctx.add(acc, ctx.mul(xi, row))
-    return acc
+    return int(hermitian_form_values(ctx, h, x[None, :])[0])
 
 
 def hermitian_form_values(ctx: FieldCtx, matrix, points: np.ndarray) -> np.ndarray:
@@ -196,8 +200,10 @@ class HermitianVariety:
         self.rank = matrix_rank(ctx, self.matrix)
         self.vertex: tuple[int, ...] | None = None
         if self.rank == self.n:
+            # The singular point s has s^T H = 0, i.e. H s^(q) = 0 (H^T = H^(q)),
+            # so it is the conjugate of the right kernel vector.
             kernel = nullspace(ctx, self.matrix)
-            self.vertex = normalize_vector(ctx, kernel[0])
+            self.vertex = normalize_vector(ctx, ctx.vfrob(kernel[0]))
 
     @property
     def is_nondegenerate(self) -> bool:
@@ -270,38 +276,31 @@ def classify_line(ctx: FieldCtx, variety: HermitianVariety, a, b) -> LineClass:
     varieties only tangent/secant/contained occur; arbitrary varieties may
     yield other counts, reported with kind 'unknown'."""
     pts = line_through(ctx, a, b)
-    values = hermitian_form_values(ctx, variety.matrix, pts)
-    count = int((values == 0).sum())
+    count = int((hermitian_form_values(ctx, variety.matrix, pts) == 0).sum())
     q = ctx.q
-    if count == 1:
-        kind = "tangent"
-    elif count == q + 1:
-        kind = "secant"
-    elif count == q * q + 1:
-        kind = "contained"
-    else:
-        kind = "unknown"
-    return LineClass(kind=kind, count=count)
+    kinds = {1: "tangent", q + 1: "secant", q * q + 1: "contained"}
+    return LineClass(kind=kinds.get(count, "unknown"), count=count)
+
+
+def tangent_hyperplanes(ctx: FieldCtx, variety: HermitianVariety, points) -> np.ndarray:
+    """Polar hyperplanes at a stack of smooth rational points: the dual
+    vectors H * a^(q), normalized, one row per point.  Raises for points off
+    the variety and for the cone vertex (where the polar vanishes)."""
+    pts = normalize_rows(ctx, points)
+    if pts.ndim != 2 or pts.shape[1] != variety.n + 1:
+        raise ValueError("dimension mismatch between matrix and point")
+    if hermitian_form_values(ctx, variety.matrix, pts).any():
+        raise ValueError("tangent hyperplane requires a point on the variety")
+    duals = mat_mul(ctx, ctx.vfrob(pts), variety.matrix.T)
+    if not duals.any(axis=1).all():
+        raise ValueError("point is singular (the cone vertex has no tangent hyperplane)")
+    return normalize_rows(ctx, duals)
 
 
 def tangent_hyperplane(ctx: FieldCtx, variety: HermitianVariety, a) -> tuple[int, ...]:
-    """The polar hyperplane at a smooth rational point a: dual vector
-    H * a^(q), normalized.  Raises for points off the variety and for the
-    cone vertex (where the polar vanishes)."""
-    a = normalize_vector(ctx, a)
-    if not variety.contains(a):
-        raise ValueError("tangent hyperplane requires a point on the variety")
-    h = variety.matrix
-    aq = [ctx.frob(c) for c in a]
-    dual = [0] * (variety.n + 1)
-    for i in range(variety.n + 1):
-        acc = 0
-        for j, yj in enumerate(aq):
-            acc = ctx.add(acc, ctx.mul(int(h[i, j]), yj))
-        dual[i] = acc
-    if not any(dual):
-        raise ValueError("point is singular (the cone vertex has no tangent hyperplane)")
-    return normalize_vector(ctx, dual)
+    """The polar hyperplane at one smooth rational point a (see
+    :func:`tangent_hyperplanes`)."""
+    return tuple(tangent_hyperplanes(ctx, variety, [a])[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -316,39 +315,52 @@ class SectionInfo:
     kind: str
 
 
-def _hyperplane_basis(ctx: FieldCtx, dual: tuple[int, ...]) -> np.ndarray:
-    """(n+1) x n basis-completion matrix whose columns span the hyperplane
-    sum u_i x_i = 0 (dual normalized, so its last nonzero entry is 1)."""
-    dim = len(dual)
-    last = max(i for i in range(dim) if dual[i])
-    cols = [i for i in range(dim) if i != last]
-    basis = np.zeros((dim, dim - 1), dtype=np.int64)
-    for idx, i in enumerate(cols):
-        basis[i, idx] = 1
-        basis[last, idx] = ctx.neg(dual[i])
-    return basis
+def _section_gram_matrices(ctx: FieldCtx, matrix: np.ndarray, duals: np.ndarray) -> np.ndarray:
+    """(D, n, n) Gram matrices B^T H B^(q) of the form on each hyperplane.
+    B is the (n+1) x n basis-completion matrix of the normalized dual u: its
+    columns are e_i - u_i e_last for every i except the position `last` of
+    u's final nonzero entry (which is 1)."""
+    count, dim = duals.shape
+    last = dim - 1 - np.argmax(duals[:, ::-1] != 0, axis=1)
+    cols = np.nonzero(np.arange(dim)[None, :] != last[:, None])[1].reshape(count, dim - 1)
+    stack, place = np.arange(count)[:, None], np.arange(dim - 1)[None, :]
+    basis = np.zeros((count, dim, dim - 1), dtype=np.int64)
+    basis[stack, cols, place] = 1
+    basis[stack, last[:, None], place] = ctx.vneg(np.take_along_axis(duals, cols, axis=1))
+    return mat_mul(ctx, mat_mul(ctx, basis.swapaxes(1, 2), matrix), ctx.vfrob(basis))
 
 
-def hyperplane_section(ctx: FieldCtx, variety: HermitianVariety, dual) -> SectionInfo:
-    """Restrict the form to a hyperplane via basis completion and classify
-    the section.  Requires a nondegenerate variety or a rank-n cone."""
-    dual = normalize_vector(ctx, dual)
-    if len(dual) != variety.n + 1:
+def hyperplane_sections(
+    ctx: FieldCtx, variety: HermitianVariety, duals
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Restrict the form to each hyperplane of a (D, n+1) stack of duals and
+    classify the sections: (ranks, point counts, kinds), one entry per dual.
+    Requires a nondegenerate variety or a rank-n cone."""
+    duals = normalize_rows(ctx, duals)
+    if duals.ndim != 2 or duals.shape[1] != variety.n + 1:
         raise ValueError("dimension mismatch between hyperplane and variety")
     if not (variety.is_nondegenerate or variety.is_rank_n_cone):
         raise ValueError("sections are defined for nondegenerate varieties and rank-n cones")
-    basis = _hyperplane_basis(ctx, dual)
-    restricted = mat_mul(
-        ctx, mat_mul(ctx, basis.T, variety.matrix), conjugate_entrywise(ctx, basis)
+    if not len(duals):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=str)
+    step = max(1, CHUNK_ELEMS // (variety.n + 1) ** 2)
+    ranks = np.concatenate(
+        [
+            batch_rank(ctx, _section_gram_matrices(ctx, variety.matrix, duals[lo : lo + step]))
+            for lo in range(0, len(duals), step)
+        ]
     )
-    section_rank = matrix_rank(ctx, restricted) if restricted.any() else 0
-    on_plane = incidence_values(ctx, variety.points, dual) == 0
-    count = int(on_plane.sum())
+    counts = hyperplane_point_counts(ctx, variety.points, duals)
     if variety.is_nondegenerate:
-        kind = "tangent" if section_rank == variety.n - 1 else "non_tangent"
+        kinds = np.where(ranks == variety.n - 1, "tangent", "non_tangent")
     else:
-        vertex_on = incidence_values(
-            ctx, np.asarray([variety.vertex], dtype=np.int64), dual
-        )[0] == 0
-        kind = "vertex_incident" if vertex_on else "vertex_avoiding"
-    return SectionInfo(rank=section_rank, point_count=count, kind=kind)
+        on_vertex = incidence_matrix(ctx, [variety.vertex], duals)[0]
+        kinds = np.where(on_vertex, "vertex_incident", "vertex_avoiding")
+    return ranks, counts, kinds
+
+
+def hyperplane_section(ctx: FieldCtx, variety: HermitianVariety, dual) -> SectionInfo:
+    """The section of the variety by one hyperplane (see
+    :func:`hyperplane_sections`)."""
+    ranks, counts, kinds = hyperplane_sections(ctx, variety, [dual])
+    return SectionInfo(rank=int(ranks[0]), point_count=int(counts[0]), kind=str(kinds[0]))

@@ -2,7 +2,9 @@
 
 Matrices are numpy int arrays of codes; row operations go through the
 context's vectorized arithmetic, so elimination on a k x m generator
-matrix costs k pivot passes of whole-row table lookups.
+matrix costs k pivot passes of whole-row table lookups.  Ranks and
+products also take stacks of matrices (leading axes), so one elimination
+pass serves every matrix of the stack at once.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import numpy as np
 
 from .field import FieldCtx
 
-__all__ = ["row_reduce", "matrix_rank", "nullspace", "mat_mul", "identity"]
+__all__ = ["row_reduce", "batch_rank", "matrix_rank", "nullspace", "mat_mul", "identity"]
 
 
 def row_reduce(ctx: FieldCtx, matrix) -> tuple[np.ndarray, list[int]]:
@@ -42,6 +44,38 @@ def row_reduce(ctx: FieldCtx, matrix) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
+def batch_rank(ctx: FieldCtx, matrices) -> np.ndarray:
+    """Ranks of a stack of matrices (..., rows, cols), as an int64 array of
+    the stack's shape.  Column by column, every matrix that has a pivot
+    candidate at or below its current rank swaps the first one up and clears
+    the column beneath it, all in one vectorized step."""
+    a = np.array(matrices, dtype=np.int64)
+    if a.ndim < 2:
+        raise ValueError("matrices must have at least two dimensions")
+    stack, (rows, cols) = a.shape[:-2], a.shape[-2:]
+    a = a.reshape(-1, rows, cols)
+    rank = np.zeros(len(a), dtype=np.int64)
+    row_ids = np.arange(rows)
+    for c in range(cols):
+        below = row_ids[None, :] >= rank[:, None]
+        candidates = (a[:, :, c] != 0) & below
+        todo = np.nonzero(candidates.any(axis=1))[0]
+        if todo.size == 0:
+            if (rank == rows).all():
+                break
+            continue
+        top = rank[todo]
+        piv = np.argmax(candidates[todo], axis=1)
+        pivot_rows = a[todo, piv]
+        a[todo, piv] = a[todo, top]
+        a[todo, top] = pivot_rows
+        factors = ctx.vmul(ctx.vneg(a[todo, :, c]), ctx.vinv(pivot_rows[:, c])[:, None])
+        factors[~below[todo] | (row_ids[None, :] == top[:, None])] = 0
+        a[todo] = ctx.vadd(a[todo], ctx.vmul(factors[:, :, None], pivot_rows[:, None, :]))
+        rank[todo] += 1
+    return rank.reshape(stack)
+
+
 def matrix_rank(ctx: FieldCtx, matrix) -> int:
     return len(row_reduce(ctx, matrix)[1])
 
@@ -60,13 +94,15 @@ def nullspace(ctx: FieldCtx, matrix) -> np.ndarray:
 
 
 def mat_mul(ctx: FieldCtx, a, b) -> np.ndarray:
+    """Matrix product; leading axes broadcast, so stacks multiply at once."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    if a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"shape mismatch {a.shape} x {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for k in range(a.shape[1]):
-        out = ctx.vadd(out, ctx.vmul(a[:, k][:, None], b[k][None, :]))
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+    out = np.zeros(shape, dtype=np.int64)
+    for k in range(a.shape[-1]):
+        out = ctx.vadd(out, ctx.vmul(a[..., :, k, None], b[..., None, k, :]))
     return out
 
 

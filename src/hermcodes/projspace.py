@@ -2,11 +2,19 @@
 
 A projective point is a length-(n+1) tuple/array of element codes,
 normalized so the last nonzero coordinate is 1.  Enumeration order is
-lexicographic on the normalized coordinate codes read left to right; it is
-a pure function of the context and n, so column orders of every derived
-matrix are reproducible across runs.  Hyperplanes are dual coefficient
-vectors under the same normalization, and the dual space enumerates
-identically.
+lexicographic on the normalized coordinate codes read left to right, which
+is the order of the base-q^2 keys sum c_i q^(2(n-i)); it is a pure function
+of the context and n, so column orders of every derived matrix are
+reproducible across runs.  Hyperplanes are dual coefficient vectors under
+the same normalization, and the dual space enumerates identically.
+
+Lines are built directly, not found by walking point pairs: each line is
+the row space of one reduced 2 x (n+1) echelon matrix (pivot columns
+c1 < c2 plus free entries), its q^2 + 1 points are r1 and r2 + t*r1, and
+the points are located in the enumeration by their keys.  Incidence
+between many points and many hyperplanes is one chunked product; the number
+of points on each of many hyperplanes is read from the exhaustive scan
+kernel, without the full incidence matrix.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .field import FieldCtx
+from .forms import class_indices, scan_zero_counts
 from .limits import POINT_BUDGET, BudgetExceededError
 
 __all__ = [
@@ -22,13 +31,19 @@ __all__ = [
     "normalize_rows",
     "enumerate_points",
     "enumerate_hyperplanes",
+    "point_keys",
     "incidence",
-    "incidence_values",
+    "incidence_matrix",
+    "hyperplane_point_counts",
     "line_through",
+    "all_lines",
     "export_points_csv",
 ]
 
 _POINT_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
+
+# Codes held by one temporary of the batched incidence and line routes.
+CHUNK_ELEMS = 1 << 18
 
 
 def pi_count(k: int, field_size: int) -> int:
@@ -111,40 +126,118 @@ def enumerate_hyperplanes(ctx: FieldCtx, n: int, budget: int = POINT_BUDGET) -> 
     return enumerate_points(ctx, n, budget)
 
 
+def point_keys(ctx: FieldCtx, rows) -> np.ndarray:
+    """Base-q^2 keys sum c_i q^(2(n-i)) of the coordinate vectors along the
+    last axis; on normalized points they increase in canonical order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    weights = ctx.q2 ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
+    return (rows * weights).sum(axis=-1)
+
+
 def incidence(ctx: FieldCtx, point, hyperplane) -> bool:
     """True iff the point lies on the hyperplane (sum u_i x_i = 0)."""
-    point = np.asarray(point)
-    hyperplane = np.asarray(hyperplane)
-    if point.shape != hyperplane.shape:
+    return bool(incidence_matrix(ctx, [point], [hyperplane])[0, 0])
+
+
+def incidence_matrix(ctx: FieldCtx, points, duals) -> np.ndarray:
+    """(P, D) boolean matrix: entry (i, j) says point i lies on hyperplane j.
+    Built a block of points at a time, each temporary holding at most
+    CHUNK_ELEMS codes (or one row of D)."""
+    points = np.asarray(points, dtype=np.int64)
+    duals = np.asarray(duals, dtype=np.int64)
+    if points.ndim != 2 or duals.ndim != 2 or points.shape[1] != duals.shape[1]:
         raise ValueError("dimension mismatch between point and hyperplane")
-    acc = 0
-    for c, u in zip(point.tolist(), hyperplane.tolist()):
-        acc = ctx.add(acc, ctx.mul(c, u))
-    return acc == 0
+    out = np.empty((len(points), len(duals)), dtype=bool)
+    step = max(1, CHUNK_ELEMS // max(len(duals), 1))
+    for lo in range(0, len(points), step):
+        block = points[lo : lo + step, None, :]
+        acc = np.zeros((len(block), len(duals)), dtype=np.int64)
+        for i in range(points.shape[1]):
+            acc = ctx.vadd(acc, ctx.vmul(block[:, :, i], duals[None, :, i]))
+        out[lo : lo + step] = acc == 0
+    return out
 
 
-def incidence_values(ctx: FieldCtx, points: np.ndarray, hyperplane) -> np.ndarray:
-    """Vector of sum u_i x_i over a point array; == 0 gives the incidence mask."""
-    hyperplane = np.asarray(hyperplane)
-    acc = np.zeros(len(points), dtype=np.int64)
-    for i, u in enumerate(hyperplane.tolist()):
-        if u:
-            acc = ctx.vadd(acc, ctx.vmul(u, points[:, i]))
-    return acc
+def hyperplane_point_counts(ctx: FieldCtx, points, duals) -> np.ndarray:
+    """Number of points of the (P, n+1) array on each hyperplane of a
+    (D, n+1) stack of duals: the zero count of the linear form u.x, read
+    from the scan kernel over the projectivized linear forms between the
+    duals' smallest and largest class and mapped to the duals by class
+    index.  Memory stays within the kernel's table and chunk sizes."""
+    points = np.asarray(points, dtype=np.int64)
+    duals = np.asarray(duals, dtype=np.int64)
+    if points.ndim != 2 or duals.ndim != 2 or points.shape[1] != duals.shape[1]:
+        raise ValueError("dimension mismatch between point and hyperplane")
+    if not len(duals):
+        return np.zeros(0, dtype=np.int64)
+    index = class_indices(ctx, duals)
+    lo, hi = int(index.min()), int(index.max()) + 1
+    values = np.ascontiguousarray(points.T)
+    counts = np.concatenate([c for _, c in scan_zero_counts(ctx, values, lo, hi)])
+    return counts[index - lo]
+
+
+def _span_points(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(..., q^2 + 1, n+1) normalized points of the lines spanned by the
+    independent rows a, b: first a, then b + t*a for every code t."""
+    t = np.arange(ctx.q2, dtype=np.int64)[:, None]
+    ends = ctx.vadd(b[..., None, :], ctx.vmul(t, a[..., None, :]))
+    return normalize_rows(ctx, np.concatenate([a[..., None, :], ends], axis=-2))
 
 
 def line_through(ctx: FieldCtx, a, b) -> np.ndarray:
     """The q^2 + 1 rational points of the line through distinct points a, b,
-    normalized, deduplicated, in canonical order."""
-    a = normalize_vector(ctx, a)
-    b = normalize_vector(ctx, b)
-    if a == b:
+    normalized, in canonical order."""
+    a, b = normalize_rows(ctx, [a, b])
+    if np.array_equal(a, b):
         raise ValueError("line_through requires two distinct points")
-    pts = {a}
-    for t in range(ctx.q2):
-        vec = [ctx.add(bc, ctx.mul(t, ac)) for ac, bc in zip(a, b)]
-        pts.add(normalize_vector(ctx, vec))
-    return np.array(sorted(pts), dtype=np.int64)
+    pts = _span_points(ctx, a, b)
+    return pts[np.argsort(point_keys(ctx, pts))]
+
+
+def _echelon_pairs(q2: int, n: int) -> np.ndarray:
+    """(L, 2, n+1) reduced echelon row pairs, one per line of P^n: row 1 has
+    its leading 1 in column c1, row 2 in column c2 > c1 (where row 1 is 0),
+    and every entry right of a leading 1 is free."""
+    blocks = []
+    for c1 in range(n + 1):
+        for c2 in range(c1 + 1, n + 1):
+            free = [(0, j) for j in range(c1 + 1, n + 1) if j != c2]
+            free += [(1, j) for j in range(c2 + 1, n + 1)]
+            size = q2 ** len(free)
+            pairs = np.zeros((size, 2, n + 1), dtype=np.int64)
+            pairs[:, 0, c1] = 1
+            pairs[:, 1, c2] = 1
+            index = np.arange(size, dtype=np.int64)
+            for place, (row, col) in enumerate(reversed(free)):
+                pairs[:, row, col] = index // q2**place % q2
+            blocks.append(pairs)
+    return np.concatenate(blocks)
+
+
+def all_lines(ctx: FieldCtx, n: int, budget: int = POINT_BUDGET) -> np.ndarray:
+    """Every line of P^n(GF(q^2)) once, as an (L, q^2 + 1) int64 array of
+    indices into ``enumerate_points(ctx, n)``.  Each row increases, and the
+    rows are ordered by their first two indices: the order in which a walk
+    over point pairs (i < j) would first meet each line.  The budget bounds
+    both the point enumeration and the L * (q^2 + 1) line points."""
+    q2 = ctx.q2
+    keys = point_keys(ctx, enumerate_points(ctx, n, budget))
+    count = (q2 ** (n + 1) - 1) * (q2**n - 1) // ((q2 * q2 - 1) * (q2 - 1))
+    if count * (q2 + 1) > budget:
+        raise BudgetExceededError(
+            f"enumerating the lines of P^{n}(GF({q2})) visits {count * (q2 + 1)} points "
+            f"> budget {budget}"
+        )
+    pairs = _echelon_pairs(q2, n)
+    lines = np.empty((count, q2 + 1), dtype=np.int64)
+    step = max(1, CHUNK_ELEMS // ((q2 + 1) * (n + 1)))
+    for lo in range(0, count, step):
+        block = pairs[lo : lo + step]
+        pts = _span_points(ctx, block[:, 0], block[:, 1])
+        lines[lo : lo + step] = np.searchsorted(keys, point_keys(ctx, pts))
+    lines.sort(axis=1)
+    return lines[np.lexsort((lines[:, 1], lines[:, 0]))]
 
 
 def export_points_csv(ctx: FieldCtx, n: int, points: np.ndarray, path) -> None:

@@ -9,6 +9,7 @@ strings; sampled checks consume an explicit seed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator
@@ -34,18 +35,22 @@ from .hermitian import (
     congruence_transform,
     count_points_formula,
     hermitian_form_values,
-    hyperplane_section,
+    hyperplane_sections,
     make_nondegenerate,
     make_standard_cone,
-    tangent_hyperplane,
+    tangent_hyperplanes,
 )
-from .linalg import matrix_rank
+from .linalg import mat_mul, matrix_rank
 from .projspace import (
+    CHUNK_ELEMS,
+    all_lines,
     enumerate_hyperplanes,
     enumerate_points,
-    incidence_values,
+    hyperplane_point_counts,
+    incidence_matrix,
     line_through,
     pi_count,
+    point_keys,
 )
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "random_hermitian", "random_invertible"]
@@ -91,20 +96,13 @@ def random_invertible(ctx: FieldCtx, size: int, rng: np.random.Generator) -> np.
 
 
 def iter_all_lines(ctx: FieldCtx, n: int) -> Iterator[np.ndarray]:
-    """Every line of P^n(GF(q^2)) exactly once (pair-coverage dedup)."""
-    pts = enumerate_points(ctx, n)
-    index = {tuple(int(c) for c in p): i for i, p in enumerate(pts)}
-    covered: set[tuple[int, int]] = set()
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if (i, j) in covered:
-                continue
-            line = line_through(ctx, pts[i], pts[j])
-            idxs = sorted(index[tuple(int(c) for c in r)] for r in line)
-            for a in range(len(idxs)):
-                for b in range(a + 1, len(idxs)):
-                    covered.add((idxs[a], idxs[b]))
-            yield line
+    """Every line of P^n(GF(q^2)) exactly once, in blocks of consecutive
+    rows of :func:`all_lines` (point indices into ``enumerate_points``),
+    each block holding at most about CHUNK_ELEMS indices."""
+    lines = all_lines(ctx, n)
+    step = max(1, CHUNK_ELEMS // lines.shape[1])
+    for lo in range(0, len(lines), step):
+        yield lines[lo : lo + step]
 
 
 def _maximizer_forms(ctx: FieldCtx, result: bnd.OracleResult) -> list[HomogeneousForm]:
@@ -195,7 +193,7 @@ def check_point_enumeration(ctx: FieldCtx, n: int) -> CheckResult:
     last = n - np.argmax(nonzero[:, ::-1], axis=1)
     lead = pts[np.arange(len(pts)), last]
     normalized = bool(nonzero.any(axis=1).all() and (lead == 1).all())
-    keys = (pts * ctx.q2 ** np.arange(n, -1, -1, dtype=np.int64)).sum(axis=1)
+    keys = point_keys(ctx, pts)
     increasing = bool((np.diff(keys) > 0).all())
     ok = len(pts) == pi_count(n, ctx.q2) and in_range and normalized and increasing
     return _result(
@@ -208,21 +206,15 @@ def check_point_enumeration(ctx: FieldCtx, n: int) -> CheckResult:
 def check_incidence_duality(ctx: FieldCtx, n: int) -> CheckResult:
     pts = enumerate_points(ctx, n)
     hyps = enumerate_hyperplanes(ctx, n)
-    per_hyp = np.array([int((incidence_values(ctx, pts, h) == 0).sum()) for h in hyps])
+    per_hyp = hyperplane_point_counts(ctx, pts, hyps)
+    on = incidence_matrix(ctx, pts[:2], hyps)
     expected = pi_count(n - 1, ctx.q2)
     ok = bool((per_hyp == expected).all())
     total = int(per_hyp.sum())
     ok &= total == len(pts) * expected  # double count <=> points see pi_{n-1} hyperplanes
-    fixed = pts[0]
-    missing = sum(1 for h in hyps if incidence_values(ctx, fixed[None, :], h)[0] != 0)
+    missing = int((~on[0]).sum())  # hyperplanes missing the fixed point pts[0]
     ok &= missing == ctx.q2**n
-    second = pts[1]
-    both = sum(
-        1
-        for h in hyps
-        if incidence_values(ctx, fixed[None, :], h)[0] == 0
-        and incidence_values(ctx, second[None, :], h)[0] == 0
-    )
+    both = int((on[0] & on[1]).sum())  # through pts[0] and pts[1]
     ok &= both == pi_count(n - 2, ctx.q2)
     ok &= expected - pi_count(n - 2, ctx.q2) == ctx.q2 ** (n - 1)
     return _result(
@@ -236,20 +228,15 @@ def check_incidence_duality(ctx: FieldCtx, n: int) -> CheckResult:
 def check_line_basics(ctx: FieldCtx, n: int, seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     pts = enumerate_points(ctx, n)
+    hyps = enumerate_hyperplanes(ctx, n)
     ok = True
     for _ in range(20):
         i, j = rng.choice(len(pts), size=2, replace=False)
         line = line_through(ctx, pts[i], pts[j])
         ok &= len(line) == ctx.q2 + 1
         ok &= np.array_equal(line, line_through(ctx, pts[j], pts[i]))
-        duals = [
-            h
-            for h in enumerate_hyperplanes(ctx, n)
-            if incidence_values(ctx, pts[i][None, :], h)[0] == 0
-            and incidence_values(ctx, pts[j][None, :], h)[0] == 0
-        ]
-        for h in duals:
-            ok &= bool((incidence_values(ctx, line, h) == 0).all())
+        on = incidence_matrix(ctx, np.concatenate([pts[[i, j]], line]), hyps)
+        ok &= bool(on[2:, on[0] & on[1]].all())
     return _result("line_basics", ok, "q^2+1 points, symmetric, hyperplane-collinear")
 
 
@@ -302,10 +289,12 @@ def check_line_trichotomy(ctx: FieldCtx, n: int) -> CheckResult:
     q = ctx.q
     variety = make_nondegenerate(ctx, n)
     allowed = {1, q + 1} if n == 2 else {1, q + 1, q * q + 1}
-    tally: dict[int, int] = {}
-    for line in iter_all_lines(ctx, n):
-        count = int((hermitian_form_values(ctx, variety.matrix, line) == 0).sum())
-        tally[count] = tally.get(count, 0) + 1
+    zero = hermitian_form_values(ctx, variety.matrix, enumerate_points(ctx, n)) == 0
+    # first-appearance order of the counts, as the detail prints them
+    counts: Counter = Counter()
+    for block in iter_all_lines(ctx, n):
+        counts.update(zero[block].sum(axis=1).tolist())
+    tally = dict(counts)
     ok = set(tally) <= allowed
     return _result(
         "line_trichotomy",
@@ -319,18 +308,15 @@ def check_section_dichotomy(ctx: FieldCtx, n: int) -> CheckResult:
     variety = make_nondegenerate(ctx, n)
     tangent_count = 1 + q * q * count_points_formula(n - 2, "nondegenerate", q) if n >= 2 else None
     nontangent_count = count_points_formula(n - 1, "nondegenerate", q)
-    polar_duals = {tangent_hyperplane(ctx, variety, p) for p in variety.points}
-    ok = True
-    n_tangent = 0
-    for dual in enumerate_hyperplanes(ctx, n):
-        sec = hyperplane_section(ctx, variety, dual)
-        if sec.kind == "tangent":
-            n_tangent += 1
-            ok &= sec.rank == n - 1 and sec.point_count == tangent_count
-            ok &= tuple(int(c) for c in dual) in polar_duals
-        else:
-            ok &= sec.rank == n and sec.point_count == nontangent_count
-    ok &= n_tangent == len(polar_duals) == len(variety.points)
+    polar_keys = np.unique(point_keys(ctx, tangent_hyperplanes(ctx, variety, variety.points)))
+    hyps = enumerate_hyperplanes(ctx, n)
+    ranks, counts, kinds = hyperplane_sections(ctx, variety, hyps)
+    tangent = kinds == "tangent"
+    n_tangent = int(tangent.sum())
+    ok = bool((ranks[tangent] == n - 1).all() and (counts[tangent] == tangent_count).all())
+    ok &= bool(np.isin(point_keys(ctx, hyps[tangent]), polar_keys).all())
+    ok &= bool((ranks[~tangent] == n).all() and (counts[~tangent] == nontangent_count).all())
+    ok &= n_tangent == len(polar_keys) == len(variety.points)
     return _result(
         "hyperplane_section_dichotomy",
         ok,
@@ -343,16 +329,13 @@ def check_vertex_avoiding_sections(ctx: FieldCtx, n: int) -> CheckResult:
     q = ctx.q
     cone = make_standard_cone(ctx, n)
     expected = count_points_formula(n - 1, "nondegenerate", q)
-    checked = 0
-    ok = True
-    for dual in enumerate_hyperplanes(ctx, n):
-        if incidence_values(ctx, np.asarray([cone.vertex]), dual)[0] == 0:
-            continue
-        sec = hyperplane_section(ctx, cone, dual)
-        ok &= sec.kind == "vertex_avoiding" and sec.point_count == expected
-        if n >= 2:
-            ok &= sec.rank == n
-        checked += 1
+    hyps = enumerate_hyperplanes(ctx, n)
+    avoiding = hyps[~incidence_matrix(ctx, [cone.vertex], hyps)[0]]
+    ranks, counts, kinds = hyperplane_sections(ctx, cone, avoiding)
+    ok = bool((kinds == "vertex_avoiding").all() and (counts == expected).all())
+    if n >= 2:
+        ok &= bool((ranks == n).all())
+    checked = len(avoiding)
     ok &= checked == ctx.q2**n
     return _result(
         "vertex_avoiding_sections",
@@ -374,14 +357,12 @@ def check_vertex_incident_sections(ctx: FieldCtx, n: int) -> CheckResult:
         (1 + q * q * nontangent_base, n - 1),
         (1 + q * q * tangent_base, n - 2),
     }
-    tally: dict[tuple[int, int], int] = {}
-    ok = True
-    for dual in enumerate_hyperplanes(ctx, n):
-        if incidence_values(ctx, np.asarray([cone.vertex]), dual)[0] != 0:
-            continue
-        sec = hyperplane_section(ctx, cone, dual)
-        ok &= sec.kind == "vertex_incident"
-        tally[(sec.point_count, sec.rank)] = tally.get((sec.point_count, sec.rank), 0) + 1
+    hyps = enumerate_hyperplanes(ctx, n)
+    incident = hyps[incidence_matrix(ctx, [cone.vertex], hyps)[0]]
+    ranks, counts, kinds = hyperplane_sections(ctx, cone, incident)
+    ok = bool((kinds == "vertex_incident").all())
+    # first-appearance order of the pairs, as the detail prints them
+    tally = dict(Counter(zip(counts.tolist(), ranks.tolist())))
     ok &= set(tally) <= allowed
     # tangent-type sections match the base variety's point count, the rest
     # fill up the pi_(n-1) hyperplanes through the vertex
@@ -399,24 +380,15 @@ def check_tangent_hyperplanes(ctx: FieldCtx, n: int) -> CheckResult:
     variety = make_nondegenerate(ctx, n)
     q = ctx.q
     expected = 1 + q * q * count_points_formula(n - 2, "nondegenerate", q) if n >= 3 else 1
-    ok = True
-    for a in variety.points:
-        dual = tangent_hyperplane(ctx, variety, a)
-        on = incidence_values(ctx, variety.points, dual) == 0
-        ok &= incidence_values(ctx, a[None, :], dual)[0] == 0
-        if n == 2:
-            ok &= int(on.sum()) == 1  # tangent line touches only at the point
-        else:
-            ok &= int(on.sum()) == expected
-    # polar symmetry on a sample of pairs
     pts = variety.points
-    for i in range(min(len(pts), 8)):
-        for j in range(min(len(pts), 8)):
-            di = tangent_hyperplane(ctx, variety, pts[i])
-            dj = tangent_hyperplane(ctx, variety, pts[j])
-            ok &= (incidence_values(ctx, pts[j][None, :], di)[0] == 0) == (
-                incidence_values(ctx, pts[i][None, :], dj)[0] == 0
-            )
+    duals = tangent_hyperplanes(ctx, variety, pts)
+    # every point lies on its own polar hyperplane (the dot products u_j . a_j)
+    ok = not mat_mul(ctx, pts[:, None, :], duals[:, :, None]).any()
+    # a tangent line (n = 2) touches only at the point
+    ok &= bool((hyperplane_point_counts(ctx, pts, duals) == (1 if n == 2 else expected)).all())
+    # polar symmetry on a sample of pairs: point i on the polar of point j
+    sample = incidence_matrix(ctx, pts[:8], duals[:8])
+    ok &= bool((sample == sample.T).all())
     return _result(
         "tangent_hyperplanes",
         ok,
@@ -549,7 +521,7 @@ def check_hyperplane_margin(ctx: FieldCtx, n: int, d: int, seed: int = 2) -> Che
             cof = HomogeneousForm(basis=basis_cof, coeffs=coeffs)
             form = multiply_linear(ctx, cof, plane_dual)
         vals = form_values(ctx, form, cone.points)
-        off_plane = incidence_values(ctx, cone.points, plane_dual) != 0
+        off_plane = ~incidence_matrix(ctx, cone.points, [plane_dual])[:, 0]
         ok &= int(((vals == 0) & off_plane).sum()) <= margin
     return _result(
         f"hyperplane_margin_n{n}_d{d}",
@@ -598,13 +570,11 @@ def check_tangent_section_structure(ctx: FieldCtx, d: int, samples: int, seed: i
     cone = make_standard_cone(ctx, 4)
     base_max = bnd.sorensen_max(d, q)
     hyps = enumerate_hyperplanes(ctx, 4)
-    avoiding = [
-        h for h in hyps if incidence_values(ctx, np.asarray([cone.vertex]), h)[0] != 0
-    ]
+    avoiding = hyps[~incidence_matrix(ctx, [cone.vertex], hyps)[0]]
     rng = np.random.default_rng(seed)
     if samples and samples < len(avoiding):
         picks = rng.choice(len(avoiding), size=samples, replace=False)
-        avoiding = [avoiding[i] for i in picks]
+        avoiding = avoiding[picks]
     witness = None
     if q == 2 and d == 1:
         result = bnd.bruteforce_max_intersection(ctx, cone, 4, 1)
@@ -612,7 +582,8 @@ def check_tangent_section_structure(ctx: FieldCtx, d: int, samples: int, seed: i
     else:
         witness = bnd.construct_extremal_form(ctx, cone, d)
         forms = [witness.form]
-    sigma_masks = [incidence_values(ctx, cone.points, dual) == 0 for dual in avoiding]
+    # row j: the points on the j-th sampled vertex-avoiding hyperplane
+    sigma_masks = incidence_matrix(ctx, cone.points, avoiding).T
     ok = True
     for form in forms:
         zeros = form_values(ctx, form, cone.points) == 0
@@ -622,9 +593,7 @@ def check_tangent_section_structure(ctx: FieldCtx, d: int, samples: int, seed: i
     # in the tangent-section count and pairwise intersections are secant
     if witness is not None:
         tangent_count = 1 + q * q * (q + 1)
-        factor_masks = [
-            incidence_values(ctx, cone.points, u) == 0 for u in witness.factor_duals
-        ]
+        factor_masks = incidence_matrix(ctx, cone.points, witness.factor_duals).T
         for on_sigma in sigma_masks:
             for on_u in factor_masks:
                 ok &= int((on_sigma & on_u).sum()) == tangent_count

@@ -3,6 +3,7 @@ the shard/merge path."""
 
 import json
 
+from hermcodes import codes
 from hermcodes.cli import main
 
 
@@ -317,3 +318,23 @@ def test_forty_shards_with_empty_ones_merge_byte_identical(tmp_path):
     _, _, full = run_cli(base, tmp_path, "full.json")
     assert main(["merge", *paths, "--out", str(tmp_path / "merged.json")]) == 0
     assert (tmp_path / "merged.json").read_bytes() == full.read_bytes()
+
+
+def test_params_weights_csv_scans_once(tmp_path, monkeypatch):
+    plain = tmp_path / "plain.json"
+    assert main(["params", "--p", "2", "--n", "3", "--d", "1", "--out", str(plain)]) == 0
+    calls = []
+    scan = codes.weight_distribution
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(codes, "weight_distribution", counted)
+    weights = tmp_path / "weights.csv"
+    code, _, out = run_cli(
+        ["params", "--p", "2", "--n", "3", "--d", "1", "--weights-csv", str(weights)], tmp_path
+    )
+    assert code == 0 and len(calls) == 1
+    assert out.read_bytes() == plain.read_bytes()
+    assert weights.read_text().splitlines()[0] == "weight,count"

@@ -146,6 +146,20 @@ TWO_GROUP_FIELD = (3, 5)
 GATHER_FIELDS = [(17, 1), (5, 2), (3, 3), (2, 5), TWO_GROUP_FIELD]
 
 
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (17, 1), (5, 2), (3, 3), (2, 5)])
+def test_exp_table_matches_the_power_chain(p, e):
+    """The doubling build against the former loop: one polynomial
+    multiplication by the generator per power."""
+    ctx = make_field(p, e)
+    acc, want = 1, []
+    for _ in range(ctx.q2 - 1):
+        want.append(acc)
+        acc = ctx._code_mul(acc, ctx.generator)
+    assert acc == 1
+    assert ctx.exp_table.tolist() == want
+    assert not ctx.exp_table.flags.writeable
+
+
 def test_two_group_field_splits_its_digits():
     ctx = cached_field(*TWO_GROUP_FIELD)
     assert [len(unspread) for _, unspread in ctx._spread_t] == [5**5, 5**5]

@@ -22,6 +22,7 @@ from hermcodes import (
     product_of_hyperplanes,
 )
 from hermcodes.forms import (
+    class_indices,
     coeffs_at_index,
     form_from_json,
     form_to_json,
@@ -124,6 +125,18 @@ def test_shard_range_and_index_roundtrip():
         coeffs_at_index(4, 3, total)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_class_indices_invert_coeffs_at_index(gf9, k):
+    total = projective_form_count(9, k)
+    coeffs = np.array([coeffs_at_index(9, k, g) for g in range(total)], dtype=np.int64)
+    assert class_indices(gf9, coeffs).tolist() == list(range(total))
+    # any nonzero multiple names the same class
+    scales = np.arange(total) % 8 + 1
+    assert class_indices(gf9, gf9.vmul(scales[:, None], coeffs)).tolist() == list(range(total))
+    with pytest.raises(ZeroDivisionError):
+        class_indices(gf9, np.zeros((1, k), dtype=np.int64))
+
+
 def test_enumeration_budget(gf4):
     with pytest.raises(BudgetExceededError):
         list(enumerate_forms_projective(gf4, 2, 2, budget=10))
@@ -186,11 +199,9 @@ def test_product_zero_set_is_union(gf4):
     duals = [(1, 0, 0), (1, 1, 1)]
     form = product_of_hyperplanes(gf4, duals)
     space = enumerate_points(gf4, 2)
-    from hermcodes.projspace import incidence_values
+    from hermcodes.projspace import incidence_matrix
 
-    union = (incidence_values(gf4, space, duals[0]) == 0) | (
-        incidence_values(gf4, space, duals[1]) == 0
-    )
+    union = incidence_matrix(gf4, space, duals).any(axis=1)
     zeros = form_values(gf4, form, space) == 0
     assert np.array_equal(union, zeros)
 

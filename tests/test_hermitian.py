@@ -6,7 +6,15 @@ full enumeration, and from exhaustive scans defined inside the tests.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from geometry_reference import (
+    reference_evaluate_hermitian_form,
+    reference_hyperplane_section,
+    reference_iter_all_lines,
+    reference_tangent_hyperplane,
+)
 from hermcodes import (
     HermitianVariety,
     canonical_congruence,
@@ -20,10 +28,22 @@ from hermcodes import (
     make_standard_cone,
     tangent_hyperplane,
 )
-from hermcodes.hermitian import congruence_transform, hermitian_form_values, is_hermitian
-from hermcodes.linalg import identity, matrix_rank
-from hermcodes.projspace import enumerate_hyperplanes, enumerate_points, incidence_values
-from hermcodes.verify import iter_all_lines, random_hermitian, random_invertible
+from hermcodes.hermitian import (
+    congruence_transform,
+    hermitian_form_values,
+    hyperplane_sections,
+    is_hermitian,
+    tangent_hyperplanes,
+)
+from hermcodes.linalg import identity, mat_mul, matrix_rank
+from hermcodes.projspace import (
+    all_lines,
+    enumerate_hyperplanes,
+    enumerate_points,
+    incidence,
+    incidence_matrix,
+)
+from hermcodes.verify import random_hermitian, random_invertible
 
 
 def test_is_hermitian(gf4):
@@ -129,11 +149,31 @@ def test_cone_vertex(gf4):
     assert make_nondegenerate(gf4, 2).vertex is None
 
 
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 3), (2, 4)])
+def test_vertex_of_a_moved_cone_is_its_singular_point(p, n):
+    ctx = make_field(p, 1)
+    rng = np.random.default_rng(23)
+    base = identity(n + 1)
+    base[n, n] = 0
+    moved = 0
+    for _ in range(10):
+        cone = HermitianVariety(ctx, congruence_transform(ctx, base, random_invertible(ctx, n + 1, rng)))
+        vertex = np.asarray(cone.vertex)
+        assert cone.contains(vertex)
+        # x^T H = 0 at the vertex, and so does its polar H x^(q)
+        assert not mat_mul(ctx, vertex[None, :], cone.matrix).any()
+        assert not mat_mul(ctx, cone.matrix, ctx.vfrob(vertex)[:, None]).any()
+        with pytest.raises(ValueError, match="singular"):
+            tangent_hyperplane(ctx, cone, vertex)
+        moved += not ctx.vfrob(vertex).tolist() == vertex.tolist()
+    assert moved  # some vertices are not GF(q)-rational, where v and v^(q) differ
+
+
 def test_classify_line_exhaustive_plane(gf4):
     u2 = make_nondegenerate(gf4, 2)
     pts = enumerate_points(gf4, 2)
     tally = {}
-    for line in iter_all_lines(gf4, 2):
+    for line in reference_iter_all_lines(gf4, 2):
         count = int((hermitian_form_values(gf4, u2.matrix, line) == 0).sum())
         tally[count] = tally.get(count, 0) + 1
     # 9 tangent lines (one per point), 12 secants, no contained lines
@@ -151,9 +191,8 @@ def test_classify_line_cone_generator(gf4):
 
 def test_classify_line_tallies_gf9(gf9):
     u3 = make_nondegenerate(gf9, 3)
-    counts = set()
-    for line in iter_all_lines(gf9, 3):
-        counts.add(int((hermitian_form_values(gf9, u3.matrix, line) == 0).sum()))
+    zero = hermitian_form_values(gf9, u3.matrix, enumerate_points(gf9, 3)) == 0
+    counts = set(zero[all_lines(gf9, 3)].sum(axis=1).tolist())
     assert counts == {1, 4, 10}
 
 
@@ -161,25 +200,23 @@ def test_tangent_hyperplane_plane_curve(gf4):
     u2 = make_nondegenerate(gf4, 2)
     for a in u2.points:
         dual = tangent_hyperplane(gf4, u2, a)
-        on = incidence_values(gf4, u2.points, dual) == 0
+        on = incidence_matrix(gf4, u2.points, [dual])[:, 0]
         assert int(on.sum()) == 1  # touches only at the point itself
-        assert incidence_values(gf4, a[None, :], dual)[0] == 0
+        assert incidence(gf4, a, dual)
 
 
 def test_tangent_hyperplane_surface(gf4):
     u3 = make_nondegenerate(gf4, 3)
     for a in u3.points:
         dual = tangent_hyperplane(gf4, u3, a)
-        assert int((incidence_values(gf4, u3.points, dual) == 0).sum()) == 13
+        assert int(incidence_matrix(gf4, u3.points, [dual])[:, 0].sum()) == 13
     # polar symmetry
     pts = u3.points
     for i in (0, 5, 11):
         for j in (2, 7, 20):
             di = tangent_hyperplane(gf4, u3, pts[i])
             dj = tangent_hyperplane(gf4, u3, pts[j])
-            assert (incidence_values(gf4, pts[j][None, :], di)[0] == 0) == (
-                incidence_values(gf4, pts[i][None, :], dj)[0] == 0
-            )
+            assert incidence(gf4, pts[j], di) == incidence(gf4, pts[i], dj)
 
 
 def test_tangent_hyperplane_errors(gf4):
@@ -230,3 +267,116 @@ def test_descriptor(gf4):
     d = cone.descriptor()
     assert d["rank"] == 2 and d["vertex"] == [0, 0, 1]
     assert d["matrix"] == [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
+
+
+# ---------------------------------------------------------------------------
+# Batched routes against the former per-point and per-hyperplane loops
+# ---------------------------------------------------------------------------
+
+# (p, e, largest n) whose full dual scan stays small: every dual times every
+# variety point is at most about 5 * 10^7 comparisons.
+SECTION_CELLS = [(2, 1, 4), (3, 1, 4), (2, 2, 3), (5, 1, 3)]
+
+
+@st.composite
+def hermitian_varieties(draw):
+    """A nondegenerate variety or a rank-n cone over GF(4), GF(9), GF(16) or
+    GF(25), n = 2..4 within SECTION_CELLS: either a random Hermitian matrix
+    of that rank or the standard one moved by a random invertible
+    congruence (so the matrix is not diagonal and the vertex is not last)."""
+    p, e, n_max = draw(st.sampled_from(SECTION_CELLS))
+    ctx = make_field(p, e)
+    n = draw(st.integers(2, n_max))
+    cone = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        for _ in range(20):
+            h = random_hermitian(ctx, n, rng)
+            if matrix_rank(ctx, h) == (n if cone else n + 1):
+                return ctx, HermitianVariety(ctx, h), rng
+    base = identity(n + 1)
+    base[n, n] = 0 if cone else 1
+    h = congruence_transform(ctx, base, random_invertible(ctx, n + 1, rng))
+    return ctx, HermitianVariety(ctx, h), rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(hermitian_varieties())
+def test_hyperplane_sections_match_per_dual_loop(case):
+    ctx, variety, rng = case
+    assert variety.is_nondegenerate or variety.is_rank_n_cone
+    hyps = enumerate_hyperplanes(ctx, variety.n)
+    picks = rng.choice(len(hyps), size=min(len(hyps), 40), replace=False)
+    duals = hyps[np.sort(picks)]
+    # unnormalized input: scale each dual by a nonzero constant
+    scaled = ctx.vmul(rng.integers(1, ctx.q2, size=(len(duals), 1)), duals)
+    ranks, counts, kinds = hyperplane_sections(ctx, variety, scaled)
+    want = [reference_hyperplane_section(ctx, variety, u) for u in duals]
+    assert ranks.tolist() == [w.rank for w in want]
+    assert counts.tolist() == [w.point_count for w in want]
+    assert kinds.tolist() == [w.kind for w in want]
+    for u, w in zip(duals[:3], want):
+        assert hyperplane_section(ctx, variety, u) == w
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 3)])
+def test_hyperplane_sections_over_every_dual(p, n):
+    ctx = make_field(p, 1)
+    hyps = enumerate_hyperplanes(ctx, n)
+    for variety in (make_nondegenerate(ctx, n), make_standard_cone(ctx, n)):
+        ranks, counts, kinds = hyperplane_sections(ctx, variety, hyps)
+        want = [reference_hyperplane_section(ctx, variety, u) for u in hyps]
+        assert list(zip(ranks.tolist(), counts.tolist(), kinds.tolist())) == [
+            (w.rank, w.point_count, w.kind) for w in want
+        ]
+
+
+def test_scattered_duals_on_a_large_cone(gf9):
+    # 20 duals spread over the 7381 of the GF(9) P^4 cone, in reverse order:
+    # the counts are read back from classes far apart in the scan
+    cone = make_standard_cone(gf9, 4)
+    hyps = enumerate_hyperplanes(gf9, 4)
+    duals = hyps[np.linspace(len(hyps) - 1, 0, 20).astype(int)]
+    ranks, counts, kinds = hyperplane_sections(gf9, cone, duals)
+    want = [reference_hyperplane_section(gf9, cone, u) for u in duals]
+    assert list(zip(ranks.tolist(), counts.tolist(), kinds.tolist())) == [
+        (w.rank, w.point_count, w.kind) for w in want
+    ]
+
+
+def test_hyperplane_sections_edge_cases(gf4):
+    cone = make_standard_cone(gf4, 2)
+    ranks, counts, kinds = hyperplane_sections(gf4, cone, np.zeros((0, 3), dtype=np.int64))
+    assert ranks.shape == counts.shape == kinds.shape == (0,)
+    with pytest.raises(ValueError):
+        hyperplane_sections(gf4, cone, [(1, 0, 0, 0)])
+    with pytest.raises(ValueError):
+        hyperplane_sections(gf4, cone, [(0, 0, 0)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(hermitian_varieties())
+def test_tangent_hyperplanes_and_form_values_match_scalar_loops(case):
+    ctx, variety, rng = case
+    pts = variety.points
+    smooth = pts if variety.vertex is None else pts[(pts != variety.vertex).any(axis=1)]
+    sample = smooth[rng.choice(len(smooth), size=min(len(smooth), 12), replace=False)]
+    scaled = ctx.vmul(rng.integers(1, ctx.q2, size=(len(sample), 1)), sample)
+    duals = tangent_hyperplanes(ctx, variety, scaled)
+    want = [reference_tangent_hyperplane(ctx, variety, a) for a in sample]
+    assert [tuple(row) for row in duals.tolist()] == want
+    assert [tangent_hyperplane(ctx, variety, a) for a in scaled] == want
+    assert all(type(c) is int for c in tangent_hyperplane(ctx, variety, sample[0]))
+    space = enumerate_points(ctx, variety.n)
+    for x in space[rng.choice(len(space), size=12, replace=False)]:
+        got = evaluate_hermitian_form(ctx, variety.matrix, x)
+        assert got == reference_evaluate_hermitian_form(ctx, variety.matrix, x)
+        assert type(got) is int
+    if variety.vertex is not None:
+        with pytest.raises(ValueError):
+            tangent_hyperplanes(ctx, variety, [variety.vertex])
+        with pytest.raises(ValueError):
+            reference_tangent_hyperplane(ctx, variety, variety.vertex)
+    off = space[hermitian_form_values(ctx, variety.matrix, space) != 0][:1]
+    with pytest.raises(ValueError):
+        tangent_hyperplanes(ctx, variety, off)

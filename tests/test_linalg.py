@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hermcodes.linalg import identity, mat_mul, matrix_rank, nullspace, row_reduce
+from hermcodes import make_field
+from hermcodes.linalg import batch_rank, identity, mat_mul, matrix_rank, nullspace, row_reduce
 from hermcodes.verify import random_invertible
 
 
@@ -61,3 +64,53 @@ def test_row_reduce_pivots(gf4):
     for row, col in enumerate(pivots):
         assert rref[row, col] == 1
         assert not rref[np.arange(3) != row, col].any()
+
+
+@st.composite
+def matrix_stacks(draw):
+    """A stack of matrices over GF(4), GF(9), GF(16), GF(25) or the sparse
+    GF(289), many of them rank-deficient (products through a narrow inner
+    dimension, repeated or zero rows)."""
+    ctx = make_field(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (17, 1)])))
+    count, rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inner = draw(st.integers(0, min(rows, cols)))
+    left = rng.integers(0, ctx.q2, size=(count, rows, inner))
+    right = rng.integers(0, ctx.q2, size=(count, inner, cols))
+    stack = mat_mul(ctx, left, right)
+    noise = rng.random(stack.shape[:2]) < 0.3
+    stack[noise] = rng.integers(0, ctx.q2, size=(int(noise.sum()), cols))
+    if count and rows > 1:
+        stack[0, 1] = stack[0, 0]
+    return ctx, stack
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_stacks())
+def test_batch_rank_matches_row_reduce(case):
+    ctx, stack = case
+    ranks = batch_rank(ctx, stack)
+    assert ranks.shape == stack.shape[:1] and ranks.dtype == np.int64
+    assert ranks.tolist() == [len(row_reduce(ctx, m)[1]) for m in stack]
+    if len(stack):
+        assert int(batch_rank(ctx, stack[0])) == matrix_rank(ctx, stack[0])
+        nested = batch_rank(ctx, np.stack([stack, stack]))
+        assert nested.shape == (2, len(stack)) and (nested == ranks).all()
+
+
+def test_stacked_mat_mul_matches_reference(gf9):
+    rng = np.random.default_rng(19)
+    a = rng.integers(0, 9, size=(4, 3, 5)).astype(np.int64)
+    b = rng.integers(0, 9, size=(5, 2)).astype(np.int64)
+    got = mat_mul(gf9, a, b)
+    assert got.shape == (4, 3, 2)
+    for i in range(4):
+        assert np.array_equal(got[i], reference_mat_mul(gf9, a[i], b))
+    assert mat_mul(gf9, np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3), dtype=np.int64)).tolist() == [
+        [0, 0, 0],
+        [0, 0, 0],
+    ]
+    with pytest.raises(ValueError):
+        mat_mul(gf9, a, b.T)
+    with pytest.raises(ValueError):
+        batch_rank(gf9, np.arange(3))

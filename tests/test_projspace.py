@@ -2,18 +2,29 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from geometry_reference import (
+    reference_incidence,
+    reference_incidence_values,
+    reference_iter_all_lines,
+    reference_line_through,
+)
 from hermcodes import BudgetExceededError, make_field, pi_count
 from hermcodes import verify
 from hermcodes.projspace import (
     _enumerate_points_raw,
+    all_lines,
     enumerate_hyperplanes,
     enumerate_points,
     export_points_csv,
+    hyperplane_point_counts,
     incidence,
-    incidence_values,
+    incidence_matrix,
     line_through,
     normalize_vector,
+    point_keys,
 )
 from hermcodes.limits import POINT_BUDGET
 
@@ -130,7 +141,7 @@ def test_incidence_counts_plane(gf4):
     assert len(hyps) == 21
     per_point = np.zeros(len(pts), dtype=int)
     for h in hyps:
-        mask = incidence_values(gf4, pts, h) == 0
+        mask = incidence_matrix(gf4, pts, [h])[:, 0]
         assert int(mask.sum()) == pi_count(1, 4)  # each line holds 5 points
         per_point += mask
     assert (per_point == pi_count(1, 4)).all()  # each point on 5 lines
@@ -140,11 +151,7 @@ def test_incidence_counts_plane(gf4):
 def test_hyperplanes_missing_a_point(p, n):
     ctx = make_field(p, 1)
     fixed = enumerate_points(ctx, n)[0]
-    missing = sum(
-        1
-        for h in enumerate_hyperplanes(ctx, n)
-        if incidence_values(ctx, fixed[None, :], h)[0] != 0
-    )
+    missing = sum(1 for h in enumerate_hyperplanes(ctx, n) if not incidence(ctx, fixed, h))
     assert missing == ctx.q2**n
 
 
@@ -153,10 +160,8 @@ def test_two_point_hyperplane_count(gf4):
     # pair splits the pi_3 hyperplanes through one of them as q^6 + pi_2
     pts = enumerate_points(gf4, 4)
     a, b = pts[0], pts[100]
-    through_a = [
-        h for h in enumerate_hyperplanes(gf4, 4) if incidence_values(gf4, a[None, :], h)[0] == 0
-    ]
-    both = sum(1 for h in through_a if incidence_values(gf4, b[None, :], h)[0] == 0)
+    through_a = [h for h in enumerate_hyperplanes(gf4, 4) if incidence(gf4, a, h)]
+    both = sum(1 for h in through_a if incidence(gf4, b, h))
     assert len(through_a) == pi_count(3, 4)
     assert both == pi_count(2, 4)
     assert len(through_a) - both == 4**3
@@ -171,11 +176,8 @@ def test_line_through(gf4, gf9):
         line_through(gf4, pts[0], pts[0])
     # collinearity: the line lies on every hyperplane through both points
     for h in enumerate_hyperplanes(gf4, 2):
-        if (
-            incidence_values(gf4, pts[0][None, :], h)[0] == 0
-            and incidence_values(gf4, pts[1][None, :], h)[0] == 0
-        ):
-            assert (incidence_values(gf4, line, h) == 0).all()
+        if incidence(gf4, pts[0], h) and incidence(gf4, pts[1], h):
+            assert incidence_matrix(gf4, line, [h])[:, 0].all()
     pts9 = enumerate_points(gf9, 2)
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -192,3 +194,132 @@ def test_export_points_csv(gf4, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "# n=1 p=2 e=1 modulus=1,1,1"
     assert lines[1:] == ["0,1", "1,0", "1,1", "2,1", "3,1"]
+
+
+# ---------------------------------------------------------------------------
+# Direct line enumeration and batched incidence against the former loops
+# ---------------------------------------------------------------------------
+
+
+def gaussian_binomial_2(n, s):
+    """Number of lines of P^n over a field of size s."""
+    return (s ** (n + 1) - 1) * (s**n - 1) // ((s * s - 1) * (s - 1))
+
+
+@pytest.mark.parametrize(
+    "p,e,n", [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3), (2, 2, 2), (5, 1, 2)]
+)
+def test_all_lines_match_the_pair_walk(p, e, n):
+    ctx = make_field(p, e)
+    pts = enumerate_points(ctx, n)
+    lines = all_lines(ctx, n)
+    assert lines.dtype == np.int64
+    assert lines.shape == (gaussian_binomial_2(n, ctx.q2), ctx.q2 + 1)
+    # same lines, same point order within each, same order of lines
+    walk = list(reference_iter_all_lines(ctx, n, line_through=line_through))
+    assert len(walk) == len(lines)
+    for line, want in zip(lines, walk):
+        assert np.array_equal(pts[line], want)
+    # verify's iterator hands out the same rows in blocks
+    assert np.array_equal(np.concatenate(list(verify.iter_all_lines(ctx, n))), lines)
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 3), (3, 1, 2), (2, 2, 2)])
+def test_all_lines_match_the_scalar_walk(p, e, n):
+    ctx = make_field(p, e)
+    pts = enumerate_points(ctx, n)
+    walk = list(reference_iter_all_lines(ctx, n))
+    assert [pts[line].tolist() for line in all_lines(ctx, n)] == [w.tolist() for w in walk]
+
+
+def test_all_lines_budget(gf4):
+    size = gaussian_binomial_2(3, 4) * 5
+    assert len(all_lines(gf4, 3, budget=size)) == size // 5
+    with pytest.raises(BudgetExceededError, match=f"visits {size} points > budget {size - 1}"):
+        all_lines(gf4, 3, budget=size - 1)
+    with pytest.raises(BudgetExceededError):
+        all_lines(gf4, 3, budget=4**4 - 1)  # the point enumeration itself
+
+
+@st.composite
+def point_pairs(draw):
+    """Two distinct points of P^n, n = 2..4, over GF(4), GF(9), GF(16) or
+    GF(25), each scaled by a nonzero constant."""
+    ctx = make_field(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)])))
+    n = draw(st.integers(2, 4))
+    pts = enumerate_points(ctx, n)
+    i, j = draw(st.lists(st.integers(0, len(pts) - 1), min_size=2, max_size=2, unique=True))
+    s, t = draw(st.integers(1, ctx.q2 - 1)), draw(st.integers(1, ctx.q2 - 1))
+    return ctx, n, ctx.vmul(s, pts[i]), ctx.vmul(t, pts[j])
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_pairs())
+def test_line_through_matches_scalar_loop(case):
+    ctx, n, a, b = case
+    line = line_through(ctx, a, b)
+    want = reference_line_through(ctx, a, b)
+    assert line.dtype == want.dtype and np.array_equal(line, want)
+    assert np.array_equal(line, line_through(ctx, b, a))
+    assert (np.diff(point_keys(ctx, line)) > 0).all()
+    with pytest.raises(ValueError):
+        line_through(ctx, a, ctx.vmul(2, a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_pairs(), st.integers(0, 2**32 - 1))
+def test_incidence_matrix_matches_scalar_loop(case, seed):
+    ctx, n, a, b = case
+    rng = np.random.default_rng(seed)
+    pts = enumerate_points(ctx, n)
+    points = np.concatenate([[a, b], pts[rng.choice(len(pts), size=6, replace=False)]])
+    duals = pts[rng.choice(len(pts), size=min(len(pts), 30), replace=False)]
+    on = incidence_matrix(ctx, points, duals)
+    assert on.shape == (len(points), len(duals)) and on.dtype == bool
+    want = [[reference_incidence(ctx, x, u) for u in duals] for x in points]
+    assert on.tolist() == want
+    assert [incidence(ctx, points[0], u) for u in duals] == want[0]
+    assert np.array_equal(on[:, 0], reference_incidence_values(ctx, points, duals[0]) == 0)
+
+
+def test_incidence_matrix_chunks_and_shapes(gf4, monkeypatch):
+    from hermcodes import projspace
+
+    pts = enumerate_points(gf4, 3)
+    whole = incidence_matrix(gf4, pts, pts)
+    monkeypatch.setattr(projspace, "CHUNK_ELEMS", 7)
+    assert np.array_equal(incidence_matrix(gf4, pts, pts), whole)
+    assert np.array_equal(whole, whole.T)
+    assert (whole.sum(axis=0) == pi_count(2, 4)).all()
+    assert incidence_matrix(gf4, pts[:0], pts).shape == (0, len(pts))
+    assert incidence_matrix(gf4, pts, pts[:0]).shape == (len(pts), 0)
+    with pytest.raises(ValueError):
+        incidence_matrix(gf4, pts, enumerate_points(gf4, 2))
+    with pytest.raises(ValueError):
+        incidence(gf4, (1, 0), (1, 0, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_pairs(), st.integers(0, 2**32 - 1))
+def test_hyperplane_point_counts_match_scalar_loop(case, seed):
+    ctx, n, a, b = case
+    rng = np.random.default_rng(seed)
+    pts = enumerate_points(ctx, n)
+    picks = rng.choice(len(pts), size=min(len(pts), 40), replace=False)
+    points = np.concatenate([[a, b], pts[picks]])
+    # unnormalized, repeated and out-of-order duals, spread over the dual space
+    duals = pts[rng.choice(len(pts), size=12)]
+    duals = ctx.vmul(rng.integers(1, ctx.q2, size=(len(duals), 1)), duals)
+    counts = hyperplane_point_counts(ctx, points, duals)
+    want = [int((reference_incidence_values(ctx, points, u) == 0).sum()) for u in duals]
+    assert counts.tolist() == want
+    assert np.array_equal(counts, incidence_matrix(ctx, points, duals).sum(axis=0))
+
+
+def test_hyperplane_point_counts_shapes(gf4):
+    pts = enumerate_points(gf4, 3)
+    assert (hyperplane_point_counts(gf4, pts, pts) == pi_count(2, 4)).all()
+    assert hyperplane_point_counts(gf4, pts, pts[:0]).shape == (0,)
+    assert (hyperplane_point_counts(gf4, pts[:0], pts) == 0).all()
+    with pytest.raises(ValueError):
+        hyperplane_point_counts(gf4, pts, enumerate_points(gf4, 2))
