@@ -37,7 +37,7 @@ import numpy as np
 
 from .limits import DENSE_TABLE_LIMIT, TABLE_LIMIT, BudgetExceededError
 
-__all__ = ["FieldCtx", "make_field", "is_prime"]
+__all__ = ["FieldCtx", "make_field", "is_prime", "code_dtype"]
 
 
 def is_prime(n: int) -> bool:
@@ -49,6 +49,15 @@ def is_prime(n: int) -> bool:
             return False
         i += 1
     return True
+
+
+def code_dtype(q2: int):
+    """Narrowest unsigned dtype holding every element code of GF(q2)."""
+    if q2 <= 1 << 8:
+        return np.uint8
+    if q2 <= 1 << 16:
+        return np.uint16
+    return np.uint32
 
 
 def _prime_factors(n: int) -> list[int]:

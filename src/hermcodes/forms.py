@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .field import FieldCtx
+from .field import FieldCtx, code_dtype
 from .limits import EVAL_BUDGET, BudgetExceededError
 
 __all__ = [
@@ -216,15 +216,6 @@ SCAN_TABLE_ELEMS = 1 << 20
 SCAN_CHUNK_ELEMS = 1 << 20
 
 
-def _code_dtype(q2: int):
-    """Narrowest unsigned dtype holding every element code of GF(q2)."""
-    if q2 <= 1 << 8:
-        return np.uint8
-    if q2 <= 1 << 16:
-        return np.uint16
-    return np.uint32
-
-
 def _combination_table(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
     """(q2^L, m) table of every linear combination of the L given rows.  Row
     j holds sum_i c_i * rows[i], where c_0 ... c_{L-1} are the base-q2
@@ -236,7 +227,7 @@ def _combination_table(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
     for row in rows:
         multiples = ctx.vmul(codes, row[None, :])
         table = ctx.vadd(table[:, None, :], multiples[None, :, :]).reshape(len(table) * q2, m)
-    return table.astype(_code_dtype(q2))
+    return table.astype(code_dtype(q2))
 
 
 def _negated_prefixes(
@@ -251,7 +242,7 @@ def _negated_prefixes(
     for i in range(n_high):
         digits = (prefix // q2 ** (n_high - 1 - i)) % q2
         acc = ctx.vadd(acc, ctx.vmul(digits[:, None], values[t + 1 + i][None, :]))
-    return ctx.vneg(acc).astype(_code_dtype(q2))
+    return ctx.vneg(acc).astype(code_dtype(q2))
 
 
 def _segment_counts(

@@ -111,12 +111,15 @@ def _enumerate_points_raw(ctx: FieldCtx, n: int, budget: int) -> np.ndarray:
 def enumerate_points(ctx: FieldCtx, n: int, budget: int = POINT_BUDGET) -> np.ndarray:
     """All points of P^n(GF(q^2)) as an (N, n+1) array of codes, in
     canonical order.  N = pi_count(n, q^2).  The array is read-only and
-    cached per (p, e, n)."""
+    cached per (p, e, n); once the cached arrays hold more than POINT_BUDGET
+    codes, the oldest are dropped (the newest always stays)."""
     key = (ctx.p, ctx.e, n)
     cached = _POINT_CACHE.get(key)
     if cached is None:
         cached = _enumerate_points_raw(ctx, n, budget)
         _POINT_CACHE[key] = cached
+        while len(_POINT_CACHE) > 1 and sum(a.size for a in _POINT_CACHE.values()) > POINT_BUDGET:
+            del _POINT_CACHE[next(iter(_POINT_CACHE))]
     return cached
 
 

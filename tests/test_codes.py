@@ -11,6 +11,7 @@ from hermcodes import (
     build_code,
     code_dimension,
     construct_extremal_form,
+    linalg,
     make_field,
     make_standard_cone,
     min_distance,
@@ -19,7 +20,7 @@ from hermcodes import (
 )
 from hermcodes.codes import EXACT, WITNESS_UPPER_BOUND_ONLY, write_generator_matrix
 from hermcodes.forms import projective_form_count
-from hermcodes.linalg import matrix_rank
+from hermcodes.linalg import SAMPLE_COLS_PER_ROW, matrix_rank
 
 
 def test_generator_shapes(gf4):
@@ -39,6 +40,25 @@ def test_rank_unchanged_by_duplicated_rows(gf4):
     code = build_code(gf4, make_standard_cone(gf4, 2), 1)
     doubled = np.vstack([code.generator, code.generator])
     assert matrix_rank(gf4, doubled) == code_dimension(gf4, code)
+
+
+@pytest.mark.parametrize(
+    "p,e,n,d", [(3, 1, 4, 1), (2, 2, 3, 1), (3, 1, 4, 3), (2, 2, 4, 1), (2, 2, 4, 4)]
+)
+def test_dimension_certified_by_the_column_sample(p, e, n, d, monkeypatch):
+    """The wide generator matrices of the params/construct cells in the
+    benchmark's large-variety workload reach full row rank on the rank
+    sample alone, so code_dimension never eliminates every column there."""
+    ctx = make_field(p, e)
+    code = build_code(ctx, make_standard_cone(ctx, n), d)
+    rows, cols = code.generator.shape
+    stride = cols // (SAMPLE_COLS_PER_ROW * rows)
+    assert stride > 1
+    calls = []
+    real = linalg.row_reduce
+    monkeypatch.setattr(linalg, "row_reduce", lambda c, m: calls.append(m.shape) or real(c, m))
+    assert code_dimension(ctx, code) == rows == comb(n + d, d)
+    assert calls == [(rows, -(-cols // stride))]
 
 
 def test_min_distance_modes_agree(gf4):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hermcodes import BudgetExceededError, make_field
 from hermcodes.limits import DENSE_TABLE_LIMIT
-from hermcodes.verify import check_norm_trace_maps
+from hermcodes.verify import check_field_axioms, check_norm_trace_maps
 
 # -- independent oracle: direct polynomial arithmetic over GF(p) ------------
 
@@ -291,6 +291,86 @@ def test_norm_trace_check_catches_a_corrupted_entry(p, e, table):
     assert not check_norm_trace_maps(bad).passed
     assert not reference_check_norm_trace_maps(bad)[0]
     assert check_norm_trace_maps(ctx).passed  # the original is untouched
+
+
+# -- check_field_axioms against its former per-a loop ------------------------
+
+
+def reference_check_field_axioms(ctx):
+    """The body of verify.check_field_axioms before it read dense product and
+    sum tables: one vmul/vadd pass over GF(q^2)^2 per a; returns
+    (passed, detail)."""
+    q2 = ctx.q2
+    codes = np.arange(q2, dtype=np.int64)
+    b = codes[:, None]
+    c = codes[None, :]
+    ok = True
+    for a in range(q2):
+        ok &= bool(np.array_equal(ctx.vmul(ctx.vmul(a, b), c), ctx.vmul(a, ctx.vmul(b, c))))
+        ok &= bool(np.array_equal(ctx.vadd(ctx.vadd(a, b), c), ctx.vadd(a, ctx.vadd(b, c))))
+        ok &= bool(
+            np.array_equal(ctx.vmul(a, ctx.vadd(b, c)), ctx.vadd(ctx.vmul(a, b), ctx.vmul(a, c)))
+        )
+        if not ok:
+            break
+    ok &= bool(np.array_equal(ctx.vmul(b, c), ctx.vmul(c, b)))
+    ok &= bool(np.array_equal(ctx.vadd(b, c), ctx.vadd(c, b)))
+    ok &= all(ctx.add(a, ctx.neg(a)) == 0 for a in range(q2))
+    ok &= all(ctx.mul(a, ctx.inv(a)) == 1 for a in range(1, q2))
+    ok &= all(ctx.mul(1, a) == a and ctx.add(0, a) == a for a in range(q2))
+    return bool(ok), f"exhaustive over GF({q2})^3"
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (17, 1)])
+def test_field_axioms_check_matches_reference(p, e):
+    ctx = cached_field(p, e)
+    result = check_field_axioms(ctx)
+    assert result.name == "field_axioms" and result.passed
+    assert (result.passed, result.detail) == reference_check_field_axioms(ctx)
+
+
+def with_corrupted_law(ctx, op):
+    """Shallow copy of ctx whose ``op`` ("mul" or "add") gives a wrong value
+    on one unordered pair {x, y} (both orders), chosen so that the identity,
+    inverse and negation checks do not touch it and the operation stays
+    commutative: only the three-variable laws can catch it."""
+    bad = copy.copy(ctx)
+    if ctx._mul_t is not None:
+        x = 2
+        avoid = {0, 1, x, ctx.inv(x) if op == "mul" else ctx.neg(x)}
+        y = next(y for y in range(ctx.q2) if y not in avoid)
+        table = (ctx._mul_t if op == "mul" else ctx._add_t).copy()
+        table[x, y] = table[y, x] = ctx.add(table[x, y], 1)
+        setattr(bad, "_mul_t" if op == "mul" else "_add_t", table)
+    elif op == "mul":
+        # Every product whose logs sum to order + 5: not an inverse pair (sum
+        # order) nor a product with 1 (sum below order).
+        order = ctx.q2 - 1
+        exp0 = ctx._exp0.copy()
+        exp0[order + 5] = exp0[6]
+        bad._exp0 = exp0
+    else:
+        # Every sum whose spread digit sums are (p + 3, 5): no a + 0 (digit
+        # sums below p) and no a + (-a) (digit sums 0 or p).
+        (spread, unspread), *rest = ctx._spread_t
+        base = 2 * ctx.p - 1
+        unspread = unspread.copy()
+        unspread[ctx.p + 3 + 5 * base] = unspread[ctx.p + 4 + 5 * base]
+        bad._spread_t = [(spread, unspread), *rest]
+    return bad
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (17, 1)])
+@pytest.mark.parametrize("op", ["mul", "add"])
+def test_field_axioms_check_catches_a_corrupted_entry(p, e, op):
+    ctx = cached_field(p, e)
+    bad = with_corrupted_law(ctx, op)
+    vop = bad.vmul if op == "mul" else bad.vadd
+    grid = vop(np.arange(ctx.q2)[:, None], np.arange(ctx.q2)[None, :])
+    assert np.array_equal(grid, grid.T)
+    assert not check_field_axioms(bad).passed
+    assert not reference_check_field_axioms(bad)[0]
+    assert check_field_axioms(ctx).passed  # the original is untouched
 
 
 def test_gf4_hand_tables(gf4):

@@ -3,8 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermcodes import make_field
-from hermcodes.linalg import batch_rank, identity, mat_mul, matrix_rank, nullspace, row_reduce
+from hermcodes import linalg, make_field
+from hermcodes.linalg import (
+    SAMPLE_COLS_PER_ROW,
+    batch_rank,
+    identity,
+    mat_mul,
+    matrix_rank,
+    nullspace,
+    row_reduce,
+)
 from hermcodes.verify import random_invertible
 
 
@@ -114,3 +122,72 @@ def test_stacked_mat_mul_matches_reference(gf9):
         mat_mul(gf9, a, b.T)
     with pytest.raises(ValueError):
         batch_rank(gf9, np.arange(3))
+
+
+RANK_FIELDS = [make_field(2, 1), make_field(3, 1), make_field(2, 2), make_field(17, 1)]
+
+
+@st.composite
+def wide_matrices(draw):
+    """A rows x cols matrix over GF(4), GF(9), GF(16) or the sparse GF(289),
+    up to 12 columns per row (most of them wide enough to be sampled), of
+    every rank 0..rows: a (rows x r)(r x cols) product, optionally with a
+    duplicated row or with every column of the rank sample zeroed (which
+    forces the full elimination)."""
+    ctx = draw(st.sampled_from(RANK_FIELDS))
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 12 * rows))
+    inner = draw(st.integers(0, min(rows, cols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left = rng.integers(0, ctx.q2, size=(rows, inner))
+    m = mat_mul(ctx, left, rng.integers(0, ctx.q2, size=(inner, cols)))
+    shape = draw(st.sampled_from(["product", "duplicated row", "zero on the sample"]))
+    if shape == "duplicated row" and rows > 1:
+        i, j = draw(st.permutations(range(rows)))[:2]
+        m[j] = m[i]
+    elif shape == "zero on the sample":
+        stride = cols // (SAMPLE_COLS_PER_ROW * rows)
+        if stride > 1:
+            m[:, ::stride] = 0
+    return ctx, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_matrices())
+def test_matrix_rank_matches_full_elimination(case):
+    ctx, m = case
+    assert matrix_rank(ctx, m) == len(row_reduce(ctx, m)[1])
+
+
+def reduce_calls(monkeypatch):
+    """Shapes of the matrices handed to row_reduce, in call order."""
+    calls = []
+    real = linalg.row_reduce
+
+    def spy(ctx, matrix):
+        calls.append(np.shape(matrix))
+        return real(ctx, matrix)
+
+    monkeypatch.setattr(linalg, "row_reduce", spy)
+    return calls
+
+
+def test_matrix_rank_sample_then_fallback(gf9, monkeypatch):
+    calls = reduce_calls(monkeypatch)
+    # Stride 10: the sample is columns 0, 10, ..., 50.
+    wide = np.zeros((3, 60), dtype=np.int64)
+    wide[[0, 1, 2], [0, 20, 40]] = 1
+    assert matrix_rank(gf9, wide) == 3 and calls == [(3, 6)]
+    calls.clear()
+    wide[:, ::10] = 0
+    wide[[0, 1, 2], [1, 21, 41]] = [2, 3, 4]
+    assert matrix_rank(gf9, wide) == 3 and calls == [(3, 6), (3, 60)]
+    calls.clear()
+    wide[2] = wide[0]
+    assert matrix_rank(gf9, wide) == 2 and calls == [(3, 6), (3, 60)]
+    for shape in [(4, 4), (6, 2), (3, 11)]:  # stride <= 1: eliminated directly
+        calls.clear()
+        matrix_rank(gf9, np.ones(shape, dtype=np.int64))
+        assert calls == [shape]
+    with pytest.raises(ValueError):
+        matrix_rank(gf9, np.arange(3))

@@ -12,7 +12,7 @@ from geometry_reference import (
     reference_line_through,
 )
 from hermcodes import BudgetExceededError, make_field, pi_count
-from hermcodes import verify
+from hermcodes import projspace, verify
 from hermcodes.projspace import (
     _enumerate_points_raw,
     all_lines,
@@ -61,6 +61,25 @@ def test_enumeration_reproducible(gf4):
     b = _enumerate_points_raw(gf4, 2, POINT_BUDGET)
     assert np.array_equal(a, b)
     assert np.array_equal(a, enumerate_points(gf4, 2))
+
+
+def test_point_cache_is_bounded(gf4, gf9, monkeypatch):
+    # Cached arrays of P^1, P^2, P^3 over GF(4) hold 10, 63 and 340 codes.
+    monkeypatch.setattr(projspace, "_POINT_CACHE", {})
+    monkeypatch.setattr(projspace, "POINT_BUDGET", 200)
+    first = enumerate_points(gf4, 1)
+    assert enumerate_points(gf4, 1) is first
+    enumerate_points(gf4, 2)
+    assert list(projspace._POINT_CACHE) == [(2, 1, 1), (2, 1, 2)]
+    enumerate_points(gf4, 3)  # 413 codes: both older arrays go, the newest stays
+    assert list(projspace._POINT_CACHE) == [(2, 1, 3)]
+    for ctx, n in [(gf4, 1), (gf4, 2), (gf9, 2), (gf4, 3), (gf9, 1)]:
+        pts = enumerate_points(ctx, n)
+        assert np.array_equal(pts, _enumerate_points_raw(ctx, n, POINT_BUDGET))
+        assert not pts.flags.writeable
+        cached = projspace._POINT_CACHE
+        assert len(cached) == 1 or sum(a.size for a in cached.values()) <= 200
+        assert cached[(ctx.p, ctx.e, n)] is pts
 
 
 def test_enumeration_budget(gf4):
