@@ -12,6 +12,10 @@ unsharded run.  Exit codes: 0 pass, 1 invariant failure, parameter
 mismatch, invalid input or an output file that cannot be written, 2 budget
 refusal or a negative ``--budget`` or ``--cap``, 3 unknown bound.  Every
 nonzero exit without a report writes a one-line message to stderr.
+``merge`` rejects a malformed partial report with exit 1: one that is not
+a partial oracle report of schema 1, lacks a field merging reads, has one
+of the wrong type, or lists a maximizer that is not k codes of the field
+its config names.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 from . import bounds as bnd
 from . import codes as cds
 from .field import FieldCtx, make_field
-from .forms import HomogeneousForm, form_values, monomial_basis
+from .forms import HomogeneousForm, form_to_json, form_values, monomial_basis
 from .hermitian import HermitianVariety, make_nondegenerate, make_standard_cone
 from .limits import CLASS_BUDGET, EVAL_BUDGET, MAXIMIZER_CAP, BudgetExceededError
 from .projspace import enumerate_points
@@ -46,19 +50,13 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _config(ctx: FieldCtx, args, **extra) -> dict:
-    cfg = {
-        "p": ctx.p,
-        "e": ctx.e,
-        "q": ctx.q,
-        "q2": ctx.q2,
-        "modulus": list(ctx.modulus),
-    }
-    for key in ("n", "d"):
-        if getattr(args, key, None) is not None:
-            cfg[key] = getattr(args, key)
-    cfg.update(extra)
-    return cfg
+def _report(command: str, ctx: FieldCtx, n: int | None, d: int | None, **config) -> dict:
+    """The envelope of every report: schema 1 (the only one ``merge``
+    reads), the command, and the canonical config (the field, n and d when
+    set, then the command's own settings)."""
+    cell = {key: value for key, value in (("n", n), ("d", d)) if value is not None}
+    field = {"p": ctx.p, "e": ctx.e, "q": ctx.q, "q2": ctx.q2, "modulus": list(ctx.modulus)}
+    return {"schema": 1, "command": command, "config": {**field, **cell, **config}}
 
 
 def _parse_shard(text: str) -> tuple[int, int]:
@@ -77,18 +75,14 @@ def _parse_shard(text: str) -> tuple[int, int]:
 def cmd_params(args) -> int:
     ctx = make_field(args.p, args.e)
     theory = cds.theoretical_parameters(args.n, args.d, ctx.q, args.assume_conjecture)
-    report = {
-        "schema": 1,
-        "command": "params",
-        "config": _config(ctx, args, assume_conjecture=args.assume_conjecture),
-        "theoretical": {
-            "m": theory.m,
-            "k": theory.k,
-            "dmin": theory.dmin,
-            "dmin_kind": theory.dmin_kind,
-            "provenance": theory.provenance,
-            "source": theory.source,
-        },
+    report = _report("params", ctx, args.n, args.d, assume_conjecture=args.assume_conjecture)
+    report["theoretical"] = {
+        "m": theory.m,
+        "k": theory.k,
+        "dmin": theory.dmin,
+        "dmin_kind": theory.dmin_kind,
+        "provenance": theory.provenance,
+        "source": theory.source,
     }
     if theory.dmin is None:
         report["computed"] = None
@@ -131,15 +125,11 @@ def cmd_params(args) -> int:
     match = {
         "m": computed.m == theory.m,
         "k": computed.k == theory.k,
-        "dmin": None if theory.dmin is None else computed.dmin == theory.dmin,
+        "dmin": computed.dmin == theory.dmin,
     }
     report["match"] = match
     _emit(report, args.out)
-    if theory.dmin is None:
-        return EXIT_UNKNOWN
-    if not (match["m"] and match["k"] and match["dmin"]):
-        return EXIT_FAIL
-    return EXIT_OK
+    return EXIT_OK if all(match.values()) else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +140,9 @@ def cmd_params(args) -> int:
 def cmd_verify(args) -> int:
     ctx = make_field(args.p, args.e)
     checks = run_suite(args.suite, ctx, n=args.n, d=args.d, seed=args.seed)
-    report = {
-        "schema": 1,
-        "command": "verify",
-        "config": _config(ctx, args, suite=args.suite, seed=args.seed),
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
-        ],
-        "passed": all(c.passed for c in checks),
-    }
+    report = _report("verify", ctx, args.n, args.d, suite=args.suite, seed=args.seed)
+    report["checks"] = [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks]
+    report["passed"] = all(c.passed for c in checks)
     _emit(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_FAIL
 
@@ -208,41 +192,41 @@ def _characterize(ctx: FieldCtx, target, result: bnd.OracleResult) -> dict | Non
     }
 
 
-def _scan_payload(result: bnd.OracleResult) -> dict:
+def _oracle_report(ctx: FieldCtx, variety: str, result: bnd.OracleResult, **fields) -> dict:
+    """An oracle report of the scan over [result.lo, result.hi): a partial
+    one carries ``partial``, and ``shard`` or ``merged``; a full one carries
+    the bound and the characterization."""
     return {
-        "lo": result.lo,
-        "hi": result.hi,
-        "total_forms": result.total_forms,
-        "k": result.k,
-        "n_points": result.n_points,
-        "cap": result.cap,
-    }
-
-
-def _result_payload(result: bnd.OracleResult) -> dict:
-    return {
-        "max_count": result.max_count,
-        "n_maximizers": result.n_maximizers,
-        "maximizers": [list(c) for c in result.maximizers],
-    }
-
-
-def _full_oracle_report(ctx: FieldCtx, args, target, result: bnd.OracleResult) -> tuple[dict, int]:
-    bound = _oracle_bound(ctx, args.variety, args.n, args.d, args.assume_conjecture)
-    report = {
-        "schema": 1,
-        "command": "oracle",
-        "config": _config(ctx, args, variety=args.variety),
-        "scan": _scan_payload(result),
-        "result": _result_payload(result),
-        "bound": {
-            "value": bound.value,
-            "provenance": bound.provenance,
-            "source": bound.source,
+        **_report("oracle", ctx, result.n, result.d, variety=variety),
+        "scan": {
+            "lo": result.lo,
+            "hi": result.hi,
+            "total_forms": result.total_forms,
+            "k": result.k,
+            "n_points": result.n_points,
+            "cap": result.cap,
         },
-        "matches_bound": None if bound.is_unknown else result.max_count == bound.value,
-        "characterization": _characterize(ctx, target, result),
+        "result": {
+            "max_count": result.max_count,
+            "n_maximizers": result.n_maximizers,
+            "maximizers": [list(c) for c in result.maximizers],
+        },
+        **fields,
     }
+
+
+def _full_oracle_report(
+    ctx: FieldCtx, target, variety: str, assume_conjecture: bool, result: bnd.OracleResult
+) -> tuple[dict, int]:
+    bound = _oracle_bound(ctx, variety, result.n, result.d, assume_conjecture)
+    report = _oracle_report(
+        ctx,
+        variety,
+        result,
+        bound={"value": bound.value, "provenance": bound.provenance, "source": bound.source},
+        matches_bound=None if bound.is_unknown else result.max_count == bound.value,
+        characterization=_characterize(ctx, target, result),
+    )
     if bound.is_unknown:
         return report, EXIT_UNKNOWN
     if result.max_count > bound.value:
@@ -259,38 +243,23 @@ def cmd_oracle(args) -> int:
             ctx, target, args.n, args.d, shard=args.shard, budget=budget, cap=args.cap
         )
     except BudgetExceededError as exc:
-        _emit(
-            {
-                "schema": 1,
-                "command": "oracle",
-                "config": _config(ctx, args, variety=args.variety),
-                "error": str(exc),
-            },
-            args.out,
-        )
+        report = _report("oracle", ctx, args.n, args.d, variety=args.variety)
+        _emit({**report, "error": str(exc)}, args.out)
         return EXIT_BUDGET
     if args.shard != (0, 1):
-        report = {
-            "schema": 1,
-            "command": "oracle",
-            "partial": True,
-            "config": _config(ctx, args, variety=args.variety),
-            "shard": {"index": args.shard[0], "total": args.shard[1]},
-            "scan": _scan_payload(result),
-            "result": _result_payload(result),
-        }
-        _emit(report, args.out)
+        shard = {"index": args.shard[0], "total": args.shard[1]}
+        _emit(_oracle_report(ctx, args.variety, result, partial=True, shard=shard), args.out)
         return EXIT_OK
-    report, code = _full_oracle_report(ctx, args, target, result)
+    report, code = _full_oracle_report(ctx, target, args.variety, args.assume_conjecture, result)
     _emit(report, args.out)
     return code
 
 
-# Fields of a (partial) oracle report that merging reads.
+# Fields of a (partial) oracle report that merging reads, with their types.
 _MERGE_FIELDS = {
-    "config": ("p", "e", "q2", "n", "d", "variety"),
-    "scan": ("lo", "hi", "total_forms", "k", "n_points", "cap"),
-    "result": ("max_count", "n_maximizers", "maximizers"),
+    "config": {"p": int, "e": int, "q2": int, "n": int, "d": int, "variety": str},
+    "scan": {"lo": int, "hi": int, "total_forms": int, "k": int, "n_points": int, "cap": int},
+    "result": {"max_count": int, "n_maximizers": int, "maximizers": list},
 }
 
 
@@ -310,11 +279,27 @@ def _load_oracle_report(path: str) -> dict:
         raise ValueError(f"{path} is a {payload.get('command')!r} report, not an oracle report")
     if payload.get("partial") is not True:
         raise ValueError(f"{path} is not a partial oracle report: it lacks \"partial\": true")
-    for section, keys in _MERGE_FIELDS.items():
+    for section, fields in _MERGE_FIELDS.items():
         part = payload.get(section)
-        for key in keys:
+        for key, kind in fields.items():
             if not isinstance(part, dict) or key not in part:
                 raise ValueError(f"{path} is not an oracle report: it lacks {section}.{key}")
+            if type(part[key]) is not kind:  # JSON true/false are bools, not ints
+                raise ValueError(
+                    f"{path} is not an oracle report: {section}.{key} = {part[key]!r} "
+                    f"is not {kind.__name__}"
+                )
+    k, q2 = payload["scan"]["k"], payload["config"]["q2"]
+    for i, coeffs in enumerate(payload["result"]["maximizers"]):
+        if not (
+            type(coeffs) is list
+            and len(coeffs) == k
+            and all(type(c) is int and 0 <= c < q2 for c in coeffs)
+        ):
+            raise ValueError(
+                f"{path} is not an oracle report: result.maximizers[{i}] = {coeffs!r} "
+                f"is not {k} codes in [0, {q2})"
+            )
     return payload
 
 
@@ -325,6 +310,11 @@ def cmd_merge(args) -> int:
         sys.stderr.write("merge: partial reports disagree on configuration\n")
         return EXIT_FAIL
     cfg = configs[0]
+    ctx = make_field(cfg["p"], cfg["e"])
+    if cfg["q2"] != ctx.q2:
+        raise ValueError(
+            f"partial reports give q2 = {cfg['q2']}, but GF({ctx.q}) has q2 = {ctx.q2}"
+        )
     parts = [
         bnd.OracleResult(
             n=cfg["n"],
@@ -343,28 +333,12 @@ def cmd_merge(args) -> int:
         for p in payloads
     ]
     merged = bnd.merge_oracle_results(parts)
-    ctx = make_field(cfg["p"], cfg["e"])
     if merged.lo != 0 or merged.hi != merged.total_forms:
         # still a partial range; emit a re-mergeable partial report
-        report = {
-            "schema": 1,
-            "command": "oracle",
-            "partial": True,
-            "config": cfg,
-            "merged": True,
-            "scan": _scan_payload(merged),
-            "result": _result_payload(merged),
-        }
-        _emit(report, args.out)
+        _emit(_oracle_report(ctx, cfg["variety"], merged, partial=True, merged=True), args.out)
         return EXIT_OK
-    ns = argparse.Namespace(
-        n=cfg["n"],
-        d=cfg["d"],
-        variety=cfg["variety"],
-        assume_conjecture=args.assume_conjecture,
-    )
     target = _oracle_target(ctx, cfg["variety"], cfg["n"])
-    report, code = _full_oracle_report(ctx, ns, target, merged)
+    report, code = _full_oracle_report(ctx, target, cfg["variety"], args.assume_conjecture, merged)
     _emit(report, args.out)
     return code
 
@@ -383,24 +357,20 @@ def cmd_construct(args) -> int:
     values = form_values(ctx, witness.form, cone.points)
     support = [int(i) for i in np.nonzero(values)[0]]
     weight = len(support)
-    report = {
-        "schema": 1,
-        "command": "construct",
-        "config": _config(ctx, args),
-        "witness": {
-            "description": witness.description,
-            "predicted_count": witness.predicted_count,
-            "intersection_count": code.m - weight,
-            "form": {"n": args.n, "d": args.d, "coeffs": list(witness.form.coeffs)},
-        },
-        "code": {
-            "m": code.m,
-            "k": cds.code_dimension(ctx, code),
-            "theoretical_dmin": theory.dmin,
-            "witness_weight": weight,
-            "matches_theoretical": weight == theory.dmin,
-            "codeword_support": support,
-        },
+    report = _report("construct", ctx, args.n, args.d)
+    report["witness"] = {
+        "description": witness.description,
+        "predicted_count": witness.predicted_count,
+        "intersection_count": code.m - weight,
+        "form": form_to_json(witness.form),
+    }
+    report["code"] = {
+        "m": code.m,
+        "k": cds.code_dimension(ctx, code),
+        "theoretical_dmin": theory.dmin,
+        "witness_weight": weight,
+        "matches_theoretical": weight == theory.dmin,
+        "codeword_support": support,
     }
     _emit(report, args.out)
     return EXIT_OK if weight == theory.dmin else EXIT_FAIL

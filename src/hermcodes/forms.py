@@ -90,21 +90,12 @@ def monomial_basis(n: int, d: int) -> MonomialBasis:
 
 
 def evaluate_form(ctx: FieldCtx, form: HomogeneousForm, x) -> int:
-    """Sum of coeff_i * x^exponent_i; the point normalization makes the
-    value canonical on projective representatives."""
-    x = [int(c) for c in x]
-    if len(x) != form.basis.n + 1:
+    """Value of the form at one coordinate vector: :func:`form_values` on a
+    single row."""
+    x = np.asarray(x, dtype=np.int64)
+    if x.shape != (form.basis.n + 1,):
         raise ValueError("dimension mismatch between form and point")
-    acc = 0
-    for coeff, exps in zip(form.coeffs, form.basis.exponents):
-        if coeff == 0:
-            continue
-        term = coeff
-        for c, e in zip(x, exps):
-            if e:
-                term = ctx.mul(term, ctx.pow(c, e))
-        acc = ctx.add(acc, term)
-    return acc
+    return int(form_values(ctx, form, x[None, :])[0])
 
 
 def _power_table(ctx: FieldCtx, max_degree: int) -> np.ndarray:

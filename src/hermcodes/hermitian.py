@@ -102,16 +102,12 @@ def hermitian_rank(ctx: FieldCtx, matrix) -> int:
     return matrix_rank(ctx, validate_hermitian(ctx, matrix))
 
 
-def conjugate_entrywise(ctx: FieldCtx, matrix) -> np.ndarray:
-    return ctx.vfrob(np.asarray(matrix, dtype=np.int64))
-
-
 def congruence_transform(ctx: FieldCtx, matrix, s) -> np.ndarray:
     """S^T H S^(q): the Gram matrix of the form in the basis given by the
     columns of S."""
     h = np.asarray(matrix, dtype=np.int64)
     s = np.asarray(s, dtype=np.int64)
-    return mat_mul(ctx, mat_mul(ctx, s.T, h), conjugate_entrywise(ctx, s))
+    return mat_mul(ctx, mat_mul(ctx, s.T, h), ctx.vfrob(s))
 
 
 def canonical_congruence(ctx: FieldCtx, matrix) -> tuple[np.ndarray, int]:

@@ -82,7 +82,7 @@ def normalize_rows(ctx: FieldCtx, rows) -> np.ndarray:
     return ctx.vmul(ctx.vinv(lead), rows)
 
 
-def _enumerate_points_raw(ctx: FieldCtx, n: int, budget: int) -> np.ndarray:
+def _enumerate_points_raw(ctx: FieldCtx, n: int, budget: int = POINT_BUDGET) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     raw = ctx.q2 ** (n + 1)
@@ -108,25 +108,26 @@ def _enumerate_points_raw(ctx: FieldCtx, n: int, budget: int) -> np.ndarray:
     return pts
 
 
-def enumerate_points(ctx: FieldCtx, n: int, budget: int = POINT_BUDGET) -> np.ndarray:
+def enumerate_points(ctx: FieldCtx, n: int) -> np.ndarray:
     """All points of P^n(GF(q^2)) as an (N, n+1) array of codes, in
-    canonical order.  N = pi_count(n, q^2).  The array is read-only and
-    cached per (p, e, n); once the cached arrays hold more than POINT_BUDGET
-    codes, the oldest are dropped (the newest always stays)."""
+    canonical order.  N = pi_count(n, q^2).  Refuses when q^(2(n+1)) >
+    POINT_BUDGET.  The array is read-only and cached per (p, e, n); once the
+    cached arrays hold more than POINT_BUDGET codes, the oldest are dropped
+    (the newest always stays)."""
     key = (ctx.p, ctx.e, n)
     cached = _POINT_CACHE.get(key)
     if cached is None:
-        cached = _enumerate_points_raw(ctx, n, budget)
+        cached = _enumerate_points_raw(ctx, n)
         _POINT_CACHE[key] = cached
         while len(_POINT_CACHE) > 1 and sum(a.size for a in _POINT_CACHE.values()) > POINT_BUDGET:
             del _POINT_CACHE[next(iter(_POINT_CACHE))]
     return cached
 
 
-def enumerate_hyperplanes(ctx: FieldCtx, n: int, budget: int = POINT_BUDGET) -> np.ndarray:
+def enumerate_hyperplanes(ctx: FieldCtx, n: int) -> np.ndarray:
     """All hyperplanes of P^n(GF(q^2)) as normalized dual vectors, in the
     same canonical order as the point enumeration."""
-    return enumerate_points(ctx, n, budget)
+    return enumerate_points(ctx, n)
 
 
 def point_keys(ctx: FieldCtx, rows) -> np.ndarray:
@@ -223,15 +224,17 @@ def all_lines(ctx: FieldCtx, n: int, budget: int = POINT_BUDGET) -> np.ndarray:
     indices into ``enumerate_points(ctx, n)``.  Each row increases, and the
     rows are ordered by their first two indices: the order in which a walk
     over point pairs (i < j) would first meet each line.  The budget bounds
-    both the point enumeration and the L * (q^2 + 1) line points."""
+    both the q^(2(n+1)) tuples of the point enumeration and the
+    L * (q^2 + 1) line points; it is checked before anything is built."""
     q2 = ctx.q2
-    keys = point_keys(ctx, enumerate_points(ctx, n, budget))
     count = (q2 ** (n + 1) - 1) * (q2**n - 1) // ((q2 * q2 - 1) * (q2 - 1))
-    if count * (q2 + 1) > budget:
+    tuples, visits = q2 ** (n + 1), count * (q2 + 1)
+    if max(tuples, visits) > budget:
         raise BudgetExceededError(
-            f"enumerating the lines of P^{n}(GF({q2})) visits {count * (q2 + 1)} points "
-            f"> budget {budget}"
+            f"enumerating the lines of P^{n}(GF({q2})) scans {tuples} tuples and visits "
+            f"{visits} points > budget {budget}"
         )
+    keys = point_keys(ctx, enumerate_points(ctx, n))
     pairs = _echelon_pairs(q2, n)
     lines = np.empty((count, q2 + 1), dtype=np.int64)
     step = max(1, CHUNK_ELEMS // ((q2 + 1) * (n + 1)))

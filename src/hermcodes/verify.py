@@ -631,7 +631,7 @@ def check_injectivity(ctx: FieldCtx, n: int, d: int) -> CheckResult:
     )
 
 
-def check_exact_parameters(ctx: FieldCtx, n: int, d: int, both_modes: bool = False) -> CheckResult:
+def check_exact_parameters(ctx: FieldCtx, n: int, d: int) -> CheckResult:
     cone = make_standard_cone(ctx, n)
     code = cds.build_code(ctx, cone, d)
     theory = cds.theoretical_parameters(n, d, ctx.q)
@@ -639,10 +639,6 @@ def check_exact_parameters(ctx: FieldCtx, n: int, d: int, both_modes: bool = Fal
     ok = (params.m, params.k, params.dmin) == (theory.m, theory.k, theory.dmin)
     ok &= params.dmin <= params.m - params.k + 1  # Singleton sanity
     detail = f"[{params.m},{params.k},{params.dmin}] matches the closed form"
-    if both_modes:
-        alt = cds.min_distance(ctx, code, "exhaustive_forms")
-        ok &= alt.dmin == params.dmin
-        detail += "; both exhaustive routes agree"
     return _result(f"exact_parameters_n{n}_d{d}", ok, detail)
 
 

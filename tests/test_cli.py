@@ -251,6 +251,48 @@ def test_merge_rejects_wrong_schema_and_command(tmp_path, capsys):
     assert "JSON object" in _one_line_error(capsys)
 
 
+def test_merge_rejects_malformed_fields(tmp_path, capsys):
+    _, shard, path = run_cli(
+        ["oracle", "--p", "2", "--e", "1", "--n", "2", "--d", "1", "--shard", "0/2"], tmp_path
+    )
+    assert shard["config"]["q2"] == 4 and shard["scan"]["k"] == 3
+    for section, key, value, needle in (
+        ("scan", "lo", "x", "scan.lo"),
+        ("scan", "cap", True, "scan.cap"),
+        ("config", "n", 2.0, "config.n"),
+        ("config", "variety", 1, "config.variety"),
+        ("result", "maximizers", {}, "result.maximizers"),
+        ("result", "maximizers", [1, 2], "result.maximizers[0]"),
+        ("result", "maximizers", [[1, 99, 0]], "result.maximizers[0]"),
+        ("result", "maximizers", [[1, 0]], "result.maximizers[0]"),
+        ("result", "maximizers", [[1, 0, -1]], "result.maximizers[0]"),
+        ("result", "maximizers", [[1, 0, False]], "result.maximizers[0]"),
+    ):
+        bad = json.loads(json.dumps(shard))
+        bad[section][key] = value
+        path.write_text(json.dumps(bad))
+        assert main(["merge", str(path)]) == 1
+        err = _one_line_error(capsys)
+        assert needle in err and "Traceback" not in err
+    # a GF(4) maximizer code is caught before the full report characterizes it
+    other = run_cli(
+        ["oracle", "--p", "2", "--e", "1", "--n", "2", "--d", "1", "--shard", "1/2"],
+        tmp_path,
+        "other.json",
+    )[2]
+    bad = json.loads(json.dumps(shard))
+    bad["result"]["maximizers"] = [[1, 99, 0]]
+    path.write_text(json.dumps(bad))
+    assert main(["merge", str(path), str(other)]) == 1
+    assert "[0, 4)" in _one_line_error(capsys)
+    bad = json.loads(json.dumps(shard))
+    bad["config"]["q2"] = 16
+    path.write_text(json.dumps(bad))
+    other.write_text(json.dumps({**json.loads(other.read_text()), "config": bad["config"]}))
+    assert main(["merge", str(path), str(other)]) == 1
+    assert "q2 = 16" in _one_line_error(capsys)
+
+
 def test_merge_rejects_reports_that_are_not_partial(tmp_path, capsys):
     oracle = ["oracle", "--p", "2", "--e", "1", "--n", "2", "--d", "1"]
     code, full, full_path = run_cli(oracle, tmp_path, "full.json")

@@ -9,6 +9,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermcodes import (
     BudgetExceededError,
@@ -16,6 +18,7 @@ from hermcodes import (
     enumerate_forms_projective,
     evaluate_form,
     intersection_count,
+    make_field,
     make_standard_cone,
     monomial_basis,
     pi_count,
@@ -64,6 +67,46 @@ def test_evaluate_form_basics(gf4):
     assert evaluate_form(gf4, x0_cubed, (1, 0, 0)) == 1
     with pytest.raises(ValueError):
         HomogeneousForm(basis=basis, coeffs=(0, 0, 0))
+
+
+def reference_evaluate_form(ctx, form, x) -> int:
+    """Sum of coeff_i * x^exponent_i, one scalar power and product at a time."""
+    acc = 0
+    for coeff, exps in zip(form.coeffs, form.basis.exponents):
+        term = coeff
+        for c, e in zip(x, exps):
+            if e:
+                term = ctx.mul(term, ctx.pow(int(c), e))
+        acc = ctx.add(acc, term)
+    return acc
+
+
+EVAL_FIELDS = [make_field(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (17, 1))]
+
+
+@st.composite
+def forms_and_points(draw):
+    """A nonzero form of degree 1..4 in 2..4 variables over GF(4), GF(9),
+    GF(16) or GF(289), and up to 8 coordinate vectors that are not
+    normalized (the zero vector included)."""
+    ctx = draw(st.sampled_from(EVAL_FIELDS))
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    basis = monomial_basis(n, d)
+    code = st.integers(0, ctx.q2 - 1)
+    coeffs = draw(st.lists(code, min_size=len(basis), max_size=len(basis)).filter(any))
+    points = draw(st.lists(st.lists(code, min_size=n + 1, max_size=n + 1), min_size=1, max_size=8))
+    return ctx, HomogeneousForm(basis=basis, coeffs=tuple(coeffs)), np.array(points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(forms_and_points())
+def test_form_values_match_scalar_loop(case):
+    ctx, form, points = case
+    want = [reference_evaluate_form(ctx, form, x) for x in points]
+    assert form_values(ctx, form, points).tolist() == want
+    assert [evaluate_form(ctx, form, x) for x in points] == want
+    with pytest.raises(ValueError):
+        evaluate_form(ctx, form, points[0][:-1])
 
 
 def test_two_lines_have_nine_points(gf4):

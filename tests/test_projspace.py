@@ -260,6 +260,14 @@ def test_all_lines_budget(gf4):
         all_lines(gf4, 3, budget=4**4 - 1)  # the point enumeration itself
 
 
+def test_all_lines_budget_ignores_the_point_cache(gf4):
+    # P^1(GF(4)) has one line of 5 points, but its enumeration scans 16 tuples
+    enumerate_points(gf4, 1)  # warm the cache
+    with pytest.raises(BudgetExceededError, match="scans 16 tuples"):
+        all_lines(gf4, 1, budget=15)
+    assert all_lines(gf4, 1, budget=16).tolist() == [[0, 1, 2, 3, 4]]
+
+
 @st.composite
 def point_pairs(draw):
     """Two distinct points of P^n, n = 2..4, over GF(4), GF(9), GF(16) or
