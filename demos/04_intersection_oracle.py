@@ -9,21 +9,20 @@ from hermcodes import (
     HomogeneousForm,
     bruteforce_max_intersection,
     check_union_of_cone_lines,
-    cone_bound,
     construct_extremal_form,
     is_cone_with_vertex,
     make_field,
     make_standard_cone,
     monomial_basis,
-    plane_cone_bound,
 )
+from hermcodes.bounds import oracle_bound
 
 ctx = make_field(2, 1)
 
 for n, d in ((2, 1), (2, 2), (3, 1), (3, 2)):
     cone = make_standard_cone(ctx, n)
     result = bruteforce_max_intersection(ctx, cone, n, d)
-    bound = plane_cone_bound(d, 2) if n == 2 else cone_bound(n, d, 2).value
+    bound = oracle_bound("cone", n, d, 2).value
     print(
         f"n={n}, d={d}: max = {result.max_count} over {result.total_forms} forms "
         f"(bound {bound}), {result.n_maximizers} maximizers"
@@ -40,4 +39,4 @@ for n, d in ((2, 1), (2, 2), (3, 1), (3, 2)):
 # a witness the size of the bound can also be written down directly
 witness = construct_extremal_form(ctx, make_standard_cone(ctx, 4), 2)
 print("\nconstructed witness for n=4, d=2:", witness.description)
-print("attains", witness.predicted_count, "=", cone_bound(4, 2, 2).value)
+print("attains", witness.predicted_count, "=", oracle_bound("cone", 4, 2, 2).value)

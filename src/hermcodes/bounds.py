@@ -34,6 +34,7 @@ from .hermitian import (
     classify_line,
     count_points_formula,
     make_nondegenerate,
+    make_standard_cone,
     tangent_hyperplane,
 )
 from .limits import EVAL_BUDGET, MAXIMIZER_CAP, BudgetExceededError
@@ -55,14 +56,17 @@ __all__ = [
     "conjectured_max_intersection",
     "cone_bound",
     "plane_cone_bound",
+    "oracle_bound",
     "ExtremalWitness",
     "construct_extremal_form",
     "OracleResult",
+    "oracle_target",
     "zero_count_summary",
     "bruteforce_max_intersection",
     "merge_oracle_results",
     "check_union_of_cone_lines",
     "is_cone_with_vertex",
+    "characterize_maximizers",
 ]
 
 
@@ -172,6 +176,23 @@ def plane_cone_bound(d: int, q: int) -> int:
     d <= q: d*q^2 + 1, attained exactly by unions of d generator lines."""
     _check_degree(d, q)
     return d * q * q + 1
+
+
+def oracle_bound(
+    variety: str, n: int, d: int, q: int, assume_conjecture: bool = False
+) -> BoundValue:
+    """The bound an oracle run over ``variety`` is held to: the plane-cone
+    maximum or :func:`cone_bound` for the cone, the known maximum for the
+    nondegenerate variety, and the Serre bound over GF(q^2) for P^n."""
+    if variety == "cone":
+        if n == 2:
+            return BoundValue(plane_cone_bound(d, q), "theorem", "plane-cone")
+        return cone_bound(n, d, q, assume_conjecture=assume_conjecture)
+    if variety == "nondegenerate":
+        return known_max_intersection(n, d, q)
+    if variety == "space":
+        return BoundValue(serre_bound(n, d, q * q), "theorem", "serre")
+    raise ValueError(f"unknown variety {variety!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +326,18 @@ class OracleResult:
     n_maximizers: int
     maximizers: tuple[tuple[int, ...], ...]
     cap: int
+
+
+def oracle_target(ctx: FieldCtx, variety: str, n: int):
+    """The point set an oracle run over ``variety`` scans: the standard cone
+    or nondegenerate variety, or the (N, n+1) point array of all of P^n."""
+    if variety == "cone":
+        return make_standard_cone(ctx, n)
+    if variety == "nondegenerate":
+        return make_nondegenerate(ctx, n)
+    if variety == "space":
+        return enumerate_points(ctx, n)
+    raise ValueError(f"unknown variety {variety!r}")
 
 
 def zero_count_summary(
@@ -485,3 +518,25 @@ def is_cone_with_vertex(ctx: FieldCtx, form: HomogeneousForm, vertex) -> bool:
     a line of zeros through it."""
     space = enumerate_points(ctx, form.basis.n)
     return _cone_line_cover(ctx, space[form_values(ctx, form, space) == 0], vertex)[0]
+
+
+def characterize_maximizers(ctx: FieldCtx, cone, result: OracleResult) -> dict | None:
+    """An oracle report's ``characterization``, None off a rank-n cone: whether each listed
+    maximizer meets the cone in a union of generator lines, the sorted line counts, and
+    whether each maximizer's zero set in P^n is a cone with the same vertex."""
+    if not isinstance(cone, HermitianVariety) or not cone.is_rank_n_cone:
+        return None
+    basis = monomial_basis(result.n, result.d)
+    line_counts = set()
+    union_ok = cone_ok = True
+    for coeffs in result.maximizers:
+        form = HomogeneousForm(basis=basis, coeffs=coeffs)
+        ok, lines = check_union_of_cone_lines(ctx, cone, form)
+        union_ok &= ok
+        line_counts.add(lines)
+        cone_ok &= is_cone_with_vertex(ctx, form, cone.vertex)
+    return {
+        "union_of_generator_lines": union_ok,
+        "generator_lines": sorted(line_counts),
+        "cone_with_vertex": cone_ok,
+    }

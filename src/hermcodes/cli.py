@@ -23,16 +23,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import bounds as bnd
 from . import codes as cds
 from .field import FieldCtx, make_field
-from .forms import HomogeneousForm, form_to_json, form_values, monomial_basis
-from .hermitian import HermitianVariety, make_nondegenerate, make_standard_cone
+from .forms import form_to_json, form_values
+from .hermitian import make_standard_cone
 from .limits import CLASS_BUDGET, EVAL_BUDGET, MAXIMIZER_CAP, BudgetExceededError
-from .projspace import enumerate_points
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -152,80 +152,37 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _oracle_target(ctx: FieldCtx, variety: str, n: int):
-    if variety == "cone":
-        return make_standard_cone(ctx, n)
-    if variety == "nondegenerate":
-        return make_nondegenerate(ctx, n)
-    if variety == "space":
-        return enumerate_points(ctx, n)
-    raise ValueError(f"unknown variety {variety!r}")
-
-
-def _oracle_bound(ctx: FieldCtx, variety: str, n: int, d: int, assume: bool) -> bnd.BoundValue:
-    if variety == "cone":
-        if n == 2:
-            return bnd.BoundValue(bnd.plane_cone_bound(d, ctx.q), "theorem", "plane-cone")
-        return bnd.cone_bound(n, d, ctx.q, assume_conjecture=assume)
-    if variety == "nondegenerate":
-        return bnd.known_max_intersection(n, d, ctx.q)
-    return bnd.BoundValue(bnd.serre_bound(n, d, ctx.q2), "theorem", "serre")
-
-
-def _characterize(ctx: FieldCtx, target, result: bnd.OracleResult) -> dict | None:
-    if not isinstance(target, HermitianVariety) or not target.is_rank_n_cone:
-        return None
-    basis = monomial_basis(result.n, result.d)
-    line_counts = set()
-    union_ok = True
-    cone_ok = True
-    for coeffs in result.maximizers:
-        form = HomogeneousForm(basis=basis, coeffs=coeffs)
-        ok, lines = bnd.check_union_of_cone_lines(ctx, target, form)
-        union_ok &= ok
-        line_counts.add(lines)
-        cone_ok &= bnd.is_cone_with_vertex(ctx, form, target.vertex)
-    return {
-        "union_of_generator_lines": union_ok,
-        "generator_lines": sorted(line_counts),
-        "cone_with_vertex": cone_ok,
-    }
+# Report fields merging reads, with JSON types; oracle reports write scan and result from it.
+_MERGE_FIELDS = {
+    "config": {"p": int, "e": int, "q2": int, "n": int, "d": int, "variety": str},
+    "scan": {"lo": int, "hi": int, "total_forms": int, "k": int, "n_points": int, "cap": int},
+    "result": {"max_count": int, "n_maximizers": int, "maximizers": list},
+}
+_RESULT_SECTIONS = ("scan", "result")
 
 
 def _oracle_report(ctx: FieldCtx, variety: str, result: bnd.OracleResult, **fields) -> dict:
     """An oracle report of the scan over [result.lo, result.hi): a partial
     one carries ``partial``, and ``shard`` or ``merged``; a full one carries
     the bound and the characterization."""
-    return {
-        **_report("oracle", ctx, result.n, result.d, variety=variety),
-        "scan": {
-            "lo": result.lo,
-            "hi": result.hi,
-            "total_forms": result.total_forms,
-            "k": result.k,
-            "n_points": result.n_points,
-            "cap": result.cap,
-        },
-        "result": {
-            "max_count": result.max_count,
-            "n_maximizers": result.n_maximizers,
-            "maximizers": [list(c) for c in result.maximizers],
-        },
-        **fields,
+    sections = {
+        section: {key: getattr(result, key) for key in _MERGE_FIELDS[section]}
+        for section in _RESULT_SECTIONS
     }
+    return {**_report("oracle", ctx, result.n, result.d, variety=variety), **sections, **fields}
 
 
 def _full_oracle_report(
     ctx: FieldCtx, target, variety: str, assume_conjecture: bool, result: bnd.OracleResult
 ) -> tuple[dict, int]:
-    bound = _oracle_bound(ctx, variety, result.n, result.d, assume_conjecture)
+    bound = bnd.oracle_bound(variety, result.n, result.d, ctx.q, assume_conjecture)
     report = _oracle_report(
         ctx,
         variety,
         result,
         bound={"value": bound.value, "provenance": bound.provenance, "source": bound.source},
         matches_bound=None if bound.is_unknown else result.max_count == bound.value,
-        characterization=_characterize(ctx, target, result),
+        characterization=bnd.characterize_maximizers(ctx, target, result),
     )
     if bound.is_unknown:
         return report, EXIT_UNKNOWN
@@ -236,9 +193,9 @@ def _full_oracle_report(
 
 def cmd_oracle(args) -> int:
     ctx = make_field(args.p, args.e)
-    target = _oracle_target(ctx, args.variety, args.n)
     budget = args.budget if args.budget is not None else EVAL_BUDGET
     try:
+        target = bnd.oracle_target(ctx, args.variety, args.n)
         result = bnd.bruteforce_max_intersection(
             ctx, target, args.n, args.d, shard=args.shard, budget=budget, cap=args.cap
         )
@@ -255,15 +212,7 @@ def cmd_oracle(args) -> int:
     return code
 
 
-# Fields of a (partial) oracle report that merging reads, with their types.
-_MERGE_FIELDS = {
-    "config": {"p": int, "e": int, "q2": int, "n": int, "d": int, "variety": str},
-    "scan": {"lo": int, "hi": int, "total_forms": int, "k": int, "n_points": int, "cap": int},
-    "result": {"max_count": int, "n_maximizers": int, "maximizers": list},
-}
-
-
-def _load_oracle_report(path: str) -> dict:
+def _load_oracle_report(path: str) -> tuple[dict, bnd.OracleResult]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -289,23 +238,24 @@ def _load_oracle_report(path: str) -> dict:
                     f"{path} is not an oracle report: {section}.{key} = {part[key]!r} "
                     f"is not {kind.__name__}"
                 )
-    k, q2 = payload["scan"]["k"], payload["config"]["q2"]
-    for i, coeffs in enumerate(payload["result"]["maximizers"]):
+    cfg = payload["config"]
+    values = {key: payload[sec][key] for sec in _RESULT_SECTIONS for key in _MERGE_FIELDS[sec]}
+    result = bnd.OracleResult(n=cfg["n"], d=cfg["d"], q2=cfg["q2"], **values)
+    for i, coeffs in enumerate(result.maximizers):
         if not (
             type(coeffs) is list
-            and len(coeffs) == k
-            and all(type(c) is int and 0 <= c < q2 for c in coeffs)
+            and len(coeffs) == result.k
+            and all(type(c) is int and 0 <= c < result.q2 for c in coeffs)
         ):
             raise ValueError(
                 f"{path} is not an oracle report: result.maximizers[{i}] = {coeffs!r} "
-                f"is not {k} codes in [0, {q2})"
+                f"is not {result.k} codes in [0, {result.q2})"
             )
-    return payload
+    return cfg, replace(result, maximizers=tuple(map(tuple, result.maximizers)))
 
 
 def cmd_merge(args) -> int:
-    payloads = [_load_oracle_report(path) for path in args.partials]
-    configs = [p["config"] for p in payloads]
+    configs, parts = zip(*(_load_oracle_report(path) for path in args.partials))
     if any(c != configs[0] for c in configs):
         sys.stderr.write("merge: partial reports disagree on configuration\n")
         return EXIT_FAIL
@@ -315,29 +265,12 @@ def cmd_merge(args) -> int:
         raise ValueError(
             f"partial reports give q2 = {cfg['q2']}, but GF({ctx.q}) has q2 = {ctx.q2}"
         )
-    parts = [
-        bnd.OracleResult(
-            n=cfg["n"],
-            d=cfg["d"],
-            q2=cfg["q2"],
-            k=p["scan"]["k"],
-            n_points=p["scan"]["n_points"],
-            total_forms=p["scan"]["total_forms"],
-            lo=p["scan"]["lo"],
-            hi=p["scan"]["hi"],
-            max_count=p["result"]["max_count"],
-            n_maximizers=p["result"]["n_maximizers"],
-            maximizers=tuple(tuple(c) for c in p["result"]["maximizers"]),
-            cap=p["scan"]["cap"],
-        )
-        for p in payloads
-    ]
-    merged = bnd.merge_oracle_results(parts)
+    merged = bnd.merge_oracle_results(list(parts))
     if merged.lo != 0 or merged.hi != merged.total_forms:
         # still a partial range; emit a re-mergeable partial report
         _emit(_oracle_report(ctx, cfg["variety"], merged, partial=True, merged=True), args.out)
         return EXIT_OK
-    target = _oracle_target(ctx, cfg["variety"], cfg["n"])
+    target = bnd.oracle_target(ctx, cfg["variety"], cfg["n"])
     report, code = _full_oracle_report(ctx, target, cfg["variety"], args.assume_conjecture, merged)
     _emit(report, args.out)
     return code
@@ -350,6 +283,8 @@ def cmd_merge(args) -> int:
 
 def cmd_construct(args) -> int:
     ctx = make_field(args.p, args.e)
+    if args.n not in (2, 3, 4):  # before the cone, which may be over the point budget
+        raise ValueError("witness construction covers n in {2, 3, 4}")
     cone = make_standard_cone(ctx, args.n)
     witness = bnd.construct_extremal_form(ctx, cone, args.d)
     code = cds.build_code(ctx, cone, args.d)

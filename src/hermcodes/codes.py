@@ -23,7 +23,7 @@ from .forms import (
     projective_form_count,
 )
 from .hermitian import HermitianVariety, count_points_formula
-from .limits import CLASS_BUDGET, EVAL_BUDGET, BudgetExceededError
+from .limits import CLASS_BUDGET, EVAL_BUDGET, BudgetExceededError, check_count_digits
 from .linalg import matrix_rank
 
 __all__ = [
@@ -164,6 +164,7 @@ def theoretical_parameters(
         raise ValueError("theoretical parameters are defined for n >= 2")
     if d < 1 or d > q:
         raise ValueError(f"degree d = {d} outside the regime 1 <= d <= q = {q}")
+    check_count_digits(q * q, n)
     m = count_points_formula(n, "rank_n_cone", q)
     k = comb(n + d, d)
     if n == 2:

@@ -202,11 +202,13 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, e: int):
-        if not is_prime(p):
+        # Trial division is cheap up to TABLE_LIMIT, and no larger p fits the
+        # tables; p >= 2, so an e past the limit's bit length is over it too.
+        if p < 2 or (p <= TABLE_LIMIT and not is_prime(p)):
             raise ValueError(f"p = {p} is not prime")
         if e < 1:
             raise ValueError("e must be a positive integer")
-        if p ** (2 * e) > TABLE_LIMIT:
+        if e > TABLE_LIMIT.bit_length() or p ** (2 * e) > TABLE_LIMIT:
             raise BudgetExceededError(
                 f"q^2 = {p}^{2 * e} exceeds the table limit {TABLE_LIMIT}"
             )
@@ -453,6 +455,7 @@ def make_field(p: int, e: int) -> FieldCtx:
     """Build the arithmetic context for GF(p^e) inside GF(p^(2e)).
 
     Raises ValueError for non-prime p and BudgetExceededError when
-    p^(2e) exceeds the table limit.
+    p^(2e) exceeds the table limit; a p above the limit is refused by its
+    size, with no primality test.
     """
     return FieldCtx(p, e)

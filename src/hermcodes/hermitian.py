@@ -29,6 +29,7 @@ from .field import FieldCtx
 from .linalg import batch_rank, identity, mat_mul, matrix_rank, nullspace
 from .projspace import (
     CHUNK_ELEMS,
+    check_point_budget,
     enumerate_points,
     hyperplane_point_counts,
     incidence_matrix,
@@ -236,18 +237,18 @@ class HermitianVariety:
 
 
 def make_standard_cone(ctx: FieldCtx, n: int) -> HermitianVariety:
-    """The rank-n cone: diag(1,...,1,0) in P^n, vertex [0:...:0:1]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """The rank-n cone: diag(1,...,1,0) in P^n, vertex [0:...:0:1]; refused
+    as :func:`enumerate_points` refuses P^n."""
+    check_point_budget(ctx, n)
     h = identity(n + 1)
     h[n, n] = 0
     return HermitianVariety(ctx, h)
 
 
 def make_nondegenerate(ctx: FieldCtx, n: int) -> HermitianVariety:
-    """The standard nondegenerate variety: the identity matrix in P^n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """The standard nondegenerate variety: the identity matrix in P^n;
+    refused as :func:`enumerate_points` refuses P^n."""
+    check_point_budget(ctx, n)
     return HermitianVariety(ctx, identity(n + 1))
 
 

@@ -7,6 +7,8 @@ the defaults keep the q = 2, 3 verification runs instant while refusing
 accidental explosions.
 """
 
+import math
+
 # Entries in one field table: the largest GF(q^2) whose context is built
 # (log/antilog, unary maps), and the cap on each digit group's unspread
 # table in the odd-characteristic spread add (the 2e digits split into as
@@ -25,6 +27,10 @@ EVAL_BUDGET = 500_000_000
 # Projective message classes visited by one exhaustive distance run.
 CLASS_BUDGET = 2_000_000
 
+# Decimal digits of the coordinate-tuple count of the largest projective
+# space any count is worked out for; larger ones are refused unprinted.
+COUNT_DIGITS = 1000
+
 # Maximizing forms retained by the brute-force oracle (exact count is
 # always reported even when the list is truncated).
 MAXIMIZER_CAP = 10_000
@@ -32,3 +38,11 @@ MAXIMIZER_CAP = 10_000
 
 class BudgetExceededError(RuntimeError):
     """Requested enumeration exceeds the configured budget."""
+
+
+def check_count_digits(q2: int, n: int) -> None:
+    """Refuse P^n(GF(q2)) when q2^(n+1) > 10^COUNT_DIGITS, without that power."""
+    if n + 1 > COUNT_DIGITS / math.log10(q2):
+        raise BudgetExceededError(
+            f"P^{n}(GF({q2})) has more than 10^{COUNT_DIGITS} coordinate tuples"
+        )

@@ -23,12 +23,13 @@ import numpy as np
 
 from .field import FieldCtx
 from .forms import class_indices, scan_zero_counts
-from .limits import POINT_BUDGET, BudgetExceededError
+from .limits import POINT_BUDGET, BudgetExceededError, check_count_digits
 
 __all__ = [
     "pi_count",
     "normalize_vector",
     "normalize_rows",
+    "check_point_budget",
     "enumerate_points",
     "enumerate_hyperplanes",
     "point_keys",
@@ -82,14 +83,21 @@ def normalize_rows(ctx: FieldCtx, rows) -> np.ndarray:
     return ctx.vmul(ctx.vinv(lead), rows)
 
 
-def _enumerate_points_raw(ctx: FieldCtx, n: int, budget: int = POINT_BUDGET) -> np.ndarray:
+def check_point_budget(ctx: FieldCtx, n: int, budget: int = POINT_BUDGET) -> None:
+    """Refuse P^n(GF(q^2)) for n < 1 (ValueError) and when enumerating it
+    would scan more than ``budget`` coordinate tuples (BudgetExceededError)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_count_digits(ctx.q2, n)
     raw = ctx.q2 ** (n + 1)
     if raw > budget:
         raise BudgetExceededError(
             f"enumerating P^{n}(GF({ctx.q2})) scans {raw} tuples > budget {budget}"
         )
+
+
+def _enumerate_points_raw(ctx: FieldCtx, n: int, budget: int = POINT_BUDGET) -> np.ndarray:
+    check_point_budget(ctx, n, budget)
     # Canonical (lexicographic) order without a sort: the normalized vectors
     # of length k + 1 are (0, x), then (1, 0, ..., 0), then (c, x) for
     # c = 1 .. q^2 - 1, with x running over those of length k in order.

@@ -105,11 +105,6 @@ def iter_all_lines(ctx: FieldCtx, n: int) -> Iterator[np.ndarray]:
         yield lines[lo : lo + step]
 
 
-def _maximizer_forms(ctx: FieldCtx, result: bnd.OracleResult) -> list[HomogeneousForm]:
-    basis = monomial_basis(result.n, result.d)
-    return [HomogeneousForm(basis=basis, coeffs=c) for c in result.maximizers]
-
-
 # ---------------------------------------------------------------------------
 # Field checks
 # ---------------------------------------------------------------------------
@@ -408,16 +403,10 @@ def check_tangent_hyperplanes(ctx: FieldCtx, n: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _expected_cone_max(n: int, d: int, q: int) -> int:
-    if n == 2:
-        return bnd.plane_cone_bound(d, q)
-    return bnd.cone_bound(n, d, q).value
-
-
 def check_oracle_matches_bound(ctx: FieldCtx, n: int, d: int) -> CheckResult:
-    cone = make_standard_cone(ctx, n)
+    cone = bnd.oracle_target(ctx, "cone", n)
     result = bnd.bruteforce_max_intersection(ctx, cone, n, d)
-    expected = _expected_cone_max(n, d, ctx.q)
+    expected = bnd.oracle_bound("cone", n, d, ctx.q).value
     ok = result.max_count == expected
     return _result(
         f"oracle_cone_n{n}_d{d}",
@@ -428,9 +417,9 @@ def check_oracle_matches_bound(ctx: FieldCtx, n: int, d: int) -> CheckResult:
 
 
 def check_oracle_nondegenerate(ctx: FieldCtx, n: int, d: int) -> CheckResult:
-    variety = make_nondegenerate(ctx, n)
+    variety = bnd.oracle_target(ctx, "nondegenerate", n)
     result = bnd.bruteforce_max_intersection(ctx, variety, n, d)
-    expected = bnd.known_max_intersection(n, d, ctx.q).value
+    expected = bnd.oracle_bound("nondegenerate", n, d, ctx.q).value
     ok = result.max_count == expected
     return _result(
         f"oracle_nondegenerate_n{n}_d{d}",
@@ -446,15 +435,13 @@ def check_maximizer_structure(ctx: FieldCtx, n: int, d: int) -> CheckResult:
     q = ctx.q
     if n not in (2, 3, 4):
         raise ValueError(f"maximizer structure is known for n in 2..4 only, got n = {n}")
-    cone = make_standard_cone(ctx, n)
+    cone = bnd.oracle_target(ctx, "cone", n)
     result = bnd.bruteforce_max_intersection(ctx, cone, n, d)
     expected_lines = {2: d, 3: d * (q + 1), 4: bnd.sorensen_max(d, q) if d == 1 else None}[n]
+    found = bnd.characterize_maximizers(ctx, cone, result)
     ok = result.n_maximizers == len(result.maximizers)  # cap not hit at desk scale
-    for form in _maximizer_forms(ctx, result):
-        union_ok, lines = bnd.check_union_of_cone_lines(ctx, cone, form)
-        ok &= union_ok and lines == expected_lines
-        if n == 3:
-            ok &= bnd.is_cone_with_vertex(ctx, form, cone.vertex)
+    ok &= found["union_of_generator_lines"] and found["generator_lines"] == [expected_lines]
+    ok &= n != 3 or found["cone_with_vertex"]
     return _result(
         f"maximizer_structure_n{n}_d{d}",
         ok,
@@ -466,16 +453,11 @@ def check_maximizer_structure(ctx: FieldCtx, n: int, d: int) -> CheckResult:
 def check_serre_equality(ctx: FieldCtx, n: int, d: int) -> CheckResult:
     """d hyperplanes through a common codimension-2 flat attain the plane
     bound exactly; for n = 2 the oracle confirms it is the global maximum."""
-    q2 = ctx.q2
-    space = enumerate_points(ctx, n)
+    space = bnd.oracle_target(ctx, "space", n)
     # hyperplanes x_0 = c*x_1 for distinct c, all containing x_0 = x_1 = 0
-    duals = []
-    for c in range(d):
-        dual = [1] + [ctx.neg(c)] + [0] * (n - 1)
-        duals.append(dual)
-    form = product_of_hyperplanes(ctx, duals)
+    form = product_of_hyperplanes(ctx, [[1, ctx.neg(c)] + [0] * (n - 1) for c in range(d)])
     count = int((form_values(ctx, form, space) == 0).sum())
-    expected = bnd.serre_bound(n, d, q2)
+    expected = bnd.oracle_bound("space", n, d, ctx.q).value
     ok = count == expected
     detail = f"union of {d} concurrent hyperplanes in P^{n} has {count} = {expected} points"
     if n == 2:
@@ -584,7 +566,7 @@ def check_tangent_section_structure(ctx: FieldCtx, d: int, samples: int, seed: i
     witness = None
     if q == 2 and d == 1:
         result = bnd.bruteforce_max_intersection(ctx, cone, 4, 1)
-        forms = _maximizer_forms(ctx, result)
+        forms = [HomogeneousForm(monomial_basis(4, 1), c) for c in result.maximizers]
     else:
         witness = bnd.construct_extremal_form(ctx, cone, d)
         forms = [witness.form]

@@ -1,6 +1,10 @@
 """Bound calculators, extremal constructions, the exhaustive oracle, and the
 structural checkers for maximizers.
 
+``reference_oracle_bound`` and ``reference_characterize`` are the bound rule
+and the per-maximizer loop the command line carried before ``bounds`` owned
+them; ``oracle_bound`` and ``characterize_maximizers`` must agree with them.
+
 ``reference_line_walk`` and the two reference checkers below are direct
 per-point loops, one scalar ``line_through`` and one tuple set per line.
 They are slow, which is why they live here; the package checkers share the
@@ -13,7 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hermcodes import (
+    BoundValue,
     BudgetExceededError,
+    HermitianVariety,
     HomogeneousForm,
     bruteforce_max_intersection,
     check_union_of_cone_lines,
@@ -32,7 +38,12 @@ from hermcodes import (
     serre_bound,
     sorensen_max,
 )
-from hermcodes.bounds import _cone_line_cover
+from hermcodes.bounds import (
+    _cone_line_cover,
+    characterize_maximizers,
+    oracle_bound,
+    oracle_target,
+)
 from hermcodes.forms import form_values
 from hermcodes.hermitian import count_points_formula
 from hermcodes.limits import POINT_BUDGET
@@ -491,3 +502,69 @@ def test_normalize_rows_matches_normalize_vector(ctx, width, count, seed):
 def test_normalize_rows_rejects_zero_vector(gf4):
     with pytest.raises(ValueError):
         normalize_rows(gf4, [[1, 2, 1], [0, 0, 0]])
+
+
+def reference_oracle_bound(variety, n, d, q, assume_conjecture):
+    if variety == "cone":
+        if n == 2:
+            return BoundValue(plane_cone_bound(d, q), "theorem", "plane-cone")
+        return cone_bound(n, d, q, assume_conjecture=assume_conjecture)
+    if variety == "nondegenerate":
+        return known_max_intersection(n, d, q)
+    return BoundValue(serre_bound(n, d, q * q), "theorem", "serre")
+
+
+def reference_characterize(ctx, target, result):
+    if not isinstance(target, HermitianVariety) or not target.is_rank_n_cone:
+        return None
+    basis = monomial_basis(result.n, result.d)
+    line_counts = set()
+    union_ok = True
+    cone_ok = True
+    for coeffs in result.maximizers:
+        form = HomogeneousForm(basis=basis, coeffs=coeffs)
+        ok, lines = check_union_of_cone_lines(ctx, target, form)
+        union_ok &= ok
+        line_counts.add(lines)
+        cone_ok &= is_cone_with_vertex(ctx, form, target.vertex)
+    return {
+        "union_of_generator_lines": union_ok,
+        "generator_lines": sorted(line_counts),
+        "cone_with_vertex": cone_ok,
+    }
+
+
+def test_oracle_bound_matches_former_rules():
+    unknown = 0
+    for q in (2, 3, 4, 5, 7):
+        for variety in ("cone", "nondegenerate", "space"):
+            for n in range(2, 7):
+                for d in range(1, q + 1):
+                    for assume in (False, True):
+                        bound = oracle_bound(variety, n, d, q, assume)
+                        assert bound == reference_oracle_bound(variety, n, d, q, assume)
+                        assert assume or bound.provenance != "conjecture"
+                        unknown += bound.is_unknown
+    assert unknown > 0  # open cells are reached and stay unknown
+    with pytest.raises(ValueError):
+        oracle_bound("plane", 2, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "p, n, d",
+    [(2, 2, 1), (2, 2, 2), (2, 3, 1), (2, 3, 2), (2, 4, 1), (3, 2, 1), (3, 2, 2)],
+)
+def test_characterize_maximizers_matches_former_loop(p, n, d):
+    # the cone cells of the bounds verify suite, with the default cap, cap 0 and cap 1
+    ctx = make_field(p, 1)
+    cone = oracle_target(ctx, "cone", n)
+    for cap in (10_000, 0, 1):
+        result = bruteforce_max_intersection(ctx, cone, n, d, cap=cap)
+        assert len(result.maximizers) == min(cap, result.n_maximizers)
+        assert characterize_maximizers(ctx, cone, result) == reference_characterize(
+            ctx, cone, result
+        )
+    for variety in ("nondegenerate", "space"):
+        target = oracle_target(ctx, variety, n)
+        result = bruteforce_max_intersection(ctx, target, n, d, cap=1)
+        assert characterize_maximizers(ctx, target, result) is None

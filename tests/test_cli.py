@@ -1,7 +1,13 @@
 """Command-line interface: report payloads, exit codes, determinism, and
 the shard/merge path."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hermcodes import codes
 from hermcodes.cli import main
@@ -380,3 +386,103 @@ def test_params_weights_csv_scans_once(tmp_path, monkeypatch):
     assert code == 0 and len(calls) == 1
     assert out.read_bytes() == plain.read_bytes()
     assert weights.read_text().splitlines()[0] == "weight,count"
+
+
+def _run_captured(argv) -> tuple[int, str]:
+    """Exit code and stderr of an in-process run; stdout is discarded."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_clean_exit(code, err) -> None:
+    assert code in (0, 1, 2, 3)
+    assert err.count("\n") <= 1 and "Traceback" not in err
+
+
+def _values(*pool):
+    return st.sampled_from(pool).map(str)
+
+
+def test_oversized_field_and_dimension_are_refused_before_work(tmp_path, shard_pair):
+    for argv, code, needle in (
+        (["params", "--p", "2", "--e", str(10**11), "--n", "2", "--d", "1"], 2, "table limit"),
+        (["params", "--p", str(2**61 - 1), "--n", "2", "--d", "1"], 2, "table limit"),
+        (["params", "--p", "4", "--n", "2", "--d", "1"], 1, "p = 4 is not prime"),
+        (["params", "--p", "2", "--n", "3000", "--d", "1"], 2, "more than 10^1000"),
+        (["verify", "--p", "2", "--suite", "projspace", "--n", "100000"], 2, "more than 10^1000"),
+        (["construct", "--p", "2", "--n", "100000", "--d", "1"], 1, "n in {2, 3, 4}"),
+    ):
+        got, err = _run_captured(argv)
+        assert got == code and err.count("\n") == 1 and needle in err
+    code, report, _ = run_cli(["oracle", "--p", "2", "--n", "100000", "--d", "1"], tmp_path)
+    assert code == 2 and "more than 10^1000" in report["error"]
+    reports, _ = shard_pair
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, shard in zip(paths, reports):
+        path.write_text(json.dumps({**shard, "config": {**shard["config"], "n": 10**6}}))
+    got, err = _run_captured(["merge", *map(str, paths)])
+    assert got == 2 and err.count("\n") == 1 and "more than 10^1000" in err
+
+
+@st.composite
+def _cli_argv(draw):
+    cmd = draw(st.sampled_from(["params", "oracle", "construct", "verify"]))
+    argv = [cmd, "--p", draw(_values(-1, 0, 1, 2, 3, 4, 2**61 - 1))]
+    argv += ["--e", draw(_values(-1, 0, 1, 10**11))]
+    n, d = draw(_values(-1, 0, 1, 2, 3, 3000, 10**5)), draw(_values(-1, 0, 1, 2, 3))
+    if cmd == "verify":  # the hermitian suite walks P^1 .. P^n: seconds per cell
+        argv += ["--suite", draw(st.sampled_from(["field", "projspace", "bounds"]))]
+    argv += ["--n", n, "--d", d]
+    limits = {"params": ["--budget"], "oracle": ["--budget", "--cap"]}.get(cmd, [])
+    for flag in limits:
+        value = draw(st.sampled_from([None, "-1", "0", "1"]))
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_cli_argv())
+def test_cli_fuzz_ends_in_a_documented_exit(argv):
+    # malformed or oversized p, e, n, d, budget and cap: a documented exit
+    # code and at most one stderr line, never a traceback or a huge allocation
+    _assert_clean_exit(*_run_captured(argv))
+
+
+@pytest.fixture(scope="module")
+def shard_pair(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz_shards")
+    paths = [base / f"s{i}.json" for i in range(2)]
+    for i, path in enumerate(paths):
+        argv = ["oracle", "--p", "2", "--n", "2", "--d", "1", "--shard", f"{i}/2"]
+        assert main(argv + ["--out", str(path)]) == 0
+    return [json.loads(path.read_text()) for path in paths], base
+
+
+_JSON_VALUES = st.sampled_from([10**6, 10**30, -1, True, "x", [1, 2], None])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_merge_fuzz_ends_in_a_documented_exit(shard_pair, data):
+    reports, base = shard_pair
+    fields = [(key, None) for key in reports[0]] + [
+        (section, key)
+        for section, part in reports[0].items()
+        if isinstance(part, dict)
+        for key in part
+    ]
+    section, key = data.draw(st.sampled_from(fields))
+    value = data.draw(_JSON_VALUES)
+    paths = [base / "a.json", base / "b.json"]
+    # the field replaced in both reports (configs agree) and in the first only
+    for changed in ((0, 1), (0,)):
+        for i, (path, report) in enumerate(zip(paths, json.loads(json.dumps(reports)))):
+            if i in changed and key is None:
+                report[section] = value
+            elif i in changed:
+                report[section][key] = value
+            path.write_text(json.dumps(report))
+        _assert_clean_exit(*_run_captured(["merge", *map(str, paths)]))
