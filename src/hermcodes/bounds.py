@@ -18,7 +18,7 @@ import numpy as np
 from .field import FieldCtx
 from .forms import (
     HomogeneousForm,
-    coeffs_at_index,
+    coeffs_at_indices,
     form_values,
     intersection_count,
     monomial_basis,
@@ -31,13 +31,13 @@ from .forms import (
 )
 from .hermitian import (
     HermitianVariety,
-    classify_line,
     count_points_formula,
+    hermitian_form_values,
     make_nondegenerate,
     make_standard_cone,
-    tangent_hyperplane,
+    tangent_hyperplanes,
 )
-from .limits import EVAL_BUDGET, MAXIMIZER_CAP, BudgetExceededError
+from .limits import EVAL_BUDGET, MAXIMIZER_CAP, BudgetExceededError, check_index_space
 from .projspace import (
     enumerate_hyperplanes,
     enumerate_points,
@@ -222,9 +222,9 @@ def _concurrent_secant_duals(ctx: FieldCtx, base: HermitianVariety, d: int) -> l
     """Duals of d concurrent secant lines of the base plane curve, through
     the first exterior point in enumeration order."""
     space = enumerate_points(ctx, base.n)
-    exterior = next(tuple(int(c) for c in p) for p in space if not base.contains(p))
+    exterior = space[np.flatnonzero(hermitian_form_values(ctx, base.matrix, space))[:1]]
     hyps = enumerate_hyperplanes(ctx, base.n)
-    through = hyps[incidence_matrix(ctx, [exterior], hyps)[0]]
+    through = hyps[incidence_matrix(ctx, exterior, hyps)[0]]
     secants = through[incidence_matrix(ctx, base.points, through).sum(axis=0) == ctx.q + 1]
     if len(secants) < d:
         raise RuntimeError("geometry bug: fewer secant lines through the exterior point than d")
@@ -240,17 +240,10 @@ def _tangent_plane_duals_through_secant(
     pts = base.points
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            cls = classify_line(ctx, base, pts[i], pts[j])
-            if cls.kind != "secant":
-                continue
             chord = line_through(ctx, pts[i], pts[j])
-            on_variety = [
-                tuple(int(c) for c in x)
-                for x in chord
-                if base.contains(x)
-            ]
-            assert len(on_variety) == ctx.q + 1
-            return [tangent_hyperplane(ctx, base, x) for x in on_variety[:d]]
+            on_variety = chord[hermitian_form_values(ctx, base.matrix, chord) == 0]
+            if len(on_variety) == ctx.q + 1:
+                return list(map(tuple, tangent_hyperplanes(ctx, base, on_variety[:d]).tolist()))
     raise RuntimeError("geometry bug: no secant chord found on the base surface")
 
 
@@ -394,6 +387,7 @@ def bruteforce_max_intersection(
         raise BudgetExceededError(
             f"scan needs {evals} form evaluations > budget {budget}; shard or override"
         )
+    check_index_space(total)
     values = monomial_values(ctx, basis, points)
     hist, kept = zero_count_summary(ctx, values, lo, hi, cap)
     reached = np.flatnonzero(hist)
@@ -409,7 +403,7 @@ def bruteforce_max_intersection(
         hi=hi,
         max_count=best,
         n_maximizers=int(hist[best]) if best >= 0 else 0,
-        maximizers=tuple(coeffs_at_index(ctx.q2, k, g) for g in kept),
+        maximizers=tuple(map(tuple, coeffs_at_indices(ctx.q2, k, kept).tolist())),
         cap=cap,
     )
 

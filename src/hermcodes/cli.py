@@ -14,8 +14,9 @@ refusal or a negative ``--budget`` or ``--cap``, 3 unknown bound.  Every
 nonzero exit without a report writes a one-line message to stderr.
 ``merge`` rejects a malformed partial report with exit 1: one that is not
 a partial oracle report of schema 1, lacks a field merging reads, has one
-of the wrong type, or lists a maximizer that is not k codes of the field
-its config names.
+of the wrong type, names a variety the oracle does not scan or a negative
+cap, or lists a maximizer that is not k codes of the field its config
+names.  These checks run on every merge, partial or full.
 """
 
 from __future__ import annotations
@@ -159,6 +160,7 @@ _MERGE_FIELDS = {
     "result": {"max_count": int, "n_maximizers": int, "maximizers": list},
 }
 _RESULT_SECTIONS = ("scan", "result")
+_VARIETIES = ("cone", "nondegenerate", "space")
 
 
 def _oracle_report(ctx: FieldCtx, variety: str, result: bnd.OracleResult, **fields) -> dict:
@@ -238,7 +240,11 @@ def _load_oracle_report(path: str) -> tuple[dict, bnd.OracleResult]:
                     f"{path} is not an oracle report: {section}.{key} = {part[key]!r} "
                     f"is not {kind.__name__}"
                 )
-    cfg = payload["config"]
+    cfg, cap = payload["config"], payload["scan"]["cap"]
+    if cfg["variety"] not in _VARIETIES:
+        raise ValueError(f"{path} is not an oracle report: unknown variety {cfg['variety']!r}")
+    if cap < 0:
+        raise ValueError(f"{path} is not an oracle report: scan.cap = {cap} is negative")
     values = {key: payload[sec][key] for sec in _RESULT_SECTIONS for key in _MERGE_FIELDS[sec]}
     result = bnd.OracleResult(n=cfg["n"], d=cfg["d"], q2=cfg["q2"], **values)
     for i, coeffs in enumerate(result.maximizers):
@@ -356,9 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(o)
     o.add_argument("--n", type=int, required=True)
     o.add_argument("--d", type=int, required=True)
-    o.add_argument(
-        "--variety", choices=["cone", "nondegenerate", "space"], default="cone"
-    )
+    o.add_argument("--variety", choices=_VARIETIES, default="cone")
     o.add_argument("--shard", type=_parse_shard, default=(0, 1), metavar="I/T")
     o.add_argument("--budget", type=int, default=None, help="evaluation budget override")
     o.add_argument("--cap", type=int, default=MAXIMIZER_CAP)

@@ -25,6 +25,8 @@ use.  Every operation is a gather from tables built once per context:
   the code with digits (sum digit mod p).  The 2e digits are split evenly
   into as few groups as keep every unspread table within ``TABLE_LIMIT``
   entries; the sum is one lookup per group.  Characteristic 2 adds by XOR.
+- Powers read the antilog table at log(a) * k mod (q^2 - 1); the preimage
+  solvers take the first code whose norm or trace table entry matches.
 
 The intermediate field GF(q) is not modelled separately: it is the fixed
 set of the conjugation ``x -> x^q`` inside GF(q^2), exposed as the sorted
@@ -41,14 +43,7 @@ __all__ = ["FieldCtx", "make_field", "is_prime", "code_dtype"]
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def code_dtype(q2: int):
@@ -386,17 +381,13 @@ class FieldCtx:
         return self.mul(a, int(self._inv_t[b]))
 
     def pow(self, a: int, k: int) -> int:
-        """Square-and-multiply power with integer exponent (negative allowed
-        for nonzero a)."""
-        if k < 0:
-            a, k = self.inv(a), -k
-        result, base = 1, a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        """a^k for any integer k (negative only for nonzero a), read from the
+        antilog table at log(a) * k mod (q^2 - 1); 0^0 = 1."""
+        if a == 0:
+            if k < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return int(k == 0)
+        return int(self.exp_table[int(self.log_table[a]) * k % (self.q2 - 1)])
 
     def frob(self, a: int) -> int:
         """Conjugation a -> a^q, an involution fixing exactly GF(q)."""
@@ -417,25 +408,19 @@ class FieldCtx:
     def in_base_field(self, a: int) -> bool:
         return a in self._base_set
 
-    # -- preimage solvers (exhaustive, smallest-code tie-break) -------------
+    # -- preimage solvers (first match in the table, smallest code) ---------
 
     def norm_preimage(self, b: int) -> int:
         """Smallest code lam with lam^(q+1) = b, for b in GF(q)*."""
         if b == 0 or not self.in_base_field(b):
             raise ValueError(f"norm preimage requires b in GF(q)*, got {b}")
-        for lam in range(1, self.q2):
-            if self._norm_t[lam] == b:
-                return lam
-        raise AssertionError("norm is onto GF(q)*")  # unreachable
+        return int(np.argmax(self._norm_t == b))  # the norm is onto GF(q)*
 
     def trace_preimage(self, b: int) -> int:
         """Smallest code lam with lam + lam^q = b, for b in GF(q)."""
         if not self.in_base_field(b):
             raise ValueError(f"trace preimage requires b in GF(q), got {b}")
-        for lam in range(self.q2):
-            if self._trace_t[lam] == b:
-                return lam
-        raise AssertionError("trace is onto GF(q)")  # unreachable
+        return int(np.argmax(self._trace_t == b))  # the trace is onto GF(q)
 
     # -- serialization ------------------------------------------------------
 

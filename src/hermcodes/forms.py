@@ -9,6 +9,10 @@ nonzero coefficient to 1, and the global enumeration index space is
 partitioned into contiguous segments by the position of that leading 1,
 which is what makes contiguous-range sharding a partition of all nonzero
 forms up to scalar.
+
+:func:`coeffs_at_indices` decodes global indices into coefficient rows and
+the scan kernel walks the same segments; both compute indices in int64 and
+refuse a form space of 2^63 or more classes (BudgetExceededError).
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from typing import Iterator
 import numpy as np
 
 from .field import FieldCtx, code_dtype
-from .limits import EVAL_BUDGET, BudgetExceededError
+from .limits import EVAL_BUDGET, BudgetExceededError, check_index_space
+from .linalg import mat_mul
 
 __all__ = [
     "MonomialBasis",
@@ -34,6 +39,7 @@ __all__ = [
     "projective_form_count",
     "shard_range",
     "segments",
+    "coeffs_at_indices",
     "coeffs_at_index",
     "class_indices",
     "scan_zero_counts",
@@ -169,18 +175,25 @@ def shard_range(total: int, shard: tuple[int, int]) -> tuple[int, int]:
     return (total * index) // count, (total * (index + 1)) // count
 
 
+def coeffs_at_indices(q2: int, k: int, g) -> np.ndarray:
+    """(N, k) int64 coefficient rows of the projectivized forms with the
+    given global indices: in segment t, entry t is 1, the entries before it
+    are 0 and the entries after it are the base-q2 digits of g - lo_t."""
+    total = projective_form_count(q2, k)
+    check_index_space(total)
+    g = np.asarray(g, dtype=np.int64).reshape(-1)
+    outside = (g < 0) | (g >= total)
+    if outside.any():
+        raise IndexError(f"form index {g[outside][0]} out of range")
+    seg_lo = np.array([lo for _, lo, _ in segments(q2, k)], dtype=np.int64)
+    t = np.searchsorted(seg_lo, g, side="right")[:, None] - 1
+    pos = np.arange(k)
+    return np.where(pos > t, (g[:, None] - seg_lo[t]) // q2 ** (k - 1 - pos) % q2, pos == t)
+
+
 def coeffs_at_index(q2: int, k: int, g: int) -> tuple[int, ...]:
     """Coefficient tuple of the projectivized form with global index g."""
-    for t, lo, hi in segments(q2, k):
-        if lo <= g < hi:
-            s = g - lo
-            coeffs = [0] * k
-            coeffs[t] = 1
-            for pos in range(k - 1, t, -1):
-                coeffs[pos] = s % q2
-                s //= q2
-            return tuple(coeffs)
-    raise IndexError(f"form index {g} out of range")
+    return tuple(coeffs_at_indices(q2, k, [g])[0].tolist())
 
 
 def class_indices(ctx: FieldCtx, coeffs) -> np.ndarray:
@@ -224,16 +237,13 @@ def _combination_table(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
 def _negated_prefixes(
     ctx: FieldCtx, values: np.ndarray, t: int, n_high: int, h0: int, h1: int
 ) -> np.ndarray:
-    """-(values[t] + sum of high digits times their rows) for the high-digit
-    prefixes h0 .. h1-1 of segment t; the high rows are t+1 .. t+n_high."""
-    m = values.shape[1]
+    """-(values[t] + digits x values[t+1 .. t+n_high]) for the high-digit
+    prefixes h0 .. h1-1 of segment t, one row of base-q2 digits each."""
     q2 = ctx.q2
     prefix = np.arange(h0, h1, dtype=np.int64)
-    acc = np.broadcast_to(values[t], (h1 - h0, m))
-    for i in range(n_high):
-        digits = (prefix // q2 ** (n_high - 1 - i)) % q2
-        acc = ctx.vadd(acc, ctx.vmul(digits[:, None], values[t + 1 + i][None, :]))
-    return ctx.vneg(acc).astype(code_dtype(q2))
+    digits = prefix[:, None] // q2 ** np.arange(n_high - 1, -1, -1, dtype=np.int64) % q2
+    high = mat_mul(ctx, digits, values[t + 1 : t + 1 + n_high])
+    return ctx.vneg(ctx.vadd(values[t], high)).astype(code_dtype(q2))
 
 
 def _segment_counts(
@@ -283,6 +293,7 @@ def scan_zero_counts(
     """
     k, m = values.shape
     q2 = ctx.q2
+    check_index_space(projective_form_count(q2, k))
     ranges = [
         (t, seg_lo, max(lo, seg_lo) - seg_lo, min(hi, seg_hi) - seg_lo)
         for t, seg_lo, seg_hi in segments(q2, k)

@@ -46,3 +46,10 @@ def check_count_digits(q2: int, n: int) -> None:
         raise BudgetExceededError(
             f"P^{n}(GF({q2})) has more than 10^{COUNT_DIGITS} coordinate tuples"
         )
+
+
+def check_index_space(classes: int) -> None:
+    """Refuse a form space of 2^63 or more projective classes: the scan
+    kernel and the form decoder compute global form indices in int64."""
+    if classes >= 1 << 63:
+        raise BudgetExceededError(f"{classes} form classes exceed the int64 index space")

@@ -111,13 +111,10 @@ def matrix_rank(ctx: FieldCtx, matrix) -> int:
 def nullspace(ctx: FieldCtx, matrix) -> np.ndarray:
     """Basis of the right kernel {x : Mx = 0}, one vector per row."""
     rref, pivots = row_reduce(ctx, matrix)
-    cols = rref.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for row, pc in enumerate(pivots):
-            basis[i, pc] = ctx.neg(int(rref[row, f]))
+    free = np.delete(np.arange(rref.shape[1]), pivots)
+    basis = np.zeros((len(free), rref.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = ctx.vneg(rref[: len(pivots), free].T)
     return basis
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from .field import FieldCtx
 from .forms import class_indices, scan_zero_counts
 from .limits import POINT_BUDGET, BudgetExceededError, check_count_digits
+from .linalg import mat_mul
 
 __all__ = [
     "pi_count",
@@ -153,8 +154,8 @@ def incidence(ctx: FieldCtx, point, hyperplane) -> bool:
 
 def incidence_matrix(ctx: FieldCtx, points, duals) -> np.ndarray:
     """(P, D) boolean matrix: entry (i, j) says point i lies on hyperplane j.
-    Built a block of points at a time, each temporary holding at most
-    CHUNK_ELEMS codes (or one row of D)."""
+    Built as the product points x duals^T a block of points at a time, each
+    block's product holding at most CHUNK_ELEMS codes (or one row of D)."""
     points = np.asarray(points, dtype=np.int64)
     duals = np.asarray(duals, dtype=np.int64)
     if points.ndim != 2 or duals.ndim != 2 or points.shape[1] != duals.shape[1]:
@@ -162,11 +163,7 @@ def incidence_matrix(ctx: FieldCtx, points, duals) -> np.ndarray:
     out = np.empty((len(points), len(duals)), dtype=bool)
     step = max(1, CHUNK_ELEMS // max(len(duals), 1))
     for lo in range(0, len(points), step):
-        block = points[lo : lo + step, None, :]
-        acc = np.zeros((len(block), len(duals)), dtype=np.int64)
-        for i in range(points.shape[1]):
-            acc = ctx.vadd(acc, ctx.vmul(block[:, :, i], duals[None, :, i]))
-        out[lo : lo + step] = acc == 0
+        out[lo : lo + step] = mat_mul(ctx, points[lo : lo + step], duals.T) == 0
     return out
 
 

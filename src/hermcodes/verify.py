@@ -21,6 +21,7 @@ from . import codes as cds
 from .field import FieldCtx, code_dtype
 from .forms import (
     HomogeneousForm,
+    coeffs_at_indices,
     form_values,
     monomial_basis,
     monomial_values,
@@ -28,7 +29,6 @@ from .forms import (
     product_of_hyperplanes,
     projective_form_count,
     scan_zero_counts,
-    segments,
 )
 from .hermitian import (
     canonical_congruence,
@@ -44,6 +44,7 @@ from .linalg import mat_mul, matrix_rank
 from .projspace import (
     CHUNK_ELEMS,
     all_lines,
+    check_point_budget,
     enumerate_hyperplanes,
     enumerate_points,
     hyperplane_point_counts,
@@ -527,18 +528,13 @@ def check_missing_vertex_margin(ctx: FieldCtx, n: int, d: int) -> CheckResult:
     k = len(basis)
     values = monomial_values(ctx, basis, cone.points)
     # value at the vertex [0:...:0:1] is the coefficient of x_n^d, the last
-    # graded-lex monomial, so the filter is "last coefficient nonzero": the
-    # lowest base-q^2 digit of the in-segment index, or the leading 1 in the
-    # last segment
+    # graded-lex monomial, so the filter is "last coefficient nonzero"
     assert basis.exponents[-1] == tuple([0] * n + [d])
     total = projective_form_count(ctx.q2, k)
-    seg_lo = np.array([lo for _, lo, _ in segments(ctx.q2, k)])
     limit = d * count_points_formula(n - 1, "nondegenerate", q)
     worst = -1
     for start, counts in scan_zero_counts(ctx, values, 0, total):
-        g = start + np.arange(len(counts))
-        t = np.searchsorted(seg_lo, g, side="right") - 1
-        missing = (t == k - 1) | ((g - seg_lo[t]) % ctx.q2 != 0)
+        missing = coeffs_at_indices(ctx.q2, k, start + np.arange(len(counts)))[:, -1] != 0
         if missing.any():
             worst = max(worst, int(counts[missing].max()))
     ok = worst <= limit
@@ -663,6 +659,7 @@ def _projspace_suite(ctx: FieldCtx, n: int | None, d: int | None, seed: int) -> 
 
 def _hermitian_suite(ctx: FieldCtx, n: int | None, d: int | None, seed: int) -> list[CheckResult]:
     n_max = n if n is not None else (4 if ctx.q <= 3 else 3)
+    check_point_budget(ctx, n_max)  # the largest P^n first, before P^1 .. P^(n_max - 1)
     out = [
         check_point_count_formulas(ctx, n_max),
         check_congruence_reduction(ctx, 2, trials=25, seed=seed),

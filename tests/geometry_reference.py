@@ -55,6 +55,22 @@ def reference_incidence_values(ctx, points, hyperplane) -> np.ndarray:
     return acc
 
 
+def reference_incidence_matrix(ctx, points, duals, chunk) -> np.ndarray:
+    """The (P, D) incidence mask as a sum of vmul/vadd terms over the
+    coordinates, a block of at most ``chunk`` // D points at a time."""
+    points = np.asarray(points, dtype=np.int64)
+    duals = np.asarray(duals, dtype=np.int64)
+    out = np.empty((len(points), len(duals)), dtype=bool)
+    step = max(1, chunk // max(len(duals), 1))
+    for lo in range(0, len(points), step):
+        block = points[lo : lo + step, None, :]
+        acc = np.zeros((len(block), len(duals)), dtype=np.int64)
+        for i in range(points.shape[1]):
+            acc = ctx.vadd(acc, ctx.vmul(block[:, :, i], duals[None, :, i]))
+        out[lo : lo + step] = acc == 0
+    return out
+
+
 def reference_line_through(ctx, a, b) -> np.ndarray:
     a = normalize_vector(ctx, a)
     b = normalize_vector(ctx, b)

@@ -1,0 +1,93 @@
+"""Reference loops for the field, linear-algebra and form-index helpers.
+
+These are the former scalar loops of ``field``, ``linalg``, ``forms`` and
+``verify``, written one element or one index at a time.  The helpers now
+read tables or call the package's vectorised kernels; the differential
+tests require them to agree with these loops exactly.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from hermcodes.forms import segments
+from hermcodes.linalg import row_reduce
+
+
+def reference_pow(ctx, a: int, k: int) -> int:
+    """Square-and-multiply power, negative k through the inverse."""
+    if k < 0:
+        a, k = ctx.inv(a), -k
+    result, base = 1, a
+    while k:
+        if k & 1:
+            result = ctx.mul(result, base)
+        base = ctx.mul(base, base)
+        k >>= 1
+    return result
+
+
+def reference_norm_preimage(ctx, b: int) -> int:
+    if b == 0 or not ctx.in_base_field(b):
+        raise ValueError(f"norm preimage requires b in GF(q)*, got {b}")
+    for lam in range(1, ctx.q2):
+        if ctx.norm(lam) == b:
+            return lam
+    raise AssertionError("norm is onto GF(q)*")
+
+
+def reference_trace_preimage(ctx, b: int) -> int:
+    if not ctx.in_base_field(b):
+        raise ValueError(f"trace preimage requires b in GF(q), got {b}")
+    for lam in range(ctx.q2):
+        if ctx.trace(lam) == b:
+            return lam
+    raise AssertionError("trace is onto GF(q)")
+
+
+def reference_is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    i = 2
+    while i * i <= n:
+        if n % i == 0:
+            return False
+        i += 1
+    return True
+
+
+def reference_nullspace(ctx, matrix) -> np.ndarray:
+    """Kernel basis filled one free column and one pivot at a time."""
+    rref, pivots = row_reduce(ctx, matrix)
+    cols = rref.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for i, f in enumerate(free):
+        basis[i, f] = 1
+        for row, pc in enumerate(pivots):
+            basis[i, pc] = ctx.neg(int(rref[row, f]))
+    return basis
+
+
+def reference_coeffs_at_index(q2: int, k: int, g: int) -> tuple[int, ...]:
+    """Walk the segments to the one holding g, then peel its base-q2 digits."""
+    for t, lo, hi in segments(q2, k):
+        if lo <= g < hi:
+            s = g - lo
+            coeffs = [0] * k
+            coeffs[t] = 1
+            for pos in range(k - 1, t, -1):
+                coeffs[pos] = s % q2
+                s //= q2
+            return tuple(coeffs)
+    raise IndexError(f"form index {g} out of range")
+
+
+def reference_missing_vertex_filter(q2: int, k: int, g) -> np.ndarray:
+    """Whether the last coefficient of each form index is nonzero, from the
+    index arithmetic alone: the lowest base-q2 digit of the in-segment index,
+    or the leading 1 in the last segment."""
+    g = np.asarray(g, dtype=np.int64)
+    seg_lo = np.array([lo for _, lo, _ in segments(q2, k)])
+    t = np.searchsorted(seg_lo, g, side="right") - 1
+    return (t == k - 1) | ((g - seg_lo[t]) % q2 != 0)

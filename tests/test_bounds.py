@@ -38,16 +38,26 @@ from hermcodes import (
     serre_bound,
     sorensen_max,
 )
+from hermcodes import bounds
 from hermcodes.bounds import (
+    _concurrent_secant_duals,
     _cone_line_cover,
+    _tangent_plane_duals_through_secant,
     characterize_maximizers,
     oracle_bound,
     oracle_target,
 )
 from hermcodes.forms import form_values
-from hermcodes.hermitian import count_points_formula
+from hermcodes.hermitian import classify_line, count_points_formula, tangent_hyperplane
 from hermcodes.limits import POINT_BUDGET
-from hermcodes.projspace import enumerate_points, line_through, normalize_rows, normalize_vector
+from hermcodes.projspace import (
+    enumerate_hyperplanes,
+    enumerate_points,
+    incidence_matrix,
+    line_through,
+    normalize_rows,
+    normalize_vector,
+)
 from hermcodes.verify import (
     check_hyperplane_margin,
     check_missing_vertex_margin,
@@ -154,13 +164,46 @@ def test_concurrent_secants_attain_bezout():
     # d(q+1) = 12 points, the plane-curve maximum
     ctx = make_field(3, 1)
     base = make_nondegenerate(ctx, 2)
-    from hermcodes.bounds import _concurrent_secant_duals
     from hermcodes.forms import intersection_count
 
     duals = _concurrent_secant_duals(ctx, base, 3)
     form = product_of_hyperplanes(ctx, duals)
     assert intersection_count(ctx, form, base.points) == 12
     assert known_max_intersection(2, 3, 3).value == 12
+
+
+def reference_concurrent_secant_duals(ctx, base, d):
+    """The builder's former exterior-point search, one ``contains`` per point."""
+    space = enumerate_points(ctx, base.n)
+    exterior = next(tuple(int(c) for c in p) for p in space if not base.contains(p))
+    hyps = enumerate_hyperplanes(ctx, base.n)
+    through = hyps[incidence_matrix(ctx, [exterior], hyps)[0]]
+    secants = through[incidence_matrix(ctx, base.points, through).sum(axis=0) == ctx.q + 1]
+    return [tuple(int(c) for c in dual) for dual in secants[:d]]
+
+
+def reference_tangent_plane_duals(ctx, base, d):
+    """The builder's former chord walk: ``classify_line``, then the chord's
+    points one ``contains`` and one ``tangent_hyperplane`` at a time."""
+    pts = base.points
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if classify_line(ctx, base, pts[i], pts[j]).kind != "secant":
+                continue
+            chord = line_through(ctx, pts[i], pts[j])
+            on_variety = [tuple(int(c) for c in x) for x in chord if base.contains(x)]
+            return [tangent_hyperplane(ctx, base, x) for x in on_variety[:d]]
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+def test_witness_duals_match_former_loops(p, e):
+    ctx = make_field(p, e)
+    curve, surface = make_nondegenerate(ctx, 2), make_nondegenerate(ctx, 3)
+    for d in range(1, ctx.q + 1):
+        want = reference_concurrent_secant_duals(ctx, curve, d)
+        assert _concurrent_secant_duals(ctx, curve, d) == want
+        want = reference_tangent_plane_duals(ctx, surface, d)
+        assert _tangent_plane_duals_through_secant(ctx, surface, d) == want
 
 
 def test_construct_extremal_rejects_bad_input(gf4):
@@ -189,6 +232,17 @@ def test_oracle_budget_and_cap(gf4):
         bruteforce_max_intersection(gf4, cone, 2, 2, budget=1000)
     capped = bruteforce_max_intersection(gf4, cone, 2, 1, cap=2)
     assert capped.n_maximizers == 3 and len(capped.maximizers) == 2
+
+
+def test_oracle_refuses_a_form_space_past_int64_before_evaluating(gf4, monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("monomial_values built for a refused scan")
+
+    monkeypatch.setattr(bounds, "monomial_values", unexpected)
+    point = np.ones((1, 8), dtype=np.int64)  # n = 7, d = 2: 36 coefficients, 1.6e21 classes
+    for shard in ((68 * 10**17, 10**19), (0, 10**19)):
+        with pytest.raises(BudgetExceededError, match="int64"):
+            bruteforce_max_intersection(gf4, point, 7, 2, shard=shard)
 
 
 def test_oracle_shard_merge(gf4):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hermcodes import codes
+from hermcodes import codes, verify
 from hermcodes.cli import main
 
 
@@ -426,6 +426,51 @@ def test_oversized_field_and_dimension_are_refused_before_work(tmp_path, shard_p
     assert got == 2 and err.count("\n") == 1 and "more than 10^1000" in err
 
 
+_HUGE_SHARDS = ("0/10000000000000000000", "6800000000000000000/10000000000000000000")
+
+
+def test_oracle_refuses_form_spaces_past_int64(tmp_path, capsys):
+    # 36 coefficients over GF(4): 1.6e21 form classes, past int64
+    cell = ["oracle", "--p", "2", "--n", "7", "--d", "2"]
+    for shard in _HUGE_SHARDS:
+        code, report, _ = run_cli(cell + ["--shard", shard], tmp_path)
+        assert code == 2 and "exceed the int64 index space" in report["error"]
+        assert capsys.readouterr().err == ""
+
+
+def test_merge_checks_variety_and_cap_on_every_merge(tmp_path, capsys):
+    base = ["oracle", "--p", "2", "--n", "2", "--d", "2"]
+    shards = [run_cli(base + ["--shard", f"{i}/3"], tmp_path, f"s{i}.json")[1] for i in range(3)]
+    for section, key, value, needle in (
+        ("config", "variety", "plane", "unknown variety 'plane'"),
+        ("scan", "cap", -5, "scan.cap = -5 is negative"),
+    ):
+        paths = []
+        for i, shard in enumerate(shards):
+            edited = json.loads(json.dumps(shard))
+            edited[section][key] = value
+            paths.append(tmp_path / f"bad{i}.json")
+            paths[-1].write_text(json.dumps(edited))
+        for chosen in (paths[:2], paths):  # a partial merge, then a full one
+            out = tmp_path / "merged.json"
+            code = main(["merge", *map(str, chosen), "--out", str(out)])
+            err = _one_line_error(capsys)
+            assert code == 1 and needle in err and not out.exists()
+
+
+def test_verify_hermitian_checks_the_largest_n_first(monkeypatch):
+    def unexpected(ctx, n):
+        raise AssertionError(f"P^{n} built before the budget check")
+
+    monkeypatch.setattr(verify, "make_nondegenerate", unexpected)
+    monkeypatch.setattr(verify, "make_standard_cone", unexpected)
+    for n, message in (
+        ("100000", "budget refusal: P^100000(GF(4)) has more than 10^1000 coordinate tuples\n"),
+        ("12", "budget refusal: enumerating P^12(GF(4)) scans 67108864 tuples > budget 20000000\n"),
+    ):
+        assert _run_captured(["verify", "--p", "2", "--suite", "hermitian", "--n", n]) == (2, message)
+
+
 @st.composite
 def _cli_argv(draw):
     cmd = draw(st.sampled_from(["params", "oracle", "construct", "verify"]))
@@ -440,6 +485,11 @@ def _cli_argv(draw):
         value = draw(st.sampled_from([None, "-1", "0", "1"]))
         if value is not None:
             argv += [flag, value]
+    if cmd == "oracle":
+        shards = [None, "1/3", "10000000000000000000/10000000000000000000", *_HUGE_SHARDS]
+        shard = draw(st.sampled_from(shards))
+        if shard is not None:
+            argv += ["--shard", shard]
     return argv
 
 

@@ -10,8 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermcodes import BudgetExceededError, make_field
+from hermcodes.field import is_prime
 from hermcodes.limits import DENSE_TABLE_LIMIT
 from hermcodes.verify import check_field_axioms, check_norm_trace_maps
+from loop_reference import (
+    reference_is_prime,
+    reference_norm_preimage,
+    reference_pow,
+    reference_trace_preimage,
+)
 
 # -- independent oracle: direct polynomial arithmetic over GF(p) ------------
 
@@ -223,7 +230,8 @@ def test_gather_arithmetic_full_gf289_grid():
     modulus = list(ctx.modulus)
     want_mul = oracle_grid(lambda x, y: oracle_mul(x, y, modulus, 17), a, b)
     assert np.array_equal(ctx.vmul(a, b), want_mul)
-    assert ctx.exp_table.tolist() == [ctx.pow(ctx.generator, k) for k in range(ctx.q2 - 1)]
+    powers = [reference_pow(ctx, ctx.generator, k) for k in range(ctx.q2 - 1)]
+    assert ctx.exp_table.tolist() == powers
     assert ctx.log_table[0] == -1 and not ctx.exp_table.flags.writeable
 
 
@@ -454,6 +462,54 @@ def test_preimage_solvers_exhaustive(p, e):
         sols = [a for a in range(ctx.q2) if ctx.trace(a) == b]
         assert len(sols) == q
         assert ctx.trace_preimage(b) == min(sols)
+
+
+# -- table-read helpers against their former loops -----------------------------
+
+LOOP_FIELDS = [cached_field(2, 1), cached_field(3, 1), cached_field(17, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(LOOP_FIELDS),
+    st.data(),
+    st.integers(-40, 40) | st.integers(-(10**30), 10**30),
+)
+def test_pow_matches_square_and_multiply(ctx, data, k):
+    a = data.draw(st.integers(0, ctx.q2 - 1) | st.sampled_from([0, 1, ctx.generator]))
+    if a == 0 and k < 0:
+        with pytest.raises(ZeroDivisionError):
+            ctx.pow(a, k)
+        with pytest.raises(ZeroDivisionError):
+            reference_pow(ctx, a, k)
+        return
+    got = ctx.pow(a, k)
+    assert type(got) is int and got == reference_pow(ctx, a, k)
+
+
+@pytest.mark.parametrize("ctx", LOOP_FIELDS, ids=lambda ctx: f"GF({ctx.q2})")
+def test_preimage_solvers_match_former_loops_on_every_code(ctx):
+    assert ctx.pow(0, 0) == 1 and ctx.pow(0, 3) == 0
+    for b in range(-1, ctx.q2 + 1):
+        for solver, reference in (
+            (ctx.norm_preimage, reference_norm_preimage),
+            (ctx.trace_preimage, reference_trace_preimage),
+        ):
+            try:
+                want = reference(ctx, b)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    solver(b)
+                continue
+            got = solver(b)
+            assert type(got) is int and got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-5, 2000) | st.integers(2000, 10**7))
+def test_is_prime_matches_trial_division(n):
+    got = is_prime(n)
+    assert type(got) is bool and got == reference_is_prime(n)
 
 
 def test_preimage_examples(gf4, gf9):

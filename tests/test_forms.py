@@ -27,6 +27,7 @@ from hermcodes import (
 from hermcodes.forms import (
     class_indices,
     coeffs_at_index,
+    coeffs_at_indices,
     form_from_json,
     form_to_json,
     form_values,
@@ -37,6 +38,11 @@ from hermcodes.forms import (
     scan_zero_counts,
     segments,
     shard_range,
+)
+from loop_reference import (
+    reference_coeffs_at_index,
+    reference_missing_vertex_filter,
+    reference_pow,
 )
 from hermcodes.projspace import enumerate_points
 
@@ -76,7 +82,7 @@ def reference_evaluate_form(ctx, form, x) -> int:
         term = coeff
         for c, e in zip(x, exps):
             if e:
-                term = ctx.mul(term, ctx.pow(int(c), e))
+                term = ctx.mul(term, reference_pow(ctx, int(c), e))
         acc = ctx.add(acc, term)
     return acc
 
@@ -301,3 +307,65 @@ def test_form_json_roundtrip():
     form = HomogeneousForm(basis=basis, coeffs=tuple([1, 2] + [0] * 8))
     payload = json.loads(json.dumps(form_to_json(form)))
     assert form_from_json(payload) == form
+
+
+# -- the array form-index decoder against the former segment walk -------------
+
+
+def _assert_decodes_like_the_walk(q2, k, g):
+    rows = coeffs_at_indices(q2, k, g)
+    assert rows.dtype == np.int64 and rows.shape == (len(g), k)
+    want = [reference_coeffs_at_index(q2, k, int(x)) for x in g]
+    assert list(map(tuple, rows.tolist())) == want
+    assert [coeffs_at_index(q2, k, int(x)) for x in g[:50]] == want[:50]
+    # the vertex filter of verify.check_missing_vertex_margin: x_n^d is the last monomial
+    assert np.array_equal(rows[:, -1] != 0, reference_missing_vertex_filter(q2, k, g))
+
+
+@pytest.mark.parametrize(
+    "q2,k",
+    [(4, k) for k in range(1, 6)] + [(9, k) for k in range(1, 5)] + [(289, k) for k in (1, 2, 3)],
+)
+def test_coeffs_at_indices_decodes_every_index_of_small_cells(q2, k):
+    _assert_decodes_like_the_walk(q2, k, np.arange(projective_form_count(q2, k)))
+
+
+# The largest k whose form space fits int64 (2^63 or more classes are refused).
+INT64_K = {4: 32, 9: 20, 289: 8}
+
+
+@st.composite
+def index_batches(draw):
+    """Indices of a GF(4), GF(9) or GF(289) form space up to the int64
+    limit: random ones, the first, second and last index of each segment,
+    and separately indices just outside [0, total)."""
+    q2 = draw(st.sampled_from(sorted(INT64_K)))
+    k = draw(st.integers(1, INT64_K[q2]))
+    total = projective_form_count(q2, k)
+    edges = sorted({x for _, lo, hi in segments(q2, k) for x in (lo, lo + 1, hi - 1) if x < total})
+    index = st.integers(0, total - 1) | st.sampled_from(edges)
+    outside = st.integers(1, 10**6).flatmap(lambda s: st.sampled_from([-s, total - 1 + s]))
+    return q2, k, draw(st.lists(index, max_size=40)), draw(outside)
+
+
+@settings(max_examples=200, deadline=None)
+@given(index_batches())
+def test_coeffs_at_indices_matches_the_segment_walk(case):
+    q2, k, g, bad = case
+    _assert_decodes_like_the_walk(q2, k, np.array(g, dtype=np.int64))
+    with pytest.raises(IndexError):
+        reference_coeffs_at_index(q2, k, bad)
+    with pytest.raises(IndexError):
+        coeffs_at_index(q2, k, bad)
+    with pytest.raises(IndexError):
+        coeffs_at_indices(q2, k, g + [bad])
+
+
+def test_form_spaces_past_int64_are_refused(gf4):
+    assert projective_form_count(4, 32) < 2**63 <= projective_form_count(4, 33)
+    last = projective_form_count(4, 32) - 1
+    assert coeffs_at_index(4, 32, last) == reference_coeffs_at_index(4, 32, last) == (0,) * 31 + (1,)
+    with pytest.raises(BudgetExceededError, match="int64"):
+        coeffs_at_indices(4, 33, [0])
+    with pytest.raises(BudgetExceededError, match="int64"):
+        next(scan_zero_counts(gf4, np.ones((33, 2), dtype=np.int64), 0, 1))

@@ -14,6 +14,7 @@ from hermcodes.linalg import (
     row_reduce,
 )
 from hermcodes.verify import random_invertible
+from loop_reference import reference_nullspace
 
 
 def reference_mat_mul(ctx, a, b):
@@ -62,6 +63,29 @@ def test_nullspace_is_kernel(gf9):
         assert basis.shape[0] == 5 - matrix_rank(gf9, m)
         for vec in basis:
             assert not mat_mul(gf9, m, vec[:, None]).any()
+
+
+NULLSPACE_FIELDS = [make_field(2, 1), make_field(3, 1), make_field(17, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(NULLSPACE_FIELDS),
+    st.integers(0, 5),
+    st.integers(1, 7),
+    st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_nullspace_matches_former_loop(ctx, rows, cols, density, seed):
+    """Zero, sparse, full-rank and wide matrices: the array fill against the
+    free x pivot loop, and every basis vector in the kernel."""
+    rng = np.random.default_rng(seed)
+    m = rng.integers(0, ctx.q2, size=(rows, cols))
+    m[rng.random(m.shape) >= density] = 0
+    got, want = nullspace(ctx, m), reference_nullspace(ctx, m)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert not mat_mul(ctx, m, got.T).any()
 
 
 def test_row_reduce_pivots(gf4):

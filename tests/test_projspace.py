@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from geometry_reference import (
     reference_incidence,
+    reference_incidence_matrix,
     reference_incidence_values,
     reference_iter_all_lines,
     reference_line_through,
@@ -307,6 +309,32 @@ def test_incidence_matrix_matches_scalar_loop(case, seed):
     assert on.tolist() == want
     assert [incidence(ctx, points[0], u) for u in duals] == want[0]
     assert np.array_equal(on[:, 0], reference_incidence_values(ctx, points, duals[0]) == 0)
+
+
+INCIDENCE_FIELDS = [make_field(2, 1), make_field(3, 1), make_field(17, 1)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(INCIDENCE_FIELDS),
+    st.integers(1, 4),
+    st.integers(0, 12),
+    st.integers(0, 12),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+)
+def test_incidence_matrix_matches_former_loop(ctx, n, n_points, n_duals, chunk, seed):
+    """Unnormalized points and duals with planted zeros, cut into blocks of
+    every size: the mat_mul product against the per-coordinate vmul/vadd sum."""
+    rng = np.random.default_rng(seed)
+    points = rng.integers(0, ctx.q2, size=(n_points, n + 1))
+    duals = rng.integers(0, ctx.q2, size=(n_duals, n + 1))
+    points[rng.random(points.shape) < 0.4] = 0
+    duals[rng.random(duals.shape) < 0.4] = 0
+    with mock.patch.object(projspace, "CHUNK_ELEMS", chunk):
+        got = incidence_matrix(ctx, points, duals)
+    want = reference_incidence_matrix(ctx, points, duals, chunk)
+    assert got.shape == want.shape and got.dtype == bool and np.array_equal(got, want)
 
 
 def test_incidence_matrix_chunks_and_shapes(gf4, monkeypatch):
