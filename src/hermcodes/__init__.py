@@ -25,8 +25,6 @@ from .hermitian import (
 from .forms import (
     HomogeneousForm,
     MonomialBasis,
-    enumerate_forms_projective,
-    evaluate_form,
     intersection_count,
     monomial_basis,
     product_of_hyperplanes,

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldCtx
+from . import projspace
 from .forms import (
     HomogeneousForm,
+    MonomialBasis,
     coeffs_at_indices,
-    form_values,
     intersection_count,
     monomial_basis,
     monomial_values,
@@ -38,6 +39,7 @@ from .hermitian import (
     tangent_hyperplanes,
 )
 from .limits import EVAL_BUDGET, MAXIMIZER_CAP, BudgetExceededError, check_index_space
+from .linalg import mat_mul
 from .projspace import (
     enumerate_hyperplanes,
     enumerate_points,
@@ -64,6 +66,7 @@ __all__ = [
     "zero_count_summary",
     "bruteforce_max_intersection",
     "merge_oracle_results",
+    "zero_mask_blocks",
     "check_union_of_cone_lines",
     "is_cone_with_vertex",
     "characterize_maximizers",
@@ -455,82 +458,163 @@ def merge_oracle_results(parts: list[OracleResult]) -> OracleResult:
 # ---------------------------------------------------------------------------
 
 
-def _cone_line_cover(ctx: FieldCtx, zero_points: np.ndarray, vertex) -> tuple[bool, int]:
-    """Whether the distinct normalized points ``zero_points`` form a union of
-    full lines through ``vertex``, and how many lines.
+def zero_mask_blocks(ctx: FieldCtx, coeffs: np.ndarray, values: np.ndarray):
+    """Yield (first row, block) over the (N, k) coefficient stack against the
+    (k, m) monomial value matrix: ``block[i, j]`` says form ``first + i``
+    vanishes at point j.  A block holds at most a quarter of
+    ``projspace.CHUNK_ELEMS`` entries (or one row): ``mat_mul`` keeps about
+    three block-sized code arrays alive at once, so one block's evaluation
+    stays within about ``CHUNK_ELEMS`` codes."""
+    step = max(1, projspace.CHUNK_ELEMS // 4 // max(values.shape[1], 1))
+    for lo in range(0, len(coeffs), step):
+        yield lo, mat_mul(ctx, coeffs[lo : lo + step], values) == 0
 
-    Reproduces the greedy walk: visit the points other than the vertex in
-    canonical order, start a line at each point no earlier line covers, and
-    stop with ``(False, lines completed so far)`` at the first line that is
-    not wholly inside the set.  An empty set gives (True, 0); a nonempty set
-    without the vertex gives (False, 0).
-    """
+
+def _cone_lines(ctx: FieldCtx, points, vertex):
+    """The distinct normalized ``points`` in canonical order, the id of each
+    one's line through ``vertex`` (the vertex itself gets the id past the
+    last line), the number of lines, and the vertex's position or -1."""
     vertex = np.asarray(normalize_vector(ctx, vertex), dtype=np.int64)
-    zero_points = np.asarray(zero_points, dtype=np.int64)
-    keys = point_keys(ctx, zero_points)
-    is_vertex = keys == point_keys(ctx, vertex)
-    if not is_vertex.any():
-        return len(keys) == 0, 0
-    others = zero_points[~is_vertex][np.argsort(keys[~is_vertex], kind="stable")]
+    points = np.asarray(points, dtype=np.int64).reshape(-1, len(vertex))
+    keys = point_keys(ctx, points)
+    order = np.argsort(keys, kind="stable")
+    points, keys = points[order], keys[order]
+    others = keys != point_keys(ctx, vertex)
     # With v_j = 1 the vertex's last nonzero coordinate, X - X_j v is the same
     # projective point for every X on one line through v and differs between
     # lines, so its key names the line.
     j = int(np.flatnonzero(vertex)[-1])
-    projected = ctx.vsub(others, ctx.vmul(others[:, j, None], vertex))
-    line_ids = point_keys(ctx, normalize_rows(ctx, projected))
-    # A zero starts a line iff it is the first zero on it; the line is whole
-    # iff all q^2 of its points other than the vertex are zeros.
-    _, starts, counts = np.unique(line_ids, return_index=True, return_counts=True)
-    broken = np.flatnonzero(counts[np.argsort(starts, kind="stable")] != ctx.q2)
-    if broken.size:
-        return False, int(broken[0])
-    return True, len(starts)
+    rest = points[others]
+    projected = ctx.vsub(rest, ctx.vmul(rest[:, j, None], vertex))
+    lines, ids = np.unique(point_keys(ctx, normalize_rows(ctx, projected)), return_inverse=True)
+    line_ids = np.full(len(points), len(lines), dtype=np.int64)
+    line_ids[others] = ids
+    at_vertex = np.flatnonzero(~others)
+    return points, line_ids, len(lines), int(at_vertex[0]) if at_vertex.size else -1
 
 
-def check_union_of_cone_lines(
-    ctx: FieldCtx, variety: HermitianVariety, form: HomogeneousForm
-) -> tuple[bool, int]:
-    """Whether the intersection of the form's zero set with the rank-n cone
+def _line_cover_rows(ctx: FieldCtx, zeros, line_ids, n_lines: int, vertex_pos: int):
+    """(ok, lines) of the greedy line walk for every row of the (r, M) zero
+    mask over points in canonical order (see :func:`_cone_lines`).
+
+    The walk visits the zeros other than the vertex in canonical order,
+    starts a line at each zero no earlier line covers, and stops with
+    ``(False, lines completed so far)`` at the first line that is not wholly
+    zero.  A zero starts a line iff it is the first zero on it, and a line
+    is whole iff all q^2 of its points other than the vertex are zeros, so
+    per row the zero count and the first zero position of each line decide
+    it: the lines completed are those started before the first broken one.
+    A row without zeros gives (True, 0); one whose zeros miss the vertex
+    gives (False, 0)."""
+    r, m = zeros.shape
+    rows, cols = np.nonzero(zeros)
+    slot = rows * (n_lines + 1) + line_ids[cols]
+    counts = np.bincount(slot, minlength=r * (n_lines + 1)).reshape(r, -1)[:, :n_lines]
+    first = np.full(r * (n_lines + 1), m, dtype=np.int64)
+    np.minimum.at(first, slot, cols)
+    first = first.reshape(r, -1)[:, :n_lines]
+    broken = (counts > 0) & (counts != ctx.q2)
+    first_broken = np.where(broken, first, m).min(axis=1, initial=m)
+    lines = (first < first_broken[:, None]).sum(axis=1)
+    has_vertex = zeros[:, vertex_pos] if vertex_pos >= 0 else np.zeros(r, dtype=bool)
+    ok = np.where(has_vertex, ~broken.any(axis=1), ~zeros.any(axis=1))
+    return ok, np.where(has_vertex, lines, 0)
+
+
+def _cone_line_cover(ctx: FieldCtx, zero_points: np.ndarray, vertex) -> tuple[bool, int]:
+    """Whether the distinct normalized points ``zero_points`` form a union of
+    full lines through ``vertex``, and how many lines: the one-row case of
+    :func:`_line_cover_rows`.  An empty set gives (True, 0); a nonempty set
+    without the vertex gives (False, 0)."""
+    points, line_ids, n_lines, vertex_pos = _cone_lines(ctx, zero_points, vertex)
+    everywhere = np.ones((1, len(points)), dtype=bool)
+    ok, lines = _line_cover_rows(ctx, everywhere, line_ids, n_lines, vertex_pos)
+    return bool(ok[0]), int(lines[0])
+
+
+def _form_stack(forms) -> tuple[bool, MonomialBasis | None, np.ndarray | None]:
+    """(single, basis, (N, k) coefficients) of one form or of a sequence of
+    forms over one basis; basis and coefficients are None for an empty
+    sequence."""
+    single = isinstance(forms, HomogeneousForm)
+    forms = [forms] if single else list(forms)
+    if not forms:
+        return single, None, None
+    basis = forms[0].basis
+    if any(f.basis != basis for f in forms):
+        raise ValueError("a stack of forms must share one monomial basis")
+    return single, basis, np.array([f.coeffs for f in forms], dtype=np.int64)
+
+
+def _stack_line_cover(ctx: FieldCtx, basis, coeffs, points, vertex):
+    """(ok, lines, zero counts) of the greedy line walk through ``vertex``
+    for every form of the stack, on the point set ``points``: one canonical
+    sort, one line labelling and one ``monomial_values`` for the whole
+    stack, evaluated in :func:`zero_mask_blocks`."""
+    points, line_ids, n_lines, vertex_pos = _cone_lines(ctx, points, vertex)
+    values = monomial_values(ctx, basis, points)
+    blocks = [
+        (*_line_cover_rows(ctx, zeros, line_ids, n_lines, vertex_pos), zeros.sum(axis=1))
+        for _, zeros in zero_mask_blocks(ctx, coeffs, values)
+    ]
+    return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
+def check_union_of_cone_lines(ctx: FieldCtx, variety: HermitianVariety, forms):
+    """Whether the intersection of a form's zero set with the rank-n cone
     is a union of full generator lines through the vertex, and how many.
     The vertex lies on every generator line, so it never counts separately.
 
     When the check fails the count is the number of generator lines the
     walk over the zeros in canonical order completed before it met the
     first zero whose line is not wholly inside the zero set; it is 0 when
-    the vertex is not a zero or is the only one."""
+    the vertex is not a zero or is the only one.
+
+    ``forms`` is one HomogeneousForm, which gives one ``(ok, lines)``, or a
+    sequence of forms over one basis, which gives a list with one
+    ``(ok, lines)`` per form, in order; the whole stack shares one
+    evaluation pass over the cone."""
     if not variety.is_rank_n_cone:
         raise ValueError("checker requires a rank-n cone")
-    zero_points = variety.points[form_values(ctx, form, variety.points) == 0]
-    if len(zero_points) == 1:
-        return False, 0
-    return _cone_line_cover(ctx, zero_points, variety.vertex)
+    single, basis, coeffs = _form_stack(forms)
+    if basis is None:
+        return []
+    ok, lines, zero_counts = _stack_line_cover(ctx, basis, coeffs, variety.points, variety.vertex)
+    # a lone zero is no line, whether or not it is the vertex (lines is 0 then)
+    results = [(bool(o), int(c)) for o, c in zip(ok & (zero_counts != 1), lines)]
+    return results[0] if single else results
 
 
-def is_cone_with_vertex(ctx: FieldCtx, form: HomogeneousForm, vertex) -> bool:
-    """True iff the form's zero set in P^n is a union of full lines through
+def is_cone_with_vertex(ctx: FieldCtx, forms, vertex):
+    """True iff a form's zero set in P^n is a union of full lines through
     the given vertex: every rational zero other than the vertex extends to
-    a line of zeros through it."""
-    space = enumerate_points(ctx, form.basis.n)
-    return _cone_line_cover(ctx, space[form_values(ctx, form, space) == 0], vertex)[0]
+    a line of zeros through it.
+
+    ``forms`` is one HomogeneousForm, which gives one bool, or a sequence
+    of forms over one basis, which gives a list with one bool per form, in
+    order; the whole stack shares one evaluation pass over P^n."""
+    single, basis, coeffs = _form_stack(forms)
+    if basis is None:
+        return []
+    space = enumerate_points(ctx, basis.n)
+    results = [bool(o) for o in _stack_line_cover(ctx, basis, coeffs, space, vertex)[0]]
+    return results[0] if single else results
 
 
 def characterize_maximizers(ctx: FieldCtx, cone, result: OracleResult) -> dict | None:
     """An oracle report's ``characterization``, None off a rank-n cone: whether each listed
     maximizer meets the cone in a union of generator lines, the sorted line counts, and
-    whether each maximizer's zero set in P^n is a cone with the same vertex."""
+    whether each maximizer's zero set in P^n is a cone with the same vertex.
+
+    The listed maximizers go to each checker as one stack, so the whole
+    list costs one call of each, not one per maximizer."""
     if not isinstance(cone, HermitianVariety) or not cone.is_rank_n_cone:
         return None
     basis = monomial_basis(result.n, result.d)
-    line_counts = set()
-    union_ok = cone_ok = True
-    for coeffs in result.maximizers:
-        form = HomogeneousForm(basis=basis, coeffs=coeffs)
-        ok, lines = check_union_of_cone_lines(ctx, cone, form)
-        union_ok &= ok
-        line_counts.add(lines)
-        cone_ok &= is_cone_with_vertex(ctx, form, cone.vertex)
+    forms = [HomogeneousForm(basis=basis, coeffs=coeffs) for coeffs in result.maximizers]
+    covers = check_union_of_cone_lines(ctx, cone, forms)
     return {
-        "union_of_generator_lines": union_ok,
-        "generator_lines": sorted(line_counts),
-        "cone_with_vertex": cone_ok,
+        "union_of_generator_lines": all(ok for ok, _ in covers),
+        "generator_lines": sorted({lines for _, lines in covers}),
+        "cone_with_vertex": all(is_cone_with_vertex(ctx, forms, cone.vertex)),
     }

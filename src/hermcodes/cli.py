@@ -9,9 +9,10 @@ Reports are JSON with a ``schema`` field, written to stdout or ``--out``.
 Output is a pure function of the configuration (seed included): reruns are
 byte-identical, and merged shard reports are byte-identical with the
 unsharded run.  Exit codes: 0 pass, 1 invariant failure, parameter
-mismatch, invalid input or an output file that cannot be written, 2 budget
-refusal or a negative ``--budget`` or ``--cap``, 3 unknown bound.  Every
-nonzero exit without a report writes a one-line message to stderr.
+mismatch, invalid input, a usage error (an unknown, missing or malformed
+option) or an output file that cannot be written, 2 budget refusal or a
+negative ``--budget`` or ``--cap``, 3 unknown bound.  Every nonzero exit
+without a report writes a one-line message to stderr.
 ``merge`` rejects a malformed partial report with exit 1: one that is not
 a partial oracle report of schema 1, lacks a field merging reads, has one
 of the wrong type, names a variety the oracle does not scan or a negative
@@ -58,6 +59,18 @@ def _report(command: str, ctx: FieldCtx, n: int | None, d: int | None, **config)
     cell = {key: value for key, value in (("n", n), ("d", d)) if value is not None}
     field = {"p": ctx.p, "e": ctx.e, "q": ctx.q, "q2": ctx.q2, "modulus": list(ctx.modulus)}
     return {"schema": 1, "command": command, "config": {**field, **cell, **config}}
+
+
+class UsageError(Exception):
+    """A command line the parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print its usage block and exit
+    2, the budget-refusal code; the subcommand parsers inherit it."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _parse_shard(text: str) -> tuple[int, int]:
@@ -328,7 +341,7 @@ def _add_field_args(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hermcodes",
         description="Hermitian-variety functional codes: parameters, bounds, witnesses",
     )
@@ -387,7 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_FAIL
     for name in ("budget", "cap"):
         value = getattr(args, name, None)
         if value is not None and value < 0:

@@ -25,14 +25,13 @@ from typing import Iterator
 import numpy as np
 
 from .field import FieldCtx, code_dtype
-from .limits import EVAL_BUDGET, BudgetExceededError, check_index_space
+from .limits import check_index_space
 from .linalg import mat_mul
 
 __all__ = [
     "MonomialBasis",
     "HomogeneousForm",
     "monomial_basis",
-    "evaluate_form",
     "monomial_values",
     "form_values",
     "intersection_count",
@@ -40,10 +39,8 @@ __all__ = [
     "shard_range",
     "segments",
     "coeffs_at_indices",
-    "coeffs_at_index",
     "class_indices",
     "scan_zero_counts",
-    "enumerate_forms_projective",
     "multiply_linear",
     "product_of_hyperplanes",
     "projectivize_coeffs",
@@ -93,15 +90,6 @@ def monomial_basis(n: int, d: int) -> MonomialBasis:
     exps = tuple(_exponent_tuples(n + 1, d))
     assert len(exps) == comb(n + d, d)
     return MonomialBasis(n=n, d=d, exponents=exps)
-
-
-def evaluate_form(ctx: FieldCtx, form: HomogeneousForm, x) -> int:
-    """Value of the form at one coordinate vector: :func:`form_values` on a
-    single row."""
-    x = np.asarray(x, dtype=np.int64)
-    if x.shape != (form.basis.n + 1,):
-        raise ValueError("dimension mismatch between form and point")
-    return int(form_values(ctx, form, x[None, :])[0])
 
 
 def _power_table(ctx: FieldCtx, max_degree: int) -> np.ndarray:
@@ -191,15 +179,10 @@ def coeffs_at_indices(q2: int, k: int, g) -> np.ndarray:
     return np.where(pos > t, (g[:, None] - seg_lo[t]) // q2 ** (k - 1 - pos) % q2, pos == t)
 
 
-def coeffs_at_index(q2: int, k: int, g: int) -> tuple[int, ...]:
-    """Coefficient tuple of the projectivized form with global index g."""
-    return tuple(coeffs_at_indices(q2, k, [g])[0].tolist())
-
-
 def class_indices(ctx: FieldCtx, coeffs) -> np.ndarray:
     """Global index of the projectivized class of each nonzero coefficient
     vector, one per row of an (N, k) array: the inverse of
-    :func:`coeffs_at_index` up to scalar.  Within segment t the index is the
+    :func:`coeffs_at_indices` up to scalar.  Within segment t the index is the
     base-q2 number formed by the entries after t, once entry t is scaled to 1."""
     coeffs = np.asarray(coeffs, dtype=np.int64)
     k = coeffs.shape[1]
@@ -307,27 +290,6 @@ def scan_zero_counts(
     table = _combination_table(ctx, values[k - n_low :])
     for t, seg_lo, a, b in ranges:
         yield from _segment_counts(ctx, values, table, t, min(n_low, k - 1 - t), seg_lo, a, b)
-
-
-def enumerate_forms_projective(
-    ctx: FieldCtx,
-    n: int,
-    d: int,
-    shard: tuple[int, int] = (0, 1),
-    budget: int = EVAL_BUDGET,
-) -> Iterator[HomogeneousForm]:
-    """All nonzero degree-d forms up to scalar (first nonzero coefficient 1),
-    restricted to the given contiguous shard of the global index space.
-    Shards with the same total partition the forms exactly."""
-    basis = monomial_basis(n, d)
-    total = projective_form_count(ctx.q2, len(basis))
-    lo, hi = shard_range(total, shard)
-    if hi - lo > budget:
-        raise BudgetExceededError(
-            f"shard holds {hi - lo} forms > budget {budget}; shard further or override"
-        )
-    for g in range(lo, hi):
-        yield HomogeneousForm(basis=basis, coeffs=coeffs_at_index(ctx.q2, len(basis), g))
 
 
 def multiply_linear(ctx: FieldCtx, form: HomogeneousForm, dual) -> HomogeneousForm:

@@ -562,17 +562,17 @@ def check_tangent_section_structure(ctx: FieldCtx, d: int, samples: int, seed: i
     witness = None
     if q == 2 and d == 1:
         result = bnd.bruteforce_max_intersection(ctx, cone, 4, 1)
-        forms = [HomogeneousForm(monomial_basis(4, 1), c) for c in result.maximizers]
+        basis, coeffs = monomial_basis(4, 1), np.array(result.maximizers, dtype=np.int64)
     else:
         witness = bnd.construct_extremal_form(ctx, cone, d)
-        forms = [witness.form]
+        basis, coeffs = witness.form.basis, np.array([witness.form.coeffs], dtype=np.int64)
     # row j: the points on the j-th sampled vertex-avoiding hyperplane
     sigma_masks = incidence_matrix(ctx, cone.points, avoiding).T
     ok = True
-    for form in forms:
-        zeros = form_values(ctx, form, cone.points) == 0
-        for on_sigma in sigma_masks:
-            ok &= int((zeros & on_sigma).sum()) == base_max
+    values = monomial_values(ctx, basis, cone.points)
+    for _, zeros in bnd.zero_mask_blocks(ctx, coeffs, values):
+        # entry (i, j): the zeros of form i on the j-th hyperplane
+        ok &= bool((zeros.astype(np.int64) @ sigma_masks.T == base_max).all())
     # witness factor structure: each tangent-plane factor meets the section
     # in the tangent-section count and pairwise intersections are secant
     if witness is not None:

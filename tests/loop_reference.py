@@ -10,7 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from hermcodes.forms import segments
+from hermcodes.forms import (
+    HomogeneousForm,
+    monomial_basis,
+    projective_form_count,
+    segments,
+    shard_range,
+)
 from hermcodes.linalg import row_reduce
 
 
@@ -81,6 +87,15 @@ def reference_coeffs_at_index(q2: int, k: int, g: int) -> tuple[int, ...]:
                 s //= q2
             return tuple(coeffs)
     raise IndexError(f"form index {g} out of range")
+
+
+def reference_enumerate_forms_projective(ctx, n: int, d: int, shard=(0, 1)):
+    """Every nonzero degree-d form up to scalar in the shard, one segment
+    walk per index."""
+    basis = monomial_basis(n, d)
+    lo, hi = shard_range(projective_form_count(ctx.q2, len(basis)), shard)
+    for g in range(lo, hi):
+        yield HomogeneousForm(basis=basis, coeffs=reference_coeffs_at_index(ctx.q2, len(basis), g))
 
 
 def reference_missing_vertex_filter(q2: int, k: int, g) -> np.ndarray:

@@ -7,9 +7,14 @@ them; ``oracle_bound`` and ``characterize_maximizers`` must agree with them.
 
 ``reference_line_walk`` and the two reference checkers below are direct
 per-point loops, one scalar ``line_through`` and one tuple set per line.
-They are slow, which is why they live here; the package checkers share the
-vectorised ``bounds._cone_line_cover``.
+They are slow, which is why they live here; the package checkers share one
+vectorised line-cover kernel, of which ``bounds._cone_line_cover`` is the
+one-row case, and take whole stacks of forms.
 """
+
+import sys
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,7 +43,7 @@ from hermcodes import (
     serre_bound,
     sorensen_max,
 )
-from hermcodes import bounds
+from hermcodes import bounds, projspace
 from hermcodes.bounds import (
     _concurrent_secant_duals,
     _cone_line_cover,
@@ -530,6 +535,147 @@ def test_cone_line_cover_edge_cases(gf4, gf9):
     assert reference_check_union_of_cone_lines(gf4, cone, x0x3) == (False, 3)
     plane = make_standard_cone(gf9, 2)
     assert check_union_of_cone_lines(gf9, plane, _anisotropic_binary_quadric(gf9, 2)) == (False, 0)
+
+
+# Cells whose oracle maximizers are cheap to list, with the degrees drawn.
+STACK_CELLS = [
+    (CONE_FIELDS[0], 2, (1, 2)),
+    (CONE_FIELDS[0], 3, (1, 2)),
+    (CONE_FIELDS[0], 4, (1,)),
+    (CONE_FIELDS[1], 2, (1, 2)),
+    (CONE_FIELDS[1], 3, (1,)),
+]
+MAXIMIZERS = {}
+
+
+def _maximizers(ctx, n, d):
+    key = (ctx.q2, n, d)
+    if key not in MAXIMIZERS:
+        MAXIMIZERS[key] = bruteforce_max_intersection(ctx, _cone(ctx, n), n, d).maximizers
+    return MAXIMIZERS[key]
+
+
+STACK_KINDS = ["maximizer", "random", "misses_vertex", "through_vertex", "partial", "vertex_only", "repeat"]
+
+
+@st.composite
+def cone_form_stacks(draw):
+    """A cone cell and a stack of degree-d forms on it, one kind per row:
+    oracle maximizers, random forms, forms missing the vertex, products of
+    hyperplanes through it, such products broken by one hyperplane that
+    misses it, the form whose only cone zero is the vertex (d = 2), and
+    repeats of earlier rows."""
+    ctx, n, degrees = draw(st.sampled_from(STACK_CELLS))
+    d = draw(st.sampled_from(degrees))
+    basis = monomial_basis(n, d)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(STACK_KINDS), min_size=1, max_size=12)):
+        if kind == "maximizer":
+            found = _maximizers(ctx, n, d)
+            coeffs = found[rng.integers(len(found))]
+        elif kind == "repeat" and rows:
+            coeffs = rows[rng.integers(len(rows))]
+        elif kind == "vertex_only" and d == 2:
+            coeffs = _anisotropic_binary_quadric(ctx, n).coeffs
+        elif kind in ("through_vertex", "partial"):
+            duals = [_random_dual(ctx, rng, n, through_vertex=True) for _ in range(d)]
+            if kind == "partial":
+                duals[-1] = _random_dual(ctx, rng, n, through_vertex=False)
+            coeffs = product_of_hyperplanes(ctx, duals).coeffs
+        else:
+            values = rng.integers(0, ctx.q2, size=len(basis))
+            if kind == "misses_vertex":
+                values[-1] = rng.integers(1, ctx.q2)  # x_n^d is the last monomial
+            values[0] |= not values.any()
+            coeffs = tuple(int(c) for c in values)
+        rows.append(tuple(coeffs))
+    return ctx, n, [HomogeneousForm(basis, coeffs) for coeffs in rows], draw(st.integers(1, 4))
+
+
+def _stacked(ctx, cone, stack):
+    return check_union_of_cone_lines(ctx, cone, stack), is_cone_with_vertex(ctx, stack, cone.vertex)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cone_form_stacks())
+def test_stacked_checkers_match_reference_loops_row_by_row(case):
+    ctx, n, stack, rows_per_block = case
+    cone = _cone(ctx, n)
+    unions, cones = _stacked(ctx, cone, stack)
+    assert unions == [reference_check_union_of_cone_lines(ctx, cone, f) for f in stack]
+    assert cones == [reference_is_cone_with_vertex(ctx, f, cone.vertex) for f in stack]
+    assert all(type(ok) is bool and type(lines) is int for ok, lines in unions)
+    assert all(type(ok) is bool for ok in cones)
+    # split across blocks of rows_per_block rows on the cone (and fewer on
+    # the larger P^n; a block takes a quarter of CHUNK_ELEMS): the same answers
+    with mock.patch.object(projspace, "CHUNK_ELEMS", 4 * rows_per_block * len(cone.points)):
+        assert _stacked(ctx, cone, stack) == (unions, cones)
+
+
+def test_stacked_checkers_split_into_blocks(gf4, monkeypatch):
+    cone = _cone(gf4, 3)
+    stack = [HomogeneousForm(monomial_basis(3, 2), c) for c in _maximizers(gf4, 3, 2)]
+    stack += [_anisotropic_binary_quadric(gf4, 3), stack[0]]
+    whole = _stacked(gf4, cone, stack)
+    blocks = []
+    original = bounds.zero_mask_blocks
+
+    def recording(*args):
+        for lo, zeros in original(*args):
+            blocks.append((lo, len(zeros)))
+            yield lo, zeros
+
+    monkeypatch.setattr(bounds, "zero_mask_blocks", recording)
+    monkeypatch.setattr(projspace, "CHUNK_ELEMS", 4 * 3 * len(cone.points))
+    assert _stacked(gf4, cone, stack) == whole
+    # each checker walks the whole stack in blocks of at most 3 rows
+    sizes = [size for _, size in blocks]
+    assert sum(sizes) == 2 * len(stack) and max(sizes) == 3 and len(sizes) > 2
+    # the vertex-only quadric and the repeated first maximizer
+    assert whole[0][-2:] == [(False, 0), whole[0][0]]
+
+
+def test_stacked_checkers_take_empty_stacks_and_one_basis(gf4):
+    cone = _cone(gf4, 3)
+    assert check_union_of_cone_lines(gf4, cone, []) == []
+    assert is_cone_with_vertex(gf4, (), cone.vertex) == []
+    mixed = [_anisotropic_binary_quadric(gf4, 3), HomogeneousForm(monomial_basis(3, 1), (1, 0, 0, 0))]
+    with pytest.raises(ValueError, match="one monomial basis"):
+        check_union_of_cone_lines(gf4, cone, mixed)
+    with pytest.raises(ValueError, match="one monomial basis"):
+        is_cone_with_vertex(gf4, mixed, cone.vertex)
+
+
+def test_characterize_maximizers_checks_the_whole_stack_at_once(monkeypatch):
+    # oracle --p 3 --n 4 --d 1: 280 maximizers, one call of each checker and
+    # no per-form evaluation
+    ctx = make_field(3, 1)
+    cone = oracle_target(ctx, "cone", 4)
+    result = bruteforce_max_intersection(ctx, cone, 4, 1)
+    assert len(result.maximizers) == result.n_maximizers == 280
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    evaluate = sys.modules["hermcodes.forms"].form_values
+    for module in [m for key, m in sys.modules.items() if key.startswith("hermcodes.")]:
+        if getattr(module, "form_values", None) is evaluate:
+            monkeypatch.setattr(module, "form_values", counted("form_values", evaluate))
+    for name in ("check_union_of_cone_lines", "is_cone_with_vertex"):
+        monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
+    found = characterize_maximizers(ctx, cone, result)
+    assert calls == {"check_union_of_cone_lines": 1, "is_cone_with_vertex": 1}
+    assert found == {
+        "union_of_generator_lines": True,
+        "generator_lines": [sorensen_max(1, 3)],
+        "cone_with_vertex": True,
+    }
 
 
 SPARSE = make_field(17, 1)

@@ -478,19 +478,39 @@ def _cli_argv(draw):
     argv += ["--e", draw(_values(-1, 0, 1, 10**11))]
     n, d = draw(_values(-1, 0, 1, 2, 3, 3000, 10**5)), draw(_values(-1, 0, 1, 2, 3))
     if cmd == "verify":  # the hermitian suite walks P^1 .. P^n: seconds per cell
-        argv += ["--suite", draw(st.sampled_from(["field", "projspace", "bounds"]))]
-    argv += ["--n", n, "--d", d]
+        argv += ["--suite", draw(st.sampled_from(["field", "projspace", "bounds", "nosuch"]))]
+    argv += ["--n", n]
+    if draw(st.integers(0, 9)):  # sometimes leave the required --d out
+        argv += ["--d", d]
     limits = {"params": ["--budget"], "oracle": ["--budget", "--cap"]}.get(cmd, [])
     for flag in limits:
         value = draw(st.sampled_from([None, "-1", "0", "1"]))
         if value is not None:
             argv += [flag, value]
     if cmd == "oracle":
-        shards = [None, "1/3", "10000000000000000000/10000000000000000000", *_HUGE_SHARDS]
+        shards = [None, "1/3", "-1/2", "10000000000000000000/10000000000000000000", *_HUGE_SHARDS]
         shard = draw(st.sampled_from(shards))
         if shard is not None:
             argv += ["--shard", shard]
     return argv
+
+
+def test_usage_errors_exit_1_with_one_line(capsys):
+    # argparse alone would exit 2, the budget-refusal code, with a usage block
+    for argv, needle in (
+        (["oracle", "--p", "2", "--n", "2", "--d", "1", "--shard", "-1/2"], "--shard"),
+        (["oracle", "--p", "2", "--n", "2"], "required: --d"),
+        (["verify", "--p", "2", "--suite", "nosuch"], "invalid choice: 'nosuch'"),
+        (["oracle", "--p", "2", "--n", "2", "--d", "1", "--shard", "1-2"], "INDEX/TOTAL"),
+    ):
+        code, err = _run_captured(argv)
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith("error: hermcodes ") and needle in err
+    for argv in (["--help"], ["oracle", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: hermcodes" in capsys.readouterr().out
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

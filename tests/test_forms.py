@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 from hermcodes import (
     BudgetExceededError,
     HomogeneousForm,
-    enumerate_forms_projective,
-    evaluate_form,
     intersection_count,
     make_field,
     make_standard_cone,
@@ -26,7 +24,6 @@ from hermcodes import (
 )
 from hermcodes.forms import (
     class_indices,
-    coeffs_at_index,
     coeffs_at_indices,
     form_from_json,
     form_to_json,
@@ -41,6 +38,7 @@ from hermcodes.forms import (
 )
 from loop_reference import (
     reference_coeffs_at_index,
+    reference_enumerate_forms_projective,
     reference_missing_vertex_filter,
     reference_pow,
 )
@@ -63,14 +61,13 @@ def test_monomial_basis_order():
     assert len(monomial_basis(4, 3)) == comb(7, 3) == 35
 
 
-def test_evaluate_form_basics(gf4):
+def test_form_values_basics(gf4):
     basis = monomial_basis(2, 1)
     x0 = HomogeneousForm(basis=basis, coeffs=(1, 0, 0))
-    assert evaluate_form(gf4, x0, (0, 0, 1)) == 0
-    assert evaluate_form(gf4, x0, (1, 0, 0)) == 1
+    assert form_values(gf4, x0, np.array([(0, 0, 1), (1, 0, 0)])).tolist() == [0, 1]
     basis3 = monomial_basis(2, 3)
     x0_cubed = HomogeneousForm(basis=basis3, coeffs=tuple([1] + [0] * 9))
-    assert evaluate_form(gf4, x0_cubed, (1, 0, 0)) == 1
+    assert form_values(gf4, x0_cubed, np.array([(1, 0, 0)])).tolist() == [1]
     with pytest.raises(ValueError):
         HomogeneousForm(basis=basis, coeffs=(0, 0, 0))
 
@@ -110,9 +107,6 @@ def test_form_values_match_scalar_loop(case):
     ctx, form, points = case
     want = [reference_evaluate_form(ctx, form, x) for x in points]
     assert form_values(ctx, form, points).tolist() == want
-    assert [evaluate_form(ctx, form, x) for x in points] == want
-    with pytest.raises(ValueError):
-        evaluate_form(ctx, form, points[0][:-1])
 
 
 def test_two_lines_have_nine_points(gf4):
@@ -138,26 +132,30 @@ def test_segments_partition():
 
 
 def test_enumerate_forms_projective(gf4):
-    forms = list(enumerate_forms_projective(gf4, 2, 1))
-    assert len(forms) == 21
+    rows = coeffs_at_indices(4, 3, np.arange(projective_form_count(4, 3)))
+    assert len(rows) == 21
     seen = set()
-    for f in forms:
-        lead = next(c for c in f.coeffs if c)
+    for coeffs in map(tuple, rows.tolist()):
+        lead = next(c for c in coeffs if c)
         assert lead == 1
-        seen.add(f.coeffs)
+        seen.add(coeffs)
     assert len(seen) == 21
     # the 21 projectivized linear forms are the 21 lines of the plane
     space = enumerate_points(gf4, 2)
-    for f in forms:
-        assert intersection_count(gf4, f, space) == pi_count(1, 4)
+    for coeffs in seen:
+        form = HomogeneousForm(basis=monomial_basis(2, 1), coeffs=coeffs)
+        assert intersection_count(gf4, form, space) == pi_count(1, 4)
 
 
 @pytest.mark.parametrize("n,d", [(2, 1), (2, 2)])
 def test_shard_completeness(gf4, n, d):
-    unsharded = [f.coeffs for f in enumerate_forms_projective(gf4, n, d)]
+    k = len(monomial_basis(n, d))
+    total = projective_form_count(4, k)
+    unsharded = [f.coeffs for f in reference_enumerate_forms_projective(gf4, n, d)]
     sharded = []
     for i in range(4):
-        sharded.extend(f.coeffs for f in enumerate_forms_projective(gf4, n, d, shard=(i, 4)))
+        lo, hi = shard_range(total, (i, 4))
+        sharded.extend(map(tuple, coeffs_at_indices(4, k, np.arange(lo, hi)).tolist()))
     assert sharded == unsharded
     assert len(set(sharded)) == len(sharded)
 
@@ -168,27 +166,22 @@ def test_shard_range_and_index_roundtrip():
     assert bounds[0][0] == 0 and bounds[-1][1] == total
     for (a, b), (c, _) in zip(bounds, bounds[1:]):
         assert b == c
-    seen = [coeffs_at_index(4, 3, g) for g in range(total)]
-    assert len(set(seen)) == total
+    seen = set(map(tuple, coeffs_at_indices(4, 3, np.arange(total)).tolist()))
+    assert len(seen) == total
     with pytest.raises(IndexError):
-        coeffs_at_index(4, 3, total)
+        coeffs_at_indices(4, 3, [total])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_class_indices_invert_coeffs_at_index(gf9, k):
     total = projective_form_count(9, k)
-    coeffs = np.array([coeffs_at_index(9, k, g) for g in range(total)], dtype=np.int64)
+    coeffs = coeffs_at_indices(9, k, np.arange(total))
     assert class_indices(gf9, coeffs).tolist() == list(range(total))
     # any nonzero multiple names the same class
     scales = np.arange(total) % 8 + 1
     assert class_indices(gf9, gf9.vmul(scales[:, None], coeffs)).tolist() == list(range(total))
     with pytest.raises(ZeroDivisionError):
         class_indices(gf9, np.zeros((1, k), dtype=np.int64))
-
-
-def test_enumeration_budget(gf4):
-    with pytest.raises(BudgetExceededError):
-        list(enumerate_forms_projective(gf4, 2, 2, budget=10))
 
 
 def test_product_of_hyperplanes(gf4):
@@ -287,7 +280,7 @@ def test_scan_matches_direct_evaluation(gf4):
     )
     direct = [
         intersection_count(gf4, f, cone.points)
-        for f in enumerate_forms_projective(gf4, 2, 1)
+        for f in reference_enumerate_forms_projective(gf4, 2, 1)
     ]
     assert scanned.tolist() == direct
 
@@ -317,7 +310,6 @@ def _assert_decodes_like_the_walk(q2, k, g):
     assert rows.dtype == np.int64 and rows.shape == (len(g), k)
     want = [reference_coeffs_at_index(q2, k, int(x)) for x in g]
     assert list(map(tuple, rows.tolist())) == want
-    assert [coeffs_at_index(q2, k, int(x)) for x in g[:50]] == want[:50]
     # the vertex filter of verify.check_missing_vertex_margin: x_n^d is the last monomial
     assert np.array_equal(rows[:, -1] != 0, reference_missing_vertex_filter(q2, k, g))
 
@@ -356,15 +348,14 @@ def test_coeffs_at_indices_matches_the_segment_walk(case):
     with pytest.raises(IndexError):
         reference_coeffs_at_index(q2, k, bad)
     with pytest.raises(IndexError):
-        coeffs_at_index(q2, k, bad)
-    with pytest.raises(IndexError):
         coeffs_at_indices(q2, k, g + [bad])
 
 
 def test_form_spaces_past_int64_are_refused(gf4):
     assert projective_form_count(4, 32) < 2**63 <= projective_form_count(4, 33)
     last = projective_form_count(4, 32) - 1
-    assert coeffs_at_index(4, 32, last) == reference_coeffs_at_index(4, 32, last) == (0,) * 31 + (1,)
+    assert coeffs_at_indices(4, 32, [last])[0].tolist() == [0] * 31 + [1]
+    assert reference_coeffs_at_index(4, 32, last) == (0,) * 31 + (1,)
     with pytest.raises(BudgetExceededError, match="int64"):
         coeffs_at_indices(4, 33, [0])
     with pytest.raises(BudgetExceededError, match="int64"):
