@@ -6,21 +6,15 @@ from .field import FieldCtx, make_field
 from .projspace import (
     enumerate_hyperplanes,
     enumerate_points,
-    incidence,
     line_through,
     pi_count,
 )
 from .hermitian import (
     HermitianVariety,
     canonical_congruence,
-    classify_line,
     count_points_formula,
-    evaluate_hermitian_form,
-    hermitian_rank,
-    hyperplane_section,
     make_nondegenerate,
     make_standard_cone,
-    tangent_hyperplane,
 )
 from .forms import (
     HomogeneousForm,

@@ -11,10 +11,13 @@ A :class:`FieldCtx` is immutable after construction and safe to share
 between workers.  Scalar operations are methods (``add``, ``mul``, ``inv``,
 ``frob``, ``norm``, ``trace``, ...); the ``v``-prefixed variants operate on
 numpy arrays of codes and broadcast, which is what the enumeration loops
-use.  Every operation is a gather from tables built once per context:
+use.  Every operation is a gather from tables built once per context, or
+an XOR:
 
-- q^2 <= 256 (``DENSE_TABLE_LIMIT``): full pairwise q^2 x q^2 add and mul
-  tables, indexed as ``table[a, b]``.
+- Characteristic 2 adds by XOR of the codes, in every field size.
+- q^2 <= 256 (``DENSE_TABLE_LIMIT``): the full q^2 x q^2 product table
+  (and, for odd p, sum table) stored flat, so ``a * b`` is the one 1-D
+  gather ``flat[a * q^2 + b]`` into a single index buffer.
 - Larger fields multiply through a zero-sentinel log/antilog pair: the log
   of 0 is 2(q^2 - 1) and the antilog table holds the powers of the
   primitive element twice, then zeros, so ``a * b`` is
@@ -24,7 +27,7 @@ use.  Every operation is a gather from tables built once per context:
   of two operands cannot carry, and an unspread table maps each sum back to
   the code with digits (sum digit mod p).  The 2e digits are split evenly
   into as few groups as keep every unspread table within ``TABLE_LIMIT``
-  entries; the sum is one lookup per group.  Characteristic 2 adds by XOR.
+  entries; the sum is one lookup per group.
 - Powers read the antilog table at log(a) * k mod (q^2 - 1); the preimage
   solvers take the first code whose norm or trace table entry matches.
 
@@ -189,7 +192,8 @@ class FieldCtx:
     base_embed      -- sorted tuple of the q codes fixed by x -> x^q
 
     Private tables, all read-only and indexed by codes: ``_add_t``/``_mul_t``
-    (q2 x q2, only for q2 <= DENSE_TABLE_LIMIT, else None), ``_log0``/``_exp0``
+    (q2 x q2 flattened, entry a * q2 + b; only for q2 <= DENSE_TABLE_LIMIT,
+    and ``_add_t`` only for odd p; else None), ``_log0``/``_exp0``
     (zero-sentinel log/antilog, log0[0] = 2(q2 - 1)), ``_spread_t`` (one
     (spread, unspread) pair per digit group for odd p, each unspread table
     at most TABLE_LIMIT entries), and the unary maps ``_neg_t``, ``_inv_t``,
@@ -305,26 +309,43 @@ class FieldCtx:
         self._trace_t = self.vadd(codes, frob)
 
         if q2 <= DENSE_TABLE_LIMIT:
-            self._add_t = self.vadd(codes[:, None], codes[None, :])
-            self._mul_t = self.vmul(codes[:, None], codes[None, :])
+            if p > 2:
+                self._add_t = self.vadd(codes[:, None], codes[None, :]).ravel()
+            self._mul_t = self.vmul(codes[:, None], codes[None, :]).ravel()
 
         self.base_embed = tuple(int(c) for c in codes[frob == codes])
         self._base_set = frozenset(self.base_embed)
         tables = [self._exp0, self.exp_table, self.log_table, self._log0, self._frob_t,
                   self._inv_t, self._neg_t, self._norm_t, self._trace_t]
         tables += [t for pair in self._spread_t for t in pair]
-        if self._add_t is not None:
-            tables += [self._add_t, self._mul_t]
+        tables += [t for t in (self._add_t, self._mul_t) if t is not None]
         for t in tables:
             t.setflags(write=False)
 
     # -- vectorized operations on arrays of codes ---------------------------
 
+    def _gather(self, flat, a, b):
+        # Codes lie in [0, q2), so a * q2 + b indexes the flat table exactly;
+        # each output element is written after its own index is read.  b is
+        # added in place when it fits, so no call holds two full-size index
+        # arrays at once.
+        idx = np.multiply(a, self.q2, dtype=np.int64)
+        if idx.ndim and getattr(b, "shape", None) in (idx.shape, ()):
+            idx += b
+        else:
+            idx = idx + b
+        if idx.ndim == 0:
+            return flat[idx]
+        return flat.take(idx, out=idx, mode="wrap")
+
     def vadd(self, a, b):
-        if self._add_t is not None:
-            return self._add_t[a, b]
+        """Elementwise a + b over broadcast arrays (or scalars, lists) of
+        codes, as int64.  Every code must lie in [0, q2): the dense route
+        reads one flat table at a * q2 + b and does not range-check."""
         if self.p == 2:
-            return np.bitwise_xor(a, b)
+            return np.bitwise_xor(a, b, dtype=np.int64)
+        if self._add_t is not None:
+            return self._gather(self._add_t, a, b)
         (spread, unspread), *rest = self._spread_t
         out = unspread[spread[a] + spread[b]]
         for spread, unspread in rest:
@@ -338,8 +359,11 @@ class FieldCtx:
         return self._neg_t[a]
 
     def vmul(self, a, b):
+        """Elementwise a * b over broadcast arrays (or scalars, lists) of
+        codes, as int64.  Every code must lie in [0, q2): the dense route
+        reads one flat table at a * q2 + b and does not range-check."""
         if self._mul_t is not None:
-            return self._mul_t[a, b]
+            return self._gather(self._mul_t, a, b)
         return self._exp0[self._log0[a] + self._log0[b]]
 
     def vinv(self, a):

@@ -206,15 +206,19 @@ SCAN_CHUNK_ELEMS = 1 << 20
 def _combination_table(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
     """(q2^L, m) table of every linear combination of the L given rows.  Row
     j holds sum_i c_i * rows[i], where c_0 ... c_{L-1} are the base-q2
-    digits of j, most significant first: the enumeration-index order."""
-    m = rows.shape[1]
+    digits of j, most significant first: the enumeration-index order.
+
+    The table is filled in place, last row first: once the combinations of
+    the rows after row i fill the first ``size`` entries, block c holds them
+    plus c * rows[i], so each int64 temporary is one block."""
     q2 = ctx.q2
-    codes = np.arange(q2, dtype=np.int64)[:, None]
-    table = np.zeros((1, m), dtype=np.int64)
-    for row in rows:
-        multiples = ctx.vmul(codes, row[None, :])
-        table = ctx.vadd(table[:, None, :], multiples[None, :, :]).reshape(len(table) * q2, m)
-    return table.astype(code_dtype(q2))
+    table = np.zeros((q2 ** len(rows), rows.shape[1]), dtype=code_dtype(q2))
+    size = 1
+    for row in rows[::-1]:
+        for c in range(1, q2):
+            table[c * size : (c + 1) * size] = ctx.vadd(table[:size], ctx.vmul(c, row))
+        size *= q2
+    return table
 
 
 def _negated_prefixes(

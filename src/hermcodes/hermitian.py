@@ -2,12 +2,11 @@
 
 A Hermitian matrix is a nonzero (n+1) x (n+1) matrix H of element codes
 with h_ij = h_ji^q (so the diagonal lies in GF(q)); its variety is the
-zero set of x^T H x^(q).  The module provides form evaluation, rank,
+zero set of x^T H x^(q).  The module provides form evaluation,
 congruence reduction to diag(1,...,1,0,...,0), the standard rank-n cone
-and nondegenerate varieties, closed-form point counts, line
-classification, polar tangent hyperplanes, and hyperplane sections with
-their rank-based classification.  The scalar helpers (one point, one line,
-one hyperplane) wrap the vectorized routes over stacks.
+and nondegenerate varieties, closed-form point counts, polar tangent
+hyperplanes, and hyperplane sections with their rank-based
+classification.  Every route takes a stack of points or hyperplanes.
 
 Sections are computed for a whole stack of hyperplanes at once.  The rank
 of each section is the rank of the Gram matrix B^T H B^(q) of the form in
@@ -20,7 +19,6 @@ independently checkable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -33,7 +31,6 @@ from .projspace import (
     enumerate_points,
     hyperplane_point_counts,
     incidence_matrix,
-    line_through,
     normalize_rows,
     normalize_vector,
 )
@@ -41,21 +38,14 @@ from .projspace import (
 __all__ = [
     "is_hermitian",
     "validate_hermitian",
-    "evaluate_hermitian_form",
     "hermitian_form_values",
-    "hermitian_rank",
     "congruence_transform",
     "canonical_congruence",
     "HermitianVariety",
     "make_standard_cone",
     "make_nondegenerate",
     "count_points_formula",
-    "LineClass",
-    "classify_line",
-    "tangent_hyperplane",
     "tangent_hyperplanes",
-    "SectionInfo",
-    "hyperplane_section",
     "hyperplane_sections",
 ]
 
@@ -76,15 +66,6 @@ def validate_hermitian(ctx: FieldCtx, matrix) -> np.ndarray:
     return h
 
 
-def evaluate_hermitian_form(ctx: FieldCtx, matrix, x) -> int:
-    """x^T H x^(q); lies in GF(q), zero iff x is on the variety."""
-    h = np.asarray(matrix, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64)
-    if x.shape != h.shape[:1]:
-        raise ValueError("dimension mismatch between matrix and point")
-    return int(hermitian_form_values(ctx, h, x[None, :])[0])
-
-
 def hermitian_form_values(ctx: FieldCtx, matrix, points: np.ndarray) -> np.ndarray:
     """Vectorized x^T H x^(q) over an (N, n+1) point array."""
     h = np.asarray(matrix, dtype=np.int64)
@@ -97,10 +78,6 @@ def hermitian_form_values(ctx: FieldCtx, matrix, points: np.ndarray) -> np.ndarr
                 row = ctx.vadd(row, ctx.vmul(int(h[i, j]), y[:, j]))
         acc = ctx.vadd(acc, ctx.vmul(points[:, i], row))
     return acc
-
-
-def hermitian_rank(ctx: FieldCtx, matrix) -> int:
-    return matrix_rank(ctx, validate_hermitian(ctx, matrix))
 
 
 def congruence_transform(ctx: FieldCtx, matrix, s) -> np.ndarray:
@@ -172,15 +149,6 @@ def canonical_congruence(ctx: FieldCtx, matrix) -> tuple[np.ndarray, int]:
     return s, t
 
 
-@dataclass(frozen=True)
-class LineClass:
-    """Line-versus-variety classification: the raw intersection size and
-    its tag (tangent = 1, secant = q+1, contained = q^2+1, else unknown)."""
-
-    kind: str
-    count: int
-
-
 class HermitianVariety:
     """A Hermitian variety with its matrix, rank, and (for rank n) vertex.
 
@@ -217,9 +185,6 @@ class HermitianVariety:
         pts = space[values == 0]
         pts.setflags(write=False)
         return pts
-
-    def contains(self, x) -> bool:
-        return evaluate_hermitian_form(self.ctx, self.matrix, x) == 0
 
     def descriptor(self) -> dict:
         return {
@@ -268,17 +233,6 @@ def count_points_formula(n: int, rank_case: str, q: int) -> int:
     raise ValueError(f"unknown rank_case {rank_case!r}")
 
 
-def classify_line(ctx: FieldCtx, variety: HermitianVariety, a, b) -> LineClass:
-    """Count |line(a,b) intersect variety| and tag it.  For nondegenerate
-    varieties only tangent/secant/contained occur; arbitrary varieties may
-    yield other counts, reported with kind 'unknown'."""
-    pts = line_through(ctx, a, b)
-    count = int((hermitian_form_values(ctx, variety.matrix, pts) == 0).sum())
-    q = ctx.q
-    kinds = {1: "tangent", q + 1: "secant", q * q + 1: "contained"}
-    return LineClass(kind=kinds.get(count, "unknown"), count=count)
-
-
 def tangent_hyperplanes(ctx: FieldCtx, variety: HermitianVariety, points) -> np.ndarray:
     """Polar hyperplanes at a stack of smooth rational points: the dual
     vectors H * a^(q), normalized, one row per point.  Raises for points off
@@ -292,24 +246,6 @@ def tangent_hyperplanes(ctx: FieldCtx, variety: HermitianVariety, points) -> np.
     if not duals.any(axis=1).all():
         raise ValueError("point is singular (the cone vertex has no tangent hyperplane)")
     return normalize_rows(ctx, duals)
-
-
-def tangent_hyperplane(ctx: FieldCtx, variety: HermitianVariety, a) -> tuple[int, ...]:
-    """The polar hyperplane at one smooth rational point a (see
-    :func:`tangent_hyperplanes`)."""
-    return tuple(tangent_hyperplanes(ctx, variety, [a])[0].tolist())
-
-
-@dataclass(frozen=True)
-class SectionInfo:
-    """A hyperplane section of a Hermitian variety: the rank of the
-    restricted form, the section's rational point count, and the section
-    type (tangent / non_tangent for nondegenerate varieties,
-    vertex_avoiding / vertex_incident for rank-n cones)."""
-
-    rank: int
-    point_count: int
-    kind: str
 
 
 def _section_gram_matrices(ctx: FieldCtx, matrix: np.ndarray, duals: np.ndarray) -> np.ndarray:
@@ -355,9 +291,3 @@ def hyperplane_sections(
         kinds = np.where(on_vertex, "vertex_incident", "vertex_avoiding")
     return ranks, counts, kinds
 
-
-def hyperplane_section(ctx: FieldCtx, variety: HermitianVariety, dual) -> SectionInfo:
-    """The section of the variety by one hyperplane (see
-    :func:`hyperplane_sections`)."""
-    ranks, counts, kinds = hyperplane_sections(ctx, variety, [dual])
-    return SectionInfo(rank=int(ranks[0]), point_count=int(counts[0]), kind=str(kinds[0]))

@@ -34,7 +34,6 @@ __all__ = [
     "enumerate_points",
     "enumerate_hyperplanes",
     "point_keys",
-    "incidence",
     "incidence_matrix",
     "hyperplane_point_counts",
     "line_through",
@@ -145,11 +144,6 @@ def point_keys(ctx: FieldCtx, rows) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.int64)
     weights = ctx.q2 ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
     return (rows * weights).sum(axis=-1)
-
-
-def incidence(ctx: FieldCtx, point, hyperplane) -> bool:
-    """True iff the point lies on the hyperplane (sum u_i x_i = 0)."""
-    return bool(incidence_matrix(ctx, [point], [hyperplane])[0, 0])
 
 
 def incidence_matrix(ctx: FieldCtx, points, duals) -> np.ndarray:

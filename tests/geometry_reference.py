@@ -10,10 +10,11 @@ compare every (name, passed, detail).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from hermcodes.hermitian import (
-    SectionInfo,
     count_points_formula,
     hermitian_form_values,
     make_nondegenerate,
@@ -27,6 +28,19 @@ from hermcodes.projspace import (
     pi_count,
 )
 from hermcodes.verify import CheckResult
+
+
+@dataclass(frozen=True)
+class SectionInfo:
+    """A hyperplane section of a Hermitian variety: the rank of the
+    restricted form, the section's rational point count, and the section
+    type (tangent / non_tangent for nondegenerate varieties,
+    vertex_avoiding / vertex_incident for rank-n cones)."""
+
+    rank: int
+    point_count: int
+    kind: str
+
 
 # ---------------------------------------------------------------------------
 # Scalar helpers

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from hermcodes.field import code_dtype
 from hermcodes.forms import (
     HomogeneousForm,
     monomial_basis,
@@ -106,3 +107,16 @@ def reference_missing_vertex_filter(q2: int, k: int, g) -> np.ndarray:
     seg_lo = np.array([lo for _, lo, _ in segments(q2, k)])
     t = np.searchsorted(seg_lo, g, side="right") - 1
     return (t == k - 1) | ((g - seg_lo[t]) % q2 != 0)
+
+
+def reference_combination_table(ctx, rows) -> np.ndarray:
+    """The former combination-table build: an int64 (len, q2, m) sum per
+    row, grown from the first row to the last, then cast to the code dtype."""
+    m = rows.shape[1]
+    q2 = ctx.q2
+    codes = np.arange(q2, dtype=np.int64)[:, None]
+    table = np.zeros((1, m), dtype=np.int64)
+    for row in rows:
+        multiples = ctx.vmul(codes, row[None, :])
+        table = ctx.vadd(table[:, None, :], multiples[None, :, :]).reshape(len(table) * q2, m)
+    return table.astype(code_dtype(q2))

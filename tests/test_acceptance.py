@@ -7,6 +7,7 @@ per-criterion lines.
 
 import json
 import time
+from collections import Counter
 from math import comb
 
 import pytest
@@ -20,7 +21,6 @@ from hermcodes import (
     conjectured_max_intersection,
     construct_extremal_form,
     count_points_formula,
-    hyperplane_section,
     is_cone_with_vertex,
     make_field,
     make_nondegenerate,
@@ -36,8 +36,8 @@ from hermcodes import (
 from hermcodes.cli import main as cli_main
 from hermcodes.codes import WITNESS_UPPER_BOUND_ONLY
 from hermcodes.forms import HomogeneousForm, intersection_count
-from hermcodes.hermitian import hermitian_form_values
-from hermcodes.projspace import enumerate_hyperplanes, enumerate_points, incidence
+from hermcodes.hermitian import hermitian_form_values, hyperplane_sections
+from hermcodes.projspace import enumerate_hyperplanes, enumerate_points, incidence_matrix
 from hermcodes.verify import iter_all_lines
 
 
@@ -96,34 +96,27 @@ def test_criterion_2_section_dichotomies(gf4):
         variety = make_nondegenerate(gf4, n)
         tangent_count = 1 + 4 * count_points_formula(n - 2, "nondegenerate", q)
         nontangent_count = count_points_formula(n - 1, "nondegenerate", q)
-        n_tangent = 0
-        for dual in enumerate_hyperplanes(gf4, n):
-            sec = hyperplane_section(gf4, variety, dual)
-            if sec.rank == n - 1:
-                n_tangent += 1
-                ok &= sec.kind == "tangent" and sec.point_count == tangent_count
-            else:
-                ok &= sec.rank == n and sec.point_count == nontangent_count
-        ok &= n_tangent == len(variety.points)
+        ranks, counts, kinds = hyperplane_sections(gf4, variety, enumerate_hyperplanes(gf4, n))
+        tangent = ranks == n - 1
+        ok &= bool((kinds[tangent] == "tangent").all() and (counts[tangent] == tangent_count).all())
+        ok &= bool((ranks[~tangent] == n).all() and (counts[~tangent] == nontangent_count).all())
+        ok &= int(tangent.sum()) == len(variety.points)
     # vertex-avoiding cone sections recover the base variety count
     for n in (2, 3, 4):
         cone = make_standard_cone(gf4, n)
         base = count_points_formula(n - 1, "nondegenerate", q)
-        checked = 0
-        for dual in enumerate_hyperplanes(gf4, n):
-            if not incidence(gf4, cone.vertex, dual):
-                sec = hyperplane_section(gf4, cone, dual)
-                ok &= sec.point_count == base and sec.kind == "vertex_avoiding"
-                checked += 1
-        ok &= checked == 4**n
+        hyps = enumerate_hyperplanes(gf4, n)
+        avoiding = hyps[~incidence_matrix(gf4, [cone.vertex], hyps)[0]]
+        _, counts, kinds = hyperplane_sections(gf4, cone, avoiding)
+        ok &= bool((counts == base).all() and (kinds == "vertex_avoiding").all())
+        ok &= len(avoiding) == 4**n
     # through-vertex sections of the rank-4 cone: cone over a Hermitian
     # curve or over q+1 concurrent lines (counts enumerated exactly)
     cone4 = make_standard_cone(gf4, 4)
-    tally = {}
-    for dual in enumerate_hyperplanes(gf4, 4):
-        if incidence(gf4, cone4.vertex, dual):
-            sec = hyperplane_section(gf4, cone4, dual)
-            tally[sec.point_count] = tally.get(sec.point_count, 0) + 1
+    hyps = enumerate_hyperplanes(gf4, 4)
+    incident = hyps[incidence_matrix(gf4, [cone4.vertex], hyps)[0]]
+    _, counts, _ = hyperplane_sections(gf4, cone4, incident)
+    tally = dict(Counter(counts.tolist()))
     curve_cone = 1 + q * q * (q**3 + 1)  # 37
     lines_cone = 1 + q * q * (q * q * (q + 1) + 1)  # 53: q+1 concurrent lines
     ok &= tally == {curve_cone: 40, lines_cone: 45}

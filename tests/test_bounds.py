@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from geometry_reference import reference_evaluate_hermitian_form, reference_tangent_hyperplane
 from hermcodes import (
     BoundValue,
     BudgetExceededError,
@@ -53,7 +54,7 @@ from hermcodes.bounds import (
     oracle_target,
 )
 from hermcodes.forms import form_values
-from hermcodes.hermitian import classify_line, count_points_formula, tangent_hyperplane
+from hermcodes.hermitian import count_points_formula
 from hermcodes.limits import POINT_BUDGET
 from hermcodes.projspace import (
     enumerate_hyperplanes,
@@ -178,9 +179,14 @@ def test_concurrent_secants_attain_bezout():
 
 
 def reference_concurrent_secant_duals(ctx, base, d):
-    """The builder's former exterior-point search, one ``contains`` per point."""
+    """The builder's former exterior-point search, one scalar form
+    evaluation per point."""
     space = enumerate_points(ctx, base.n)
-    exterior = next(tuple(int(c) for c in p) for p in space if not base.contains(p))
+    exterior = next(
+        tuple(int(c) for c in p)
+        for p in space
+        if reference_evaluate_hermitian_form(ctx, base.matrix, p) != 0
+    )
     hyps = enumerate_hyperplanes(ctx, base.n)
     through = hyps[incidence_matrix(ctx, [exterior], hyps)[0]]
     secants = through[incidence_matrix(ctx, base.points, through).sum(axis=0) == ctx.q + 1]
@@ -188,16 +194,20 @@ def reference_concurrent_secant_duals(ctx, base, d):
 
 
 def reference_tangent_plane_duals(ctx, base, d):
-    """The builder's former chord walk: ``classify_line``, then the chord's
-    points one ``contains`` and one ``tangent_hyperplane`` at a time."""
+    """The builder's former chord walk: the first secant (q + 1 points on
+    the variety), found one scalar form evaluation per chord point, then one
+    polar hyperplane per point at a time."""
     pts = base.points
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if classify_line(ctx, base, pts[i], pts[j]).kind != "secant":
-                continue
             chord = line_through(ctx, pts[i], pts[j])
-            on_variety = [tuple(int(c) for c in x) for x in chord if base.contains(x)]
-            return [tangent_hyperplane(ctx, base, x) for x in on_variety[:d]]
+            on_variety = [
+                tuple(int(c) for c in x)
+                for x in chord
+                if reference_evaluate_hermitian_form(ctx, base.matrix, x) == 0
+            ]
+            if len(on_variety) == ctx.q + 1:
+                return [reference_tangent_hyperplane(ctx, base, x) for x in on_variety[:d]]
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
@@ -648,8 +658,9 @@ def test_stacked_checkers_take_empty_stacks_and_one_basis(gf4):
 
 
 def test_characterize_maximizers_checks_the_whole_stack_at_once(monkeypatch):
-    # oracle --p 3 --n 4 --d 1: 280 maximizers, one call of each checker and
-    # no per-form evaluation
+    # oracle --p 3 --n 4 --d 1: 280 maximizers, one evaluation of the whole
+    # stack over P^n (the cone's walk reads its columns), no second pass over
+    # the cone and no per-form evaluation
     ctx = make_field(3, 1)
     cone = oracle_target(ctx, "cone", 4)
     result = bruteforce_max_intersection(ctx, cone, 4, 1)
@@ -667,10 +678,10 @@ def test_characterize_maximizers_checks_the_whole_stack_at_once(monkeypatch):
     for module in [m for key, m in sys.modules.items() if key.startswith("hermcodes.")]:
         if getattr(module, "form_values", None) is evaluate:
             monkeypatch.setattr(module, "form_values", counted("form_values", evaluate))
-    for name in ("check_union_of_cone_lines", "is_cone_with_vertex"):
+    for name in ("monomial_values", "check_union_of_cone_lines", "is_cone_with_vertex"):
         monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
     found = characterize_maximizers(ctx, cone, result)
-    assert calls == {"check_union_of_cone_lines": 1, "is_cone_with_vertex": 1}
+    assert calls == {"monomial_values": 1}
     assert found == {
         "union_of_generator_lines": True,
         "generator_lines": [sorensen_max(1, 3)],

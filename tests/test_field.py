@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermcodes import BudgetExceededError, make_field
-from hermcodes.field import is_prime
+from hermcodes.field import code_dtype, is_prime
 from hermcodes.limits import DENSE_TABLE_LIMIT
 from hermcodes.verify import check_field_axioms, check_norm_trace_maps
 from loop_reference import (
@@ -235,6 +235,70 @@ def test_gather_arithmetic_full_gf289_grid():
     assert ctx.log_table[0] == -1 and not ctx.exp_table.flags.writeable
 
 
+# -- the dense flat-gather and XOR kernels against the oracle ------------------
+# Every dense field from GF(4) to GF(256), plus GF(289) on the sparse path.
+KERNEL_FIELDS = [
+    (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4), (17, 1)
+]
+KERNEL_SHAPES = {
+    "scalar": ((), ()),
+    "scalar-array": ((), (5,)),
+    "1-D": ((7,), (7,)),
+    "outer": ((6, 1), (1, 4)),
+    "stacked": ((3, 4, 5), (4, 5)),
+}
+
+
+def as_kind(x, kind, q2):
+    """Codes ``x`` (an int64 array, 0-d for a scalar) as the given input kind."""
+    if kind == "list":
+        return x.tolist()
+    dtype = {"int64": np.int64, "code": code_dtype(q2), "uint16": np.uint16}[kind]
+    return dtype(x) if x.ndim == 0 else x.astype(dtype)
+
+
+@st.composite
+def kernel_operands(draw):
+    ctx = cached_field(*draw(st.sampled_from(KERNEL_FIELDS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    operands = []
+    for shape in KERNEL_SHAPES[draw(st.sampled_from(sorted(KERNEL_SHAPES)))]:
+        x = rng.integers(0, ctx.q2, size=shape)
+        edge = rng.random(shape) < 0.3  # plant 0, 1 and the largest code
+        x[edge] = rng.choice([0, 1, ctx.q2 - 1], size=int(edge.sum()))
+        operands.append(np.asarray(x, dtype=np.int64))
+    kinds = draw(st.tuples(*[st.sampled_from(["int64", "code", "uint16", "list"])] * 2))
+    return ctx, *operands, kinds
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_operands())
+def test_vadd_vmul_match_polynomial_oracle_for_every_input_kind(case):
+    ctx, a, b, (kind_a, kind_b) = case
+    p, width, modulus = ctx.p, 2 * ctx.e, list(ctx.modulus)
+    want_add = oracle_grid(lambda x, y: oracle_add(x, y, p, width), a, b)
+    want_mul = oracle_grid(lambda x, y: oracle_mul(x, y, modulus, p), a, b)
+    x, y = as_kind(a, kind_a, ctx.q2), as_kind(b, kind_b, ctx.q2)
+    for got, want in ((ctx.vadd(x, y), want_add), (ctx.vmul(x, y), want_mul)):
+        if want.ndim == 0:
+            assert type(got) is np.int64 and got == want
+        else:
+            assert type(got) is np.ndarray and got.dtype == np.int64
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p,e", [(p, e) for p, e in KERNEL_FIELDS if p ** (2 * e) <= 256])
+def test_dense_kernels_on_the_full_grid(p, e):
+    """Every pair, up to flat index q2^2 - 1 (65,535 in GF(256)), against the
+    digit-loop add and the log/exp multiply with a zero test."""
+    ctx = cached_field(p, e)
+    assert ctx._mul_t is not None and (ctx._add_t is None) == (p == 2)
+    a = np.arange(ctx.q2, dtype=np.int64)[:, None]
+    b = np.arange(ctx.q2, dtype=np.int64)[None, :]
+    assert np.array_equal(ctx.vadd(a, b), reference_add(ctx, a, b))
+    assert np.array_equal(ctx.vmul(a, b), reference_mul(ctx, a, b))
+
+
 # -- check_norm_trace_maps against its former scalar loop ---------------------
 
 
@@ -343,13 +407,23 @@ def with_corrupted_law(ctx, op):
     inverse and negation checks do not touch it and the operation stays
     commutative: only the three-variable laws can catch it."""
     bad = copy.copy(ctx)
-    if ctx._mul_t is not None:
-        x = 2
-        avoid = {0, 1, x, ctx.inv(x) if op == "mul" else ctx.neg(x)}
-        y = next(y for y in range(ctx.q2) if y not in avoid)
-        table = (ctx._mul_t if op == "mul" else ctx._add_t).copy()
-        table[x, y] = table[y, x] = ctx.add(table[x, y], 1)
-        setattr(bad, "_mul_t" if op == "mul" else "_add_t", table)
+    x = 2
+    avoid = {0, 1, x, ctx.inv(x) if op == "mul" else ctx.neg(x)}
+    y = next(y for y in range(ctx.q2) if y not in avoid)
+    if op == "add" and ctx.p == 2:
+        # XOR reads no table: wrap vadd so that it adds 1 (flips bit 0) to x + y.
+        def vadd(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            pair = ((a == x) & (b == y)) | ((a == y) & (b == x))
+            return ctx.vadd(a, b) ^ pair
+
+        bad.vadd = vadd
+    elif ctx._mul_t is not None:
+        name = "_mul_t" if op == "mul" else "_add_t"
+        table = getattr(ctx, name).copy()  # flat: entry a * q2 + b
+        xy, yx = x * ctx.q2 + y, y * ctx.q2 + x
+        table[xy] = table[yx] = ctx.add(int(table[xy]), 1)
+        setattr(bad, name, table)
     elif op == "mul":
         # Every product whose logs sum to order + 5: not an inverse pair (sum
         # order) nor a product with 1 (sum below order).

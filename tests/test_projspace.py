@@ -22,7 +22,6 @@ from hermcodes.projspace import (
     enumerate_points,
     export_points_csv,
     hyperplane_point_counts,
-    incidence,
     incidence_matrix,
     line_through,
     normalize_vector,
@@ -150,10 +149,10 @@ def test_normalize_vector(gf4):
 
 
 def test_incidence_basics(gf4):
-    assert incidence(gf4, (0, 0, 1), (1, 0, 0))  # [0:0:1] on x0 = 0
-    assert not incidence(gf4, (1, 0, 0), (1, 0, 0))
+    # [0:0:1] lies on x0 = 0, [1:0:0] does not
+    assert incidence_matrix(gf4, [(0, 0, 1), (1, 0, 0)], [(1, 0, 0)]).tolist() == [[True], [False]]
     with pytest.raises(ValueError):
-        incidence(gf4, (1, 0), (1, 0, 0))
+        incidence_matrix(gf4, [(1, 0)], [(1, 0, 0)])
 
 
 def test_incidence_counts_plane(gf4):
@@ -172,7 +171,7 @@ def test_incidence_counts_plane(gf4):
 def test_hyperplanes_missing_a_point(p, n):
     ctx = make_field(p, 1)
     fixed = enumerate_points(ctx, n)[0]
-    missing = sum(1 for h in enumerate_hyperplanes(ctx, n) if not incidence(ctx, fixed, h))
+    missing = int((~incidence_matrix(ctx, [fixed], enumerate_hyperplanes(ctx, n))).sum())
     assert missing == ctx.q2**n
 
 
@@ -181,11 +180,11 @@ def test_two_point_hyperplane_count(gf4):
     # pair splits the pi_3 hyperplanes through one of them as q^6 + pi_2
     pts = enumerate_points(gf4, 4)
     a, b = pts[0], pts[100]
-    through_a = [h for h in enumerate_hyperplanes(gf4, 4) if incidence(gf4, a, h)]
-    both = sum(1 for h in through_a if incidence(gf4, b, h))
-    assert len(through_a) == pi_count(3, 4)
+    on_a, on_b = incidence_matrix(gf4, [a, b], enumerate_hyperplanes(gf4, 4))
+    through_a, both = int(on_a.sum()), int((on_a & on_b).sum())
+    assert through_a == pi_count(3, 4)
     assert both == pi_count(2, 4)
-    assert len(through_a) - both == 4**3
+    assert through_a - both == 4**3
 
 
 def test_line_through(gf4, gf9):
@@ -196,9 +195,9 @@ def test_line_through(gf4, gf9):
     with pytest.raises(ValueError):
         line_through(gf4, pts[0], pts[0])
     # collinearity: the line lies on every hyperplane through both points
-    for h in enumerate_hyperplanes(gf4, 2):
-        if incidence(gf4, pts[0], h) and incidence(gf4, pts[1], h):
-            assert incidence_matrix(gf4, line, [h])[:, 0].all()
+    hyps = enumerate_hyperplanes(gf4, 2)
+    through = hyps[incidence_matrix(gf4, pts[:2], hyps).all(axis=0)]
+    assert len(through) == 1 and incidence_matrix(gf4, line, through).all()
     pts9 = enumerate_points(gf9, 2)
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -307,7 +306,6 @@ def test_incidence_matrix_matches_scalar_loop(case, seed):
     assert on.shape == (len(points), len(duals)) and on.dtype == bool
     want = [[reference_incidence(ctx, x, u) for u in duals] for x in points]
     assert on.tolist() == want
-    assert [incidence(ctx, points[0], u) for u in duals] == want[0]
     assert np.array_equal(on[:, 0], reference_incidence_values(ctx, points, duals[0]) == 0)
 
 
@@ -350,8 +348,6 @@ def test_incidence_matrix_chunks_and_shapes(gf4, monkeypatch):
     assert incidence_matrix(gf4, pts, pts[:0]).shape == (len(pts), 0)
     with pytest.raises(ValueError):
         incidence_matrix(gf4, pts, enumerate_points(gf4, 2))
-    with pytest.raises(ValueError):
-        incidence(gf4, (1, 0), (1, 0, 0))
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,13 +16,16 @@ from hypothesis import strategies as st
 
 from hermcodes import make_field, make_standard_cone, monomial_basis
 from hermcodes.bounds import zero_count_summary
+from hermcodes.field import code_dtype
 from hermcodes.forms import (
     SCAN_TABLE_ELEMS,
+    _combination_table,
     monomial_values,
     projective_form_count,
     scan_zero_counts,
     segments,
 )
+from loop_reference import reference_combination_table
 
 
 def reference_scan_zero_counts(ctx, values, lo, hi, block=1 << 15):
@@ -95,6 +98,25 @@ def scan_cases(draw):
 @given(scan_cases())
 def test_scan_matches_reference(case):
     _assert_same(*case)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(FIELDS)),
+    st.integers(0, 3),
+    st.integers(0, 7),
+    st.integers(0, 2**32 - 1),
+)
+def test_combination_table_matches_former_int64_build(field, n_rows, m, seed):
+    ctx = FIELDS[field]
+    n_rows = min(n_rows, {4: 3, 9: 3, 16: 3, 289: 1}[ctx.q2])
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, ctx.q2, size=(n_rows, m))
+    rows[rng.random(rows.shape) < 0.3] = 0
+    got = _combination_table(ctx, rows)
+    want = reference_combination_table(ctx, rows)
+    assert got.dtype == want.dtype == code_dtype(ctx.q2)
+    assert got.shape == want.shape == (ctx.q2**n_rows, m) and np.array_equal(got, want)
 
 
 def reference_summary(ctx, values, lo, hi, cap):
