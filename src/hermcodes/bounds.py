@@ -532,10 +532,10 @@ def _cone_line_cover(ctx: FieldCtx, zero_points: np.ndarray, vertex) -> tuple[bo
     return bool(ok[0]), int(lines[0])
 
 
-def _form_stack(forms) -> tuple[bool, MonomialBasis | None, np.ndarray | None]:
+def _form_stack(ctx: FieldCtx, forms) -> tuple[bool, MonomialBasis | None, np.ndarray | None]:
     """(single, basis, (N, k) coefficients) of one form or of a sequence of
     forms over one basis; basis and coefficients are None for an empty
-    sequence."""
+    sequence.  Every coefficient must be a code of ``ctx``."""
     single = isinstance(forms, HomogeneousForm)
     forms = [forms] if single else list(forms)
     if not forms:
@@ -543,38 +543,23 @@ def _form_stack(forms) -> tuple[bool, MonomialBasis | None, np.ndarray | None]:
     basis = forms[0].basis
     if any(f.basis != basis for f in forms):
         raise ValueError("a stack of forms must share one monomial basis")
-    return single, basis, np.array([f.coeffs for f in forms], dtype=np.int64)
+    coeffs = np.array([f.coeffs for f in forms], dtype=np.int64)
+    ctx.check_codes(coeffs, "form coefficient")
+    return single, basis, coeffs
 
 
-def _stack_line_covers(ctx: FieldCtx, basis, coeffs, points, vertex, *subsets):
-    """One (ok, lines, zero counts) triple of the greedy line walk through
-    ``vertex`` for every form of the stack per point set: ``points``, then
-    each of ``subsets`` (point sets inside ``points``).  One canonical sort,
-    one line labelling and one ``monomial_values`` over ``points`` serve
-    them all, evaluated in :func:`zero_mask_blocks`; a subset's walk reads
-    its columns of the same zero masks.  The lines it misses hold none of
-    its zeros, so they neither start nor break its walk."""
+def _stack_line_cover(ctx: FieldCtx, basis, coeffs, points, vertex):
+    """(ok, lines, zero counts) of the greedy line walk through ``vertex``
+    for every form of the stack, on the point set ``points``: one canonical
+    sort, one line labelling and one ``monomial_values`` for the whole
+    stack, evaluated in :func:`zero_mask_blocks`."""
     points, line_ids, n_lines, vertex_pos = _cone_lines(ctx, points, vertex)
-    keys = point_keys(ctx, points)
-    walks = [(slice(None), line_ids, vertex_pos)]
-    for subset in subsets:
-        cols = np.sort(np.searchsorted(keys, point_keys(ctx, subset)))
-        at = np.flatnonzero(cols == vertex_pos)
-        walks.append((cols, line_ids[cols], int(at[0]) if at.size else -1))
     values = monomial_values(ctx, basis, points)
-    empty = (np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    parts = [[empty] for _ in walks]
-    for _, zeros in zero_mask_blocks(ctx, coeffs, values):
-        for part, (cols, ids, pos) in zip(parts, walks):
-            mask = zeros[:, cols]
-            part.append((*_line_cover_rows(ctx, mask, ids, n_lines, pos), mask.sum(axis=1)))
-    return [tuple(np.concatenate(piece) for piece in zip(*part)) for part in parts]
-
-
-def _cone_line_results(cover) -> list[tuple[bool, int]]:
-    ok, lines, zero_counts = cover
-    # a lone zero is no line, whether or not it is the vertex (lines is 0 then)
-    return [(bool(o), int(c)) for o, c in zip(ok & (zero_counts != 1), lines)]
+    blocks = [
+        (*_line_cover_rows(ctx, zeros, line_ids, n_lines, vertex_pos), zeros.sum(axis=1))
+        for _, zeros in zero_mask_blocks(ctx, coeffs, values)
+    ]
+    return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
 def check_union_of_cone_lines(ctx: FieldCtx, variety: HermitianVariety, forms):
@@ -593,11 +578,12 @@ def check_union_of_cone_lines(ctx: FieldCtx, variety: HermitianVariety, forms):
     evaluation pass over the cone."""
     if not variety.is_rank_n_cone:
         raise ValueError("checker requires a rank-n cone")
-    single, basis, coeffs = _form_stack(forms)
+    single, basis, coeffs = _form_stack(ctx, forms)
     if basis is None:
         return []
-    (cover,) = _stack_line_covers(ctx, basis, coeffs, variety.points, variety.vertex)
-    results = _cone_line_results(cover)
+    ok, lines, zero_counts = _stack_line_cover(ctx, basis, coeffs, variety.points, variety.vertex)
+    # a lone zero is no line, whether or not it is the vertex (lines is 0 then)
+    results = [(bool(o), int(c)) for o, c in zip(ok & (zero_counts != 1), lines)]
     return results[0] if single else results
 
 
@@ -609,11 +595,11 @@ def is_cone_with_vertex(ctx: FieldCtx, forms, vertex):
     ``forms`` is one HomogeneousForm, which gives one bool, or a sequence
     of forms over one basis, which gives a list with one bool per form, in
     order; the whole stack shares one evaluation pass over P^n."""
-    single, basis, coeffs = _form_stack(forms)
+    single, basis, coeffs = _form_stack(ctx, forms)
     if basis is None:
         return []
-    ((ok, _, _),) = _stack_line_covers(ctx, basis, coeffs, enumerate_points(ctx, basis.n), vertex)
-    results = [bool(o) for o in ok]
+    space = enumerate_points(ctx, basis.n)
+    results = [bool(o) for o in _stack_line_cover(ctx, basis, coeffs, space, vertex)[0]]
     return results[0] if single else results
 
 
@@ -622,18 +608,15 @@ def characterize_maximizers(ctx: FieldCtx, cone, result: OracleResult) -> dict |
     maximizer meets the cone in a union of generator lines, the sorted line counts, and
     whether each maximizer's zero set in P^n is a cone with the same vertex.
 
-    The answers are those of :func:`check_union_of_cone_lines` and
-    :func:`is_cone_with_vertex` on the whole list, but the list is evaluated
-    once, over P^n, and the cone's walk reads the cone's columns."""
+    The listed maximizers go to each checker as one stack, so the whole
+    list costs one call of each, not one per maximizer."""
     if not isinstance(cone, HermitianVariety) or not cone.is_rank_n_cone:
         return None
     basis = monomial_basis(result.n, result.d)
-    coeffs = np.array(result.maximizers, dtype=np.int64).reshape(-1, len(basis))
-    space = enumerate_points(ctx, result.n)
-    in_space, on_cone = _stack_line_covers(ctx, basis, coeffs, space, cone.vertex, cone.points)
-    covers = _cone_line_results(on_cone)
+    forms = [HomogeneousForm(basis=basis, coeffs=coeffs) for coeffs in result.maximizers]
+    covers = check_union_of_cone_lines(ctx, cone, forms)
     return {
         "union_of_generator_lines": all(ok for ok, _ in covers),
         "generator_lines": sorted({lines for _, lines in covers}),
-        "cone_with_vertex": bool(in_space[0].all()),
+        "cone_with_vertex": all(is_cone_with_vertex(ctx, forms, cone.vertex)),
     }

@@ -324,6 +324,14 @@ class FieldCtx:
 
     # -- vectorized operations on arrays of codes ---------------------------
 
+    def check_codes(self, values, what: str = "code") -> None:
+        """Raise ValueError unless every value is a code in [0, q2).  The
+        dense ``vadd``/``vmul`` routes do not range-check, so inputs from
+        outside the program pass through here first."""
+        v = np.asarray(values)
+        if v.size and (v.min() < 0 or v.max() >= self.q2):
+            raise ValueError(f"{what} outside the codes [0, {self.q2}) of GF({self.q2})")
+
     def _gather(self, flat, a, b):
         # Codes lie in [0, q2), so a * q2 + b indexes the flat table exactly;
         # each output element is written after its own index is read.  b is

@@ -115,6 +115,7 @@ def monomial_values(ctx: FieldCtx, basis: MonomialBasis, points: np.ndarray) -> 
 
 
 def form_values(ctx: FieldCtx, form: HomogeneousForm, points: np.ndarray) -> np.ndarray:
+    ctx.check_codes(form.coeffs, "form coefficient")
     powers = _power_table(ctx, form.basis.d)
     acc = np.zeros(len(points), dtype=np.int64)
     for coeff, exps in zip(form.coeffs, form.basis.exponents):
@@ -302,6 +303,8 @@ def multiply_linear(ctx: FieldCtx, form: HomogeneousForm, dual) -> HomogeneousFo
     dual = [int(u) for u in dual]
     if len(dual) != form.basis.n + 1:
         raise ValueError("dimension mismatch between form and linear form")
+    ctx.check_codes(form.coeffs, "form coefficient")
+    ctx.check_codes(dual, "linear form coefficient")
     coeff_map: dict[tuple[int, ...], int] = {}
     for exps, c in zip(form.basis.exponents, form.coeffs):
         if c == 0:

@@ -61,6 +61,7 @@ def is_hermitian(ctx: FieldCtx, matrix) -> bool:
 
 def validate_hermitian(ctx: FieldCtx, matrix) -> np.ndarray:
     h = np.asarray(matrix, dtype=np.int64)
+    ctx.check_codes(h, "Hermitian matrix entry")
     if not is_hermitian(ctx, h):
         raise ValueError("matrix is not a nonzero Hermitian matrix (H^T must equal H^(q))")
     return h
@@ -69,6 +70,7 @@ def validate_hermitian(ctx: FieldCtx, matrix) -> np.ndarray:
 def hermitian_form_values(ctx: FieldCtx, matrix, points: np.ndarray) -> np.ndarray:
     """Vectorized x^T H x^(q) over an (N, n+1) point array."""
     h = np.asarray(matrix, dtype=np.int64)
+    ctx.check_codes(h, "Hermitian matrix entry")
     y = ctx.vfrob(points)
     acc = np.zeros(len(points), dtype=np.int64)
     for i in range(h.shape[0]):

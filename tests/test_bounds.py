@@ -655,12 +655,18 @@ def test_stacked_checkers_take_empty_stacks_and_one_basis(gf4):
         check_union_of_cone_lines(gf4, cone, mixed)
     with pytest.raises(ValueError, match="one monomial basis"):
         is_cone_with_vertex(gf4, mixed, cone.vertex)
+    # codes outside [0, q2) are refused, not read from another table entry
+    for bad in (-1, gf4.q2):
+        stack = [HomogeneousForm(monomial_basis(3, 1), (1, 0, bad, 0))]
+        with pytest.raises(ValueError, match="outside the codes"):
+            check_union_of_cone_lines(gf4, cone, stack)
+        with pytest.raises(ValueError, match="outside the codes"):
+            is_cone_with_vertex(gf4, stack[0], cone.vertex)
 
 
 def test_characterize_maximizers_checks_the_whole_stack_at_once(monkeypatch):
-    # oracle --p 3 --n 4 --d 1: 280 maximizers, one evaluation of the whole
-    # stack over P^n (the cone's walk reads its columns), no second pass over
-    # the cone and no per-form evaluation
+    # oracle --p 3 --n 4 --d 1: 280 maximizers, one call of each checker and
+    # no per-form evaluation
     ctx = make_field(3, 1)
     cone = oracle_target(ctx, "cone", 4)
     result = bruteforce_max_intersection(ctx, cone, 4, 1)
@@ -678,10 +684,10 @@ def test_characterize_maximizers_checks_the_whole_stack_at_once(monkeypatch):
     for module in [m for key, m in sys.modules.items() if key.startswith("hermcodes.")]:
         if getattr(module, "form_values", None) is evaluate:
             monkeypatch.setattr(module, "form_values", counted("form_values", evaluate))
-    for name in ("monomial_values", "check_union_of_cone_lines", "is_cone_with_vertex"):
+    for name in ("check_union_of_cone_lines", "is_cone_with_vertex"):
         monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
     found = characterize_maximizers(ctx, cone, result)
-    assert calls == {"monomial_values": 1}
+    assert calls == {"check_union_of_cone_lines": 1, "is_cone_with_vertex": 1}
     assert found == {
         "union_of_generator_lines": True,
         "generator_lines": [sorensen_max(1, 3)],

@@ -72,6 +72,26 @@ def test_form_values_basics(gf4):
         HomogeneousForm(basis=basis, coeffs=(0, 0, 0))
 
 
+@pytest.mark.parametrize("field", ["gf4", "gf9"])
+@pytest.mark.parametrize("bad", [-1, "q2", 255])
+def test_out_of_range_coefficients_are_refused(field, bad, request):
+    # the dense field kernels read flat tables without range checks, so a
+    # coefficient outside [0, q2) must be refused where a form comes in
+    ctx = request.getfixturevalue(field)
+    bad = ctx.q2 if bad == "q2" else bad
+    form = HomogeneousForm(basis=monomial_basis(2, 1), coeffs=(1, bad, 0))
+    space = enumerate_points(ctx, 2)
+    with pytest.raises(ValueError, match="outside the codes"):
+        form_values(ctx, form, space)
+    with pytest.raises(ValueError, match="outside the codes"):
+        intersection_count(ctx, form, space)
+    with pytest.raises(ValueError, match="outside the codes"):
+        multiply_linear(ctx, form, (1, 0, 0))
+    good = HomogeneousForm(basis=monomial_basis(2, 1), coeffs=(1, 0, 0))
+    with pytest.raises(ValueError, match="outside the codes"):
+        multiply_linear(ctx, good, (1, bad, 0))
+
+
 def reference_evaluate_form(ctx, form, x) -> int:
     """Sum of coeff_i * x^exponent_i, one scalar power and product at a time."""
     acc = 0

@@ -56,6 +56,15 @@ def test_is_hermitian(gf4):
     assert is_hermitian(gf4, m)
     with pytest.raises(ValueError):
         HermitianVariety(gf4, np.zeros((3, 3), dtype=int))
+    # entries outside the codes [0, q2) are refused, not read from another
+    # table entry
+    for bad in (-1, gf4.q2):
+        m = identity(3)
+        m[2, 2] = bad
+        with pytest.raises(ValueError, match="outside the codes"):
+            HermitianVariety(gf4, m)
+        with pytest.raises(ValueError, match="outside the codes"):
+            hermitian_form_values(gf4, m, enumerate_points(gf4, 2))
 
 
 def test_form_evaluation(gf4, gf9):
