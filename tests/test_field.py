@@ -6,10 +6,10 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hermcodes import BudgetExceededError, make_field
+from hermcodes import BudgetExceededError, make_field, verify
 from hermcodes.field import code_dtype, is_prime
 from hermcodes.limits import DENSE_TABLE_LIMIT
 from hermcodes.verify import check_field_axioms, check_norm_trace_maps
@@ -453,6 +453,275 @@ def test_field_axioms_check_catches_a_corrupted_entry(p, e, op):
     assert not check_field_axioms(bad).passed
     assert not reference_check_field_axioms(bad)[0]
     assert check_field_axioms(ctx).passed  # the original is untouched
+
+
+# -- the generator-reduced field-axiom check on arbitrary tables -------------
+
+
+class TableField:
+    """Just what check_field_axioms and reference_check_field_axioms read,
+    over given product and sum tables and negation and inverse maps: the
+    two checks see nothing of a real field but these four arrays."""
+
+    def __init__(self, mul, add, neg, inv):
+        self.q2 = len(mul)
+        self._mul, self._add, self._neg, self._inv = mul, add, neg, inv
+
+    def vmul(self, a, b):
+        return self._mul[a, b]
+
+    def vadd(self, a, b):
+        return self._add[a, b]
+
+    def vneg(self, a):
+        return self._neg[a]
+
+    def vinv(self, a):
+        return self._inv[a]
+
+    def mul(self, a, b):
+        return int(self._mul[a, b])
+
+    def add(self, a, b):
+        return int(self._add[a, b])
+
+    def neg(self, a):
+        return int(self._neg[a])
+
+    def inv(self, a):
+        return int(self._inv[a])
+
+
+def field_tables(ctx, perm=None):
+    """(mul, add, neg, inv) of ctx, relabelled by the code permutation perm
+    (new code perm[a] for old code a) when it is given."""
+    codes = np.arange(ctx.q2)
+    mul = ctx.vmul(codes[:, None], codes[None, :])
+    add = ctx.vadd(codes[:, None], codes[None, :])
+    neg = ctx.vneg(codes)
+    inv = np.concatenate([[0], ctx.vinv(codes[1:])])
+    if perm is None:
+        return mul, add, neg, inv
+    back = np.argsort(perm)  # old code of each new code
+    return (
+        perm[mul[np.ix_(back, back)]],
+        perm[add[np.ix_(back, back)]],
+        perm[neg[back]],
+        perm[inv[back]],
+    )
+
+
+def closure(table, seeds):
+    """C <- C u T[C x C] until C stops growing (full rounds, no frontier)."""
+    inside = np.asarray(sorted(set(seeds)), dtype=np.int64)
+    while True:
+        grown = np.union1d(inside, table[np.ix_(inside, inside)].ravel())
+        if len(grown) == len(inside):
+            return set(inside.tolist())
+        inside = grown
+
+
+def brute_associative(table):
+    x = np.arange(len(table))
+    left = table[table[:, :, None], x[None, None, :]]  # (x*y)*z at [x, y, z]
+    right = table[x[:, None, None], table[None, :, :]]  # x*(y*z)
+    return bool((left == right).all())
+
+
+def brute_distributive(mul, add):
+    a = np.arange(len(mul))[:, None, None]
+    b = np.arange(len(mul))[None, :, None]
+    c = np.arange(len(mul))[None, None, :]
+    return bool((mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]).all())
+
+
+AXIOM_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)]  # GF(4) .. GF(49)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    field=st.sampled_from(AXIOM_FIELDS),
+    seed=st.integers(0, 2**32 - 1),
+    relabel=st.booleans(),
+    corruptions=st.lists(
+        st.tuples(
+            st.sampled_from(["mul", "add"]),
+            st.integers(0, 2**16),
+            st.integers(0, 2**16),
+            st.integers(0, 2**16),
+            st.booleans(),
+        ),
+        max_size=2,
+    ),
+)
+@example(field=(3, 1), seed=0, relabel=True, corruptions=[])
+@example(field=(2, 2), seed=1, relabel=True, corruptions=[])
+@example(field=(7, 1), seed=0, relabel=False, corruptions=[("mul", 2, 3, 0, True)])
+def test_field_axioms_check_matches_reference_on_corrupted_tables(
+    field, seed, relabel, corruptions
+):
+    ctx = cached_field(*field)
+    q2 = ctx.q2
+    # Relabel codes 2 .. q2 - 1 (0 and 1 keep their meaning).
+    perm = np.concatenate([[0, 1], 2 + np.random.default_rng(seed).permutation(q2 - 2)])
+    mul, add, neg, inv = field_tables(ctx, perm if relabel else None)
+    tables = {"mul": mul.copy(), "add": add.copy()}
+    for op, x, y, shift, symmetric in corruptions:
+        x, y = x % q2, y % q2
+        table = tables[op]
+        table[x, y] = (table[x, y] + 1 + shift % (q2 - 1)) % q2  # a different code
+        if symmetric:
+            table[y, x] = table[x, y]
+    bad = TableField(tables["mul"], tables["add"], neg, inv)
+    assert check_field_axioms(bad).passed == reference_check_field_axioms(bad)[0]
+
+
+def left_projection(q2):
+    return np.broadcast_to(np.arange(q2)[:, None], (q2, q2)).copy()
+
+
+DEGENERATE = {
+    "left_projection": left_projection,
+    "constant_zero": lambda q2: np.zeros((q2, q2), dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+@pytest.mark.parametrize("op", ["mul", "add"])
+def test_degenerate_magmas_make_every_code_a_generator(name, op):
+    """x*y = x and x*y = 0 generate nothing beyond their seeds, so every
+    code is a generator and the check falls back to the full triple scan;
+    both are associative, and neither is a field's product or sum."""
+    ctx = cached_field(3, 1)
+    table = DEGENERATE[name](ctx.q2)
+    assert verify._generators(table) == list(range(ctx.q2))
+    assert verify._associative(table, verify._generators(table)) and brute_associative(table)
+    mul, add, neg, inv = field_tables(ctx)
+    tables = {"mul": mul, "add": add, op: table}
+    bad = TableField(tables["mul"], tables["add"], neg, inv)
+    assert not check_field_axioms(bad).passed
+    assert not reference_check_field_axioms(bad)[0]
+
+
+def generator_cases():
+    cases = []
+    for p, e in [(3, 1), (2, 2), (17, 1)]:
+        mul, add, _, _ = field_tables(cached_field(p, e))
+        name = f"GF({p}^{2 * e})"
+        cases += [pytest.param(mul, id=f"{name}-mul"), pytest.param(add, id=f"{name}-add")]
+    cases += [pytest.param(build(9), id=name) for name, build in sorted(DEGENERATE.items())]
+    rng = np.random.default_rng(13)
+    cases += [
+        pytest.param(rng.integers(0, size, size=(size, size)), id=f"random-{size}")
+        for size in (2, 3, 5, 8)
+    ]
+    minus = (np.arange(7)[:, None] - np.arange(7)[None, :]) % 7
+    return cases + [pytest.param(minus, id="subtraction-mod-7")]
+
+
+@pytest.mark.parametrize("table", generator_cases())
+def test_generators_are_minimal_in_order_and_generate_everything(table):
+    gens = verify._generators(table)
+    assert gens[:1] == [0]
+    prefix = [closure(table, gens[:i]) for i in range(len(gens) + 1)]
+    assert prefix[-1] == set(range(len(table)))
+    for i, (g, after) in enumerate(zip(gens, gens[1:] + [len(table)])):
+        assert g not in prefix[i]
+        assert set(range(g + 1, after)) <= prefix[i + 1]  # skipped: already generated
+
+
+def small_magma(kind, size, rng):
+    """A random table, or a relabelled associative one: the semilattice
+    x*y = max(x, y) or the cyclic group Z/size."""
+    x = np.arange(size)
+    if kind == "random":
+        return rng.integers(0, size, size=(size, size))
+    law = np.maximum(x[:, None], x[None, :]) if kind == "max" else (x[:, None] + x[None, :]) % size
+    perm = rng.permutation(size)
+    back = np.argsort(perm)
+    return perm[law[np.ix_(back, back)]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "max", "cyclic"]),
+    size=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_light_associativity_test_is_exact_on_any_magma(kind, size, seed):
+    table = small_magma(kind, size, np.random.default_rng(seed))
+    gens = verify._generators(table)
+    assert verify._associative(table, gens) == brute_associative(table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))
+def test_distributivity_over_additive_generators_is_exact(size, seed):
+    """With an associative + (Z/size relabelled), a * over a random table
+    distributes on generators exactly when it does on all triples."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(size)
+    back = np.argsort(perm)
+    add = perm[(back[:, None] + back[None, :]) % size]
+    mul = rng.integers(0, size, size=(size, size))
+    if seed % 2:  # a distributive one: a*b = k_a * b in Z/size, relabelled
+        k = rng.integers(0, size, size=size)
+        mul = perm[(k[back][:, None] * back[None, :]) % size]
+    gens = verify._generators(add)
+    assert verify._distributive(mul, add, gens) == brute_distributive(mul, add)
+
+
+def test_distributivity_waits_for_additive_associativity(monkeypatch):
+    """The distributivity reduction is exact only for an associative +, so a
+    check whose + fails associativity must not run it."""
+    calls = []
+    real = verify._distributive
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_distributive", spy)
+    ctx = cached_field(2, 2)
+    assert check_field_axioms(ctx).passed and len(calls) == 1
+    bad = with_corrupted_law(ctx, "add")
+    assert not check_field_axioms(bad).passed and len(calls) == 1
+
+
+@pytest.mark.parametrize("p,e,sample", [(2, 1, None), (3, 1, None), (17, 1, None), (2, 4, 5000)])
+def test_scalar_add_mul_match_the_vector_ops(p, e, sample):
+    """The Python-int paths of add and mul (XOR, flat dense table) give the
+    vector ops' value as an int: every pair, or a seeded sample of GF(256)."""
+    ctx = cached_field(p, e)
+    pairs = [(a, b) for a in range(ctx.q2) for b in range(ctx.q2)]
+    if sample:
+        rng = np.random.default_rng(7)
+        pairs = [pairs[i] for i in rng.choice(len(pairs), size=sample, replace=False)]
+    a, b = (np.array(side) for side in zip(*pairs))
+    for scalar, vector in ((ctx.add, ctx.vadd), (ctx.mul, ctx.vmul)):
+        got = [scalar(x, y) for x, y in pairs]
+        assert all(type(v) is int for v in got)
+        assert got == vector(a, b).tolist()
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 4), (17, 1)])
+def test_scalar_add_mul_keep_the_vector_route_off_the_codes(p, e):
+    """Non-codes and non-int inputs give what int(vadd/vmul) gives, value or
+    exception type."""
+    ctx = cached_field(p, e)
+    q2 = ctx.q2
+    odd = [(-1, 2), (2, -1), (q2, 0), (0, q2), (255, 255), (2**40, 3), (2**70, 1),
+           (-q2 * q2, 0), (np.int64(2), 3), (True, 1), (2, np.uint8(1))]
+
+    def outcome(fn, a, b):
+        try:
+            return fn(a, b)
+        except (IndexError, OverflowError, TypeError, ValueError) as exc:
+            return type(exc)
+
+    for a, b in odd:
+        assert outcome(ctx.add, a, b) == outcome(lambda x, y: int(ctx.vadd(x, y)), a, b)
+        assert outcome(ctx.mul, a, b) == outcome(lambda x, y: int(ctx.vmul(x, y)), a, b)
 
 
 def test_gf4_hand_tables(gf4):
