@@ -11,10 +11,8 @@ A :class:`FieldCtx` is immutable after construction and safe to share
 between workers.  Scalar operations are methods (``add``, ``mul``, ``inv``,
 ``frob``, ``norm``, ``trace``, ...); the ``v``-prefixed variants operate on
 numpy arrays of codes and broadcast, which is what the enumeration loops
-use.  The scalar methods wrap the vector ones, except that ``add`` and
-``mul`` of two Python int codes XOR or index the flat dense table directly,
-with no numpy call.  Every operation is a gather from tables built once per
-context, or an XOR:
+use.  Every operation is a gather from tables built once per context, or
+an XOR:
 
 - Characteristic 2 adds by XOR of the codes, in every field size.
 - q^2 <= 256 (``DENSE_TABLE_LIMIT``): the full q^2 x q^2 product table
@@ -392,18 +390,7 @@ class FieldCtx:
 
     # -- scalar operations --------------------------------------------------
 
-    def _is_code_pair(self, a, b) -> bool:
-        # Two Python ints in [0, q2): add and mul answer these without numpy.
-        # Anything else takes the vector route, so its results and errors
-        # (on numpy scalars, bools, out-of-range codes) stay those of vadd/vmul.
-        return type(a) is int and type(b) is int and 0 <= a < self.q2 and 0 <= b < self.q2
-
     def add(self, a: int, b: int) -> int:
-        if self._is_code_pair(a, b):
-            if self.p == 2:
-                return a ^ b
-            if self._add_t is not None:
-                return int(self._add_t[a * self.q2 + b])
         return int(self.vadd(a, b))
 
     def sub(self, a: int, b: int) -> int:
@@ -413,8 +400,6 @@ class FieldCtx:
         return int(self._neg_t[a])
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_t is not None and self._is_code_pair(a, b):
-            return int(self._mul_t[a * self.q2 + b])
         return int(self.vmul(a, b))
 
     def inv(self, a: int) -> int:

@@ -587,20 +587,15 @@ DEGENERATE = {
 
 
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
-@pytest.mark.parametrize("op", ["mul", "add"])
-def test_degenerate_magmas_make_every_code_a_generator(name, op):
+def test_degenerate_magmas_make_every_code_a_generator(name):
     """x*y = x and x*y = 0 generate nothing beyond their seeds, so every
-    code is a generator and the check falls back to the full triple scan;
-    both are associative, and neither is a field's product or sum."""
-    ctx = cached_field(3, 1)
-    table = DEGENERATE[name](ctx.q2)
-    assert verify._generators(table) == list(range(ctx.q2))
+    code is a generator and Light's test scans every triple.  This is
+    tested on the helpers: check_field_axioms rejects either table before
+    it picks generators (x*y = x is not commutative, x*y = 0 has no
+    identity), and its verdict on corrupted tables is covered above."""
+    table = DEGENERATE[name](cached_field(3, 1).q2)
+    assert verify._generators(table) == list(range(len(table)))
     assert verify._associative(table, verify._generators(table)) and brute_associative(table)
-    mul, add, neg, inv = field_tables(ctx)
-    tables = {"mul": mul, "add": add, op: table}
-    bad = TableField(tables["mul"], tables["add"], neg, inv)
-    assert not check_field_axioms(bad).passed
-    assert not reference_check_field_axioms(bad)[0]
 
 
 def generator_cases():
@@ -686,42 +681,6 @@ def test_distributivity_waits_for_additive_associativity(monkeypatch):
     assert check_field_axioms(ctx).passed and len(calls) == 1
     bad = with_corrupted_law(ctx, "add")
     assert not check_field_axioms(bad).passed and len(calls) == 1
-
-
-@pytest.mark.parametrize("p,e,sample", [(2, 1, None), (3, 1, None), (17, 1, None), (2, 4, 5000)])
-def test_scalar_add_mul_match_the_vector_ops(p, e, sample):
-    """The Python-int paths of add and mul (XOR, flat dense table) give the
-    vector ops' value as an int: every pair, or a seeded sample of GF(256)."""
-    ctx = cached_field(p, e)
-    pairs = [(a, b) for a in range(ctx.q2) for b in range(ctx.q2)]
-    if sample:
-        rng = np.random.default_rng(7)
-        pairs = [pairs[i] for i in rng.choice(len(pairs), size=sample, replace=False)]
-    a, b = (np.array(side) for side in zip(*pairs))
-    for scalar, vector in ((ctx.add, ctx.vadd), (ctx.mul, ctx.vmul)):
-        got = [scalar(x, y) for x, y in pairs]
-        assert all(type(v) is int for v in got)
-        assert got == vector(a, b).tolist()
-
-
-@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 4), (17, 1)])
-def test_scalar_add_mul_keep_the_vector_route_off_the_codes(p, e):
-    """Non-codes and non-int inputs give what int(vadd/vmul) gives, value or
-    exception type."""
-    ctx = cached_field(p, e)
-    q2 = ctx.q2
-    odd = [(-1, 2), (2, -1), (q2, 0), (0, q2), (255, 255), (2**40, 3), (2**70, 1),
-           (-q2 * q2, 0), (np.int64(2), 3), (True, 1), (2, np.uint8(1))]
-
-    def outcome(fn, a, b):
-        try:
-            return fn(a, b)
-        except (IndexError, OverflowError, TypeError, ValueError) as exc:
-            return type(exc)
-
-    for a, b in odd:
-        assert outcome(ctx.add, a, b) == outcome(lambda x, y: int(ctx.vadd(x, y)), a, b)
-        assert outcome(ctx.mul, a, b) == outcome(lambda x, y: int(ctx.vmul(x, y)), a, b)
 
 
 def test_gf4_hand_tables(gf4):
