@@ -521,17 +521,6 @@ def _line_cover_rows(ctx: FieldCtx, zeros, line_ids, n_lines: int, vertex_pos: i
     return ok, np.where(has_vertex, lines, 0)
 
 
-def _cone_line_cover(ctx: FieldCtx, zero_points: np.ndarray, vertex) -> tuple[bool, int]:
-    """Whether the distinct normalized points ``zero_points`` form a union of
-    full lines through ``vertex``, and how many lines: the one-row case of
-    :func:`_line_cover_rows`.  An empty set gives (True, 0); a nonempty set
-    without the vertex gives (False, 0)."""
-    points, line_ids, n_lines, vertex_pos = _cone_lines(ctx, zero_points, vertex)
-    everywhere = np.ones((1, len(points)), dtype=bool)
-    ok, lines = _line_cover_rows(ctx, everywhere, line_ids, n_lines, vertex_pos)
-    return bool(ok[0]), int(lines[0])
-
-
 def _form_stack(ctx: FieldCtx, forms) -> tuple[bool, MonomialBasis | None, np.ndarray | None]:
     """(single, basis, (N, k) coefficients) of one form or of a sequence of
     forms over one basis; basis and coefficients are None for an empty

@@ -23,7 +23,7 @@ from .forms import (
     projective_form_count,
 )
 from .hermitian import HermitianVariety, count_points_formula
-from .limits import CLASS_BUDGET, EVAL_BUDGET, BudgetExceededError, check_count_digits
+from .limits import CLASS_BUDGET, BudgetExceededError, check_count_digits
 from .linalg import matrix_rank
 
 __all__ = [
@@ -91,19 +91,19 @@ def min_distance(
     ctx: FieldCtx,
     code: FunctionalCode,
     mode: str = "exhaustive_messages",
-    budget: int | None = None,
     witnesses: list[HomogeneousForm] | None = None,
     distribution: dict[int, int] | None = None,
 ) -> CodeParameters:
-    """Minimum distance of the code.
+    """Minimum distance of the code: m minus the most zeros of a nonzero
+    codeword, which is m minus the maximum that
+    :func:`bounds.bruteforce_max_intersection` finds on ``code.points``
+    (the same scan kernel over the same classes, so not an independent
+    check).
 
     exhaustive_messages -- enumerate codewords up to scalar through the
-        generator matrix; exact.  A ``distribution`` already computed by
-        :func:`weight_distribution` for this code is read instead of
-        scanning again.
-    exhaustive_forms -- maximize the intersection count over all
-        projectivized forms and return m minus the maximum; exact, and
-        equal to the message route whenever evaluation is injective.
+        generator matrix at the default class budget; exact.  A
+        ``distribution`` already computed by :func:`weight_distribution`
+        for this code (at any budget) is read instead of scanning again.
     witness_only -- evaluate the supplied extremal forms only; reports an
         upper bound with status WITNESS_UPPER_BOUND_ONLY.
     """
@@ -111,14 +111,9 @@ def min_distance(
     k = code_dimension(ctx, code)
     if mode == "exhaustive_messages":
         if distribution is None:
-            distribution = weight_distribution(ctx, code, budget)
+            distribution = weight_distribution(ctx, code)
         weights = [w for w in distribution if w > 0]
         return CodeParameters(m=m, k=k, dmin=min(weights, default=m + 1), dmin_status=EXACT)
-    if mode == "exhaustive_forms":
-        result = bounds.bruteforce_max_intersection(
-            ctx, code.points, code.n, code.d, budget=EVAL_BUDGET if budget is None else budget
-        )
-        return CodeParameters(m=m, k=k, dmin=m - result.max_count, dmin_status=EXACT)
     if mode == "witness_only":
         if not witnesses:
             raise ValueError("witness_only mode requires at least one witness form")

@@ -393,9 +393,6 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         return int(self.vadd(a, b))
 
-    def sub(self, a: int, b: int) -> int:
-        return int(self.vadd(a, self._neg_t[b]))
-
     def neg(self, a: int) -> int:
         return int(self._neg_t[a])
 
@@ -455,10 +452,6 @@ class FieldCtx:
         return int(np.argmax(self._trace_t == b))  # the trace is onto GF(q)
 
     # -- serialization ------------------------------------------------------
-
-    def descriptor(self) -> dict:
-        """JSON-serializable context descriptor."""
-        return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
 
     def modulus_token(self) -> str:
         """Single-token modulus form for whitespace-separated file headers."""

@@ -45,7 +45,6 @@ __all__ = [
     "product_of_hyperplanes",
     "projectivize_coeffs",
     "form_to_json",
-    "form_from_json",
 ]
 
 
@@ -350,7 +349,3 @@ def projectivize_coeffs(ctx: FieldCtx, coeffs) -> tuple[int, ...]:
 def form_to_json(form: HomogeneousForm) -> dict:
     return {"n": form.basis.n, "d": form.basis.d, "coeffs": list(form.coeffs)}
 
-
-def form_from_json(payload: dict) -> HomogeneousForm:
-    basis = monomial_basis(int(payload["n"]), int(payload["d"]))
-    return HomogeneousForm(basis=basis, coeffs=tuple(int(c) for c in payload["coeffs"]))

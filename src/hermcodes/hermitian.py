@@ -188,17 +188,6 @@ class HermitianVariety:
         pts.setflags(write=False)
         return pts
 
-    def descriptor(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.ctx.p,
-            "e": self.ctx.e,
-            "modulus": list(self.ctx.modulus),
-            "matrix": [[int(c) for c in row] for row in self.matrix],
-            "rank": self.rank,
-            "vertex": list(self.vertex) if self.vertex is not None else None,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"HermitianVariety(n={self.n}, rank={self.rank}, q={self.ctx.q})"
 

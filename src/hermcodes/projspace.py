@@ -38,7 +38,6 @@ __all__ = [
     "hyperplane_point_counts",
     "line_through",
     "all_lines",
-    "export_points_csv",
 ]
 
 _POINT_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
@@ -57,18 +56,7 @@ def pi_count(k: int, field_size: int) -> int:
 
 def normalize_vector(ctx: FieldCtx, vec) -> tuple[int, ...]:
     """Scale a nonzero coordinate vector so its last nonzero entry is 1."""
-    vec = [int(c) for c in vec]
-    last = -1
-    for i in range(len(vec) - 1, -1, -1):
-        if vec[i]:
-            last = i
-            break
-    if last < 0:
-        raise ValueError("zero vector does not define a projective point")
-    if vec[last] == 1:
-        return tuple(vec)
-    s = ctx.inv(vec[last])
-    return tuple(ctx.mul(s, c) for c in vec)
+    return tuple(normalize_rows(ctx, vec).tolist())
 
 
 def normalize_rows(ctx: FieldCtx, rows) -> np.ndarray:
@@ -244,10 +232,3 @@ def all_lines(ctx: FieldCtx, n: int, budget: int = POINT_BUDGET) -> np.ndarray:
     lines.sort(axis=1)
     return lines[np.lexsort((lines[:, 1], lines[:, 0]))]
 
-
-def export_points_csv(ctx: FieldCtx, n: int, points: np.ndarray, path) -> None:
-    """Write a point list as CSV rows of codes, with a metadata header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n={n} p={ctx.p} e={ctx.e} modulus={ctx.modulus_token()}\n")
-        for row in points:
-            fh.write(",".join(str(int(c)) for c in row) + "\n")

@@ -40,6 +40,7 @@ from .hermitian import (
     make_standard_cone,
     tangent_hyperplanes,
 )
+from .limits import POINT_BUDGET, BudgetExceededError
 from .linalg import mat_mul, matrix_rank
 from .projspace import (
     CHUNK_ELEMS,
@@ -54,7 +55,7 @@ from .projspace import (
     point_keys,
 )
 
-__all__ = ["CheckResult", "SUITES", "run_suite", "random_hermitian", "random_invertible"]
+__all__ = ["CheckResult", "SUITES", "run_suite", "random_hermitian"]
 
 
 @dataclass(frozen=True)
@@ -87,13 +88,6 @@ def random_hermitian(ctx: FieldCtx, n: int, rng: np.random.Generator) -> np.ndar
                 h[j, i] = ctx.frob(c)
         if h.any():
             return h
-
-
-def random_invertible(ctx: FieldCtx, size: int, rng: np.random.Generator) -> np.ndarray:
-    while True:
-        s = rng.integers(0, ctx.q2, size=(size, size)).astype(np.int64)
-        if matrix_rank(ctx, s) == size:
-            return s
 
 
 def iter_all_lines(ctx: FieldCtx, n: int) -> Iterator[np.ndarray]:
@@ -492,17 +486,36 @@ def check_tangent_hyperplanes(ctx: FieldCtx, n: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_oracle_matches_bound(ctx: FieldCtx, n: int, d: int) -> CheckResult:
+def check_cone_oracle(ctx: FieldCtx, n: int, d: int) -> tuple[CheckResult, CheckResult]:
+    """One oracle scan of the rank-n cone, two checks: the maximum equals
+    the cone bound, and every maximizer is a union of generator lines of
+    the expected cardinality, and (for n = 3) a cone with vertex at the
+    singular point."""
+    q = ctx.q
     cone = bnd.oracle_target(ctx, "cone", n)
     result = bnd.bruteforce_max_intersection(ctx, cone, n, d)
-    expected = bnd.oracle_bound("cone", n, d, ctx.q).value
-    ok = result.max_count == expected
-    return _result(
+    expected = bnd.oracle_bound("cone", n, d, q).value
+    bound = _result(
         f"oracle_cone_n{n}_d{d}",
-        ok,
+        result.max_count == expected,
         f"max |cone ^ V(F)| = {result.max_count} over {result.total_forms} forms, "
         f"bound {expected}, {result.n_maximizers} maximizers",
     )
+    # refused after the scan, so an over-budget cone is a budget refusal first
+    if n not in (2, 3, 4):
+        raise ValueError(f"maximizer structure is known for n in 2..4 only, got n = {n}")
+    expected_lines = {2: d, 3: d * (q + 1), 4: bnd.sorensen_max(d, q) if d == 1 else None}[n]
+    found = bnd.characterize_maximizers(ctx, cone, result)
+    ok = result.n_maximizers == len(result.maximizers)  # cap not hit at desk scale
+    ok &= found["union_of_generator_lines"] and found["generator_lines"] == [expected_lines]
+    ok &= n != 3 or found["cone_with_vertex"]
+    structure = _result(
+        f"maximizer_structure_n{n}_d{d}",
+        ok,
+        f"{result.n_maximizers} maximizers are unions of exactly {expected_lines} "
+        "generator lines" + (" and cones with vertex P" if n == 3 else ""),
+    )
+    return bound, structure
 
 
 def check_oracle_nondegenerate(ctx: FieldCtx, n: int, d: int) -> CheckResult:
@@ -515,27 +528,6 @@ def check_oracle_nondegenerate(ctx: FieldCtx, n: int, d: int) -> CheckResult:
         ok,
         f"max |U_{n} ^ V(F)| = {result.max_count}, known maximum {expected}, "
         f"{result.n_maximizers} maximizers",
-    )
-
-
-def check_maximizer_structure(ctx: FieldCtx, n: int, d: int) -> CheckResult:
-    """Every cone maximizer is a union of generator lines of the expected
-    cardinality, and (for n = 3) a cone with vertex at the singular point."""
-    q = ctx.q
-    if n not in (2, 3, 4):
-        raise ValueError(f"maximizer structure is known for n in 2..4 only, got n = {n}")
-    cone = bnd.oracle_target(ctx, "cone", n)
-    result = bnd.bruteforce_max_intersection(ctx, cone, n, d)
-    expected_lines = {2: d, 3: d * (q + 1), 4: bnd.sorensen_max(d, q) if d == 1 else None}[n]
-    found = bnd.characterize_maximizers(ctx, cone, result)
-    ok = result.n_maximizers == len(result.maximizers)  # cap not hit at desk scale
-    ok &= found["union_of_generator_lines"] and found["generator_lines"] == [expected_lines]
-    ok &= n != 3 or found["cone_with_vertex"]
-    return _result(
-        f"maximizer_structure_n{n}_d{d}",
-        ok,
-        f"{result.n_maximizers} maximizers are unions of exactly {expected_lines} "
-        "generator lines" + (" and cones with vertex P" if n == 3 else ""),
     )
 
 
@@ -729,6 +721,12 @@ def check_witness_weight(ctx: FieldCtx, n: int, d: int) -> CheckResult:
 
 
 def _field_suite(ctx: FieldCtx, n: int | None, d: int | None, seed: int) -> list[CheckResult]:
+    # the axiom check reads all q^4 ordered pairs, the raw tuple count of P^1
+    pairs = ctx.q2**2
+    if pairs > POINT_BUDGET:
+        raise BudgetExceededError(
+            f"the field suite reads {pairs} ordered pairs of GF({ctx.q2}) > budget {POINT_BUDGET}"
+        )
     return [
         check_field_axioms(ctx),
         check_norm_trace_maps(ctx),
@@ -767,15 +765,13 @@ def _hermitian_suite(ctx: FieldCtx, n: int | None, d: int | None, seed: int) -> 
 def _bounds_suite(ctx: FieldCtx, n: int | None, d: int | None, seed: int) -> list[CheckResult]:
     out: list[CheckResult] = [check_bound_identities(ctx.q)]
     if n is not None and d is not None:
-        out.append(check_oracle_matches_bound(ctx, n, d))
-        out.append(check_maximizer_structure(ctx, n, d))
+        out.extend(check_cone_oracle(ctx, n, d))
         if n == 3:
             out.append(check_oracle_nondegenerate(ctx, n, d))
         return out
     if ctx.q == 2:
         for nn, dd in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1)):
-            out.append(check_oracle_matches_bound(ctx, nn, dd))
-            out.append(check_maximizer_structure(ctx, nn, dd))
+            out.extend(check_cone_oracle(ctx, nn, dd))
         out.append(check_oracle_nondegenerate(ctx, 3, 1))
         out.append(check_oracle_nondegenerate(ctx, 3, 2))
         out.append(check_serre_equality(ctx, 2, 1))
@@ -787,8 +783,7 @@ def _bounds_suite(ctx: FieldCtx, n: int | None, d: int | None, seed: int) -> lis
         out.append(check_tangent_section_structure(ctx, 1, samples=0, seed=seed))
     else:
         for dd in range(1, min(ctx.q, 2) + 1):
-            out.append(check_oracle_matches_bound(ctx, 2, dd))
-            out.append(check_maximizer_structure(ctx, 2, dd))
+            out.extend(check_cone_oracle(ctx, 2, dd))
         out.append(check_tangent_section_structure(ctx, 1, samples=12, seed=seed))
         out.append(check_tangent_section_structure(ctx, 2, samples=12, seed=seed))
     return out

@@ -24,10 +24,10 @@ from hermcodes.linalg import mat_mul, row_reduce
 from hermcodes.projspace import (
     enumerate_hyperplanes,
     enumerate_points,
-    normalize_vector,
     pi_count,
 )
 from hermcodes.verify import CheckResult
+from loop_reference import reference_normalize_vector
 
 
 @dataclass(frozen=True)
@@ -86,14 +86,14 @@ def reference_incidence_matrix(ctx, points, duals, chunk) -> np.ndarray:
 
 
 def reference_line_through(ctx, a, b) -> np.ndarray:
-    a = normalize_vector(ctx, a)
-    b = normalize_vector(ctx, b)
+    a = reference_normalize_vector(ctx, a)
+    b = reference_normalize_vector(ctx, b)
     if a == b:
         raise ValueError("line_through requires two distinct points")
     pts = {a}
     for t in range(ctx.q2):
         vec = [ctx.add(bc, ctx.mul(t, ac)) for ac, bc in zip(a, b)]
-        pts.add(normalize_vector(ctx, vec))
+        pts.add(reference_normalize_vector(ctx, vec))
     return np.array(sorted(pts), dtype=np.int64)
 
 
@@ -134,7 +134,7 @@ def reference_evaluate_hermitian_form(ctx, matrix, x) -> int:
 
 
 def reference_tangent_hyperplane(ctx, variety, a) -> tuple[int, ...]:
-    a = normalize_vector(ctx, a)
+    a = reference_normalize_vector(ctx, a)
     if reference_evaluate_hermitian_form(ctx, variety.matrix, a) != 0:
         raise ValueError("tangent hyperplane requires a point on the variety")
     h = variety.matrix
@@ -147,14 +147,14 @@ def reference_tangent_hyperplane(ctx, variety, a) -> tuple[int, ...]:
         dual[i] = acc
     if not any(dual):
         raise ValueError("point is singular (the cone vertex has no tangent hyperplane)")
-    return normalize_vector(ctx, dual)
+    return reference_normalize_vector(ctx, dual)
 
 
 def reference_hyperplane_section(ctx, variety, dual) -> SectionInfo:
     """One hyperplane at a time: the Gram matrix in a basis-completion
     matrix, its rank by ``row_reduce``, and the point count by filtering the
     variety's points with ``incidence_values``."""
-    dual = normalize_vector(ctx, dual)
+    dual = reference_normalize_vector(ctx, dual)
     if len(dual) != variety.n + 1:
         raise ValueError("dimension mismatch between hyperplane and variety")
     if not (variety.is_nondegenerate or variety.is_rank_n_cone):

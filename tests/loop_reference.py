@@ -1,9 +1,11 @@
-"""Reference loops for the field, linear-algebra and form-index helpers.
+"""Reference loops for the field, linear-algebra, form-index and
+point-normalization helpers.
 
-These are the former scalar loops of ``field``, ``linalg``, ``forms`` and
-``verify``, written one element or one index at a time.  The helpers now
-read tables or call the package's vectorised kernels; the differential
-tests require them to agree with these loops exactly.
+These are the former scalar loops of ``field``, ``linalg``, ``forms``,
+``projspace`` and ``verify``, written one element or one index at a time.
+The helpers now read tables or call the package's vectorised kernels; the
+differential tests require them to agree with these loops exactly.
+:func:`random_invertible` is the random-matrix helper the tests share.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from hermcodes.forms import (
     segments,
     shard_range,
 )
-from hermcodes.linalg import row_reduce
+from hermcodes.linalg import matrix_rank, row_reduce
 
 
 def reference_pow(ctx, a: int, k: int) -> int:
@@ -50,6 +52,29 @@ def reference_trace_preimage(ctx, b: int) -> int:
         if ctx.trace(lam) == b:
             return lam
     raise AssertionError("trace is onto GF(q)")
+
+
+def reference_normalize_vector(ctx, vec) -> tuple[int, ...]:
+    """Scale a nonzero coordinate vector so its last nonzero entry is 1."""
+    vec = [int(c) for c in vec]
+    last = -1
+    for i in range(len(vec) - 1, -1, -1):
+        if vec[i]:
+            last = i
+            break
+    if last < 0:
+        raise ValueError("zero vector does not define a projective point")
+    if vec[last] == 1:
+        return tuple(vec)
+    s = ctx.inv(vec[last])
+    return tuple(ctx.mul(s, c) for c in vec)
+
+
+def random_invertible(ctx, size: int, rng: np.random.Generator) -> np.ndarray:
+    while True:
+        s = rng.integers(0, ctx.q2, size=(size, size)).astype(np.int64)
+        if matrix_rank(ctx, s) == size:
+            return s
 
 
 def reference_is_prime(n: int) -> bool:

@@ -8,7 +8,8 @@ them; ``oracle_bound`` and ``characterize_maximizers`` must agree with them.
 ``reference_line_walk`` and the two reference checkers below are direct
 per-point loops, one scalar ``line_through`` and one tuple set per line.
 They are slow, which is why they live here; the package checkers share one
-vectorised line-cover kernel, of which ``bounds._cone_line_cover`` is the
+vectorised line-cover kernel (``bounds._cone_lines`` and
+``bounds._line_cover_rows``), of which ``cone_line_cover`` below is the
 one-row case, and take whole stacks of forms.
 """
 
@@ -47,7 +48,8 @@ from hermcodes import (
 from hermcodes import bounds, projspace
 from hermcodes.bounds import (
     _concurrent_secant_duals,
-    _cone_line_cover,
+    _cone_lines,
+    _line_cover_rows,
     _tangent_plane_duals_through_secant,
     characterize_maximizers,
     oracle_bound,
@@ -62,13 +64,14 @@ from hermcodes.projspace import (
     incidence_matrix,
     line_through,
     normalize_rows,
-    normalize_vector,
 )
 from hermcodes.verify import (
     check_hyperplane_margin,
     check_missing_vertex_margin,
     check_tangent_section_structure,
+    run_suite,
 )
+from loop_reference import reference_normalize_vector
 
 
 def test_serre_bound_values():
@@ -337,6 +340,27 @@ def test_tangent_section_structure_q3():
     assert check_tangent_section_structure(ctx, 2, samples=8, seed=0).passed
 
 
+@pytest.mark.parametrize("p,scans", [(2, 10), (3, 2)])
+def test_bounds_suite_scans_each_cone_cell_once(p, scans, monkeypatch):
+    seen = []
+    real = bounds.bruteforce_max_intersection
+
+    def spy(ctx, target, n, d, *args, **kwargs):
+        seen.append((n, d))
+        return real(ctx, target, n, d, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "bruteforce_max_intersection", spy)
+    checks = run_suite("bounds", make_field(p, 1))
+    assert len(seen) == scans and all(c.passed for c in checks)
+    # each cone cell's bound check is followed by its maximizer check
+    names = [c.name for c in checks]
+    cells = [name.removeprefix("oracle_cone_") for name in names if name.startswith("oracle_cone_")]
+    assert cells and len(set(cells)) == len(cells)
+    for cell in cells:
+        assert names[names.index(f"oracle_cone_{cell}") + 1] == f"maximizer_structure_{cell}"
+    assert sum(name.startswith("maximizer_structure_") for name in names) == len(cells)
+
+
 # ---------------------------------------------------------------------------
 # The vectorised line cover against the per-point loops
 # ---------------------------------------------------------------------------
@@ -509,6 +533,17 @@ def cone_point_sets(draw):
     return ctx, n, pts, vertex
 
 
+def cone_line_cover(ctx, zero_points, vertex) -> tuple[bool, int]:
+    """Whether the distinct normalized points ``zero_points`` form a union of
+    full lines through ``vertex``, and how many lines: the kernel's one-row
+    case, every point a zero.  An empty set gives (True, 0); a nonempty set
+    without the vertex gives (False, 0)."""
+    points, line_ids, n_lines, vertex_pos = _cone_lines(ctx, zero_points, vertex)
+    everywhere = np.ones((1, len(points)), dtype=bool)
+    ok, lines = _line_cover_rows(ctx, everywhere, line_ids, n_lines, vertex_pos)
+    return bool(ok[0]), int(lines[0])
+
+
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(cone_point_sets())
 def test_cone_line_cover_matches_reference_walk(case):
@@ -519,24 +554,24 @@ def test_cone_line_cover_matches_reference_walk(case):
         expected = reference_line_walk(ctx, pts, vertex)
     else:
         expected = (not pts, 0)
-    assert _cone_line_cover(ctx, shuffled, vertex) == expected
+    assert cone_line_cover(ctx, shuffled, vertex) == expected
 
 
 def test_cone_line_cover_edge_cases(gf4, gf9):
     cone = make_standard_cone(gf4, 3)
     vertex = cone.vertex
     empty = np.zeros((0, 4), dtype=np.int64)
-    assert _cone_line_cover(gf4, empty, vertex) == (True, 0)
+    assert cone_line_cover(gf4, empty, vertex) == (True, 0)
     only_vertex = np.array([vertex], dtype=np.int64)
-    assert _cone_line_cover(gf4, only_vertex, vertex) == (True, 0)
+    assert cone_line_cover(gf4, only_vertex, vertex) == (True, 0)
     # one full line, then a stray point on a second line: one line completed
     first = cone.points[0] if tuple(cone.points[0]) != vertex else cone.points[1]
     line = line_through(gf4, vertex, first)
     stray = cone.points[-1]
     assert not any((line == stray).all(axis=1))
-    assert _cone_line_cover(gf4, np.vstack([line, stray]), vertex) == (False, 1)
+    assert cone_line_cover(gf4, np.vstack([line, stray]), vertex) == (False, 1)
     # a vertex given unnormalized is the same point
-    assert _cone_line_cover(gf4, line, [0, 0, 0, 3]) == (True, 1)
+    assert cone_line_cover(gf4, line, [0, 0, 0, 3]) == (True, 1)
     # the forms behind the early exits and a partial failure
     assert check_union_of_cone_lines(gf4, cone, _anisotropic_binary_quadric(gf4, 3)) == (False, 0)
     assert is_cone_with_vertex(gf4, _anisotropic_binary_quadric(gf4, 2), (0, 0, 1))
@@ -713,7 +748,7 @@ def test_normalize_rows_matches_normalize_vector(ctx, width, count, seed):
     got = normalize_rows(ctx, rows)
     assert got.shape == rows.shape
     for vec, norm in zip(rows.reshape(-1, width), got.reshape(-1, width)):
-        assert tuple(int(c) for c in norm) == normalize_vector(ctx, vec)
+        assert tuple(int(c) for c in norm) == reference_normalize_vector(ctx, vec)
 
 
 def test_normalize_rows_rejects_zero_vector(gf4):

@@ -426,6 +426,12 @@ def test_oversized_field_and_dimension_are_refused_before_work(tmp_path, shard_p
     assert got == 2 and err.count("\n") == 1 and "more than 10^1000" in err
 
 
+def test_field_suite_past_the_point_budget_is_a_clean_refusal():
+    code, err = _run_captured(["verify", "--p", "3", "--e", "5", "--suite", "field"])
+    assert code == 2 and err.count("\n") == 1 and "Traceback" not in err
+    assert "ordered pairs of GF(59049)" in err
+
+
 _HUGE_SHARDS = ("0/10000000000000000000", "6800000000000000000/10000000000000000000")
 
 

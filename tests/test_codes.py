@@ -8,6 +8,7 @@ import pytest
 
 from hermcodes import (
     BudgetExceededError,
+    bruteforce_max_intersection,
     build_code,
     code_dimension,
     construct_extremal_form,
@@ -66,9 +67,9 @@ def test_min_distance_modes_agree(gf4):
     for d in (1, 2):
         code = build_code(gf4, cone, d)
         via_messages = min_distance(gf4, code, "exhaustive_messages")
-        via_forms = min_distance(gf4, code, "exhaustive_forms")
-        assert via_messages.dmin == via_forms.dmin
-        assert via_messages.dmin_status == via_forms.dmin_status == EXACT
+        oracle = bruteforce_max_intersection(gf4, code.points, code.n, code.d)
+        assert via_messages.dmin == code.m - oracle.max_count
+        assert via_messages.dmin_status == EXACT
 
 
 @pytest.mark.parametrize(
@@ -92,17 +93,14 @@ def test_exact_parameters(p, n, d, expected):
 
 def test_min_distance_budget_refusal(gf4):
     code = build_code(gf4, make_standard_cone(gf4, 2), 2)
-    with pytest.raises(BudgetExceededError):
-        min_distance(gf4, code, "exhaustive_messages", budget=100)
-    for mode in ("exhaustive_messages", "exhaustive_forms"):
+    for budget in (100, 0):
         with pytest.raises(BudgetExceededError):
-            min_distance(gf4, code, mode, budget=0)
-    with pytest.raises(BudgetExceededError):
-        weight_distribution(gf4, code, budget=0)
+            weight_distribution(gf4, code, budget=budget)
     with pytest.raises(ValueError):
         min_distance(gf4, code, "witness_only")
-    with pytest.raises(ValueError):
-        min_distance(gf4, code, "nonsense")
+    for mode in ("nonsense", "exhaustive_forms"):
+        with pytest.raises(ValueError):
+            min_distance(gf4, code, mode)
 
 
 def test_witness_mode(gf4):

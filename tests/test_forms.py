@@ -4,7 +4,6 @@ The vectorized zero-count kernel is cross-checked against direct per-form
 evaluation, which keeps the oracle's hot path honest.
 """
 
-import json
 from math import comb
 
 import numpy as np
@@ -25,8 +24,6 @@ from hermcodes import (
 from hermcodes.forms import (
     class_indices,
     coeffs_at_indices,
-    form_from_json,
-    form_to_json,
     form_values,
     monomial_values,
     multiply_linear,
@@ -313,13 +310,6 @@ def test_monomial_values_shape(gf4):
     # column j is every monomial evaluated at point j
     form = HomogeneousForm(basis=basis, coeffs=tuple([1] + [0] * 9))
     assert np.array_equal(v[0], form_values(gf4, form, cone.points))
-
-
-def test_form_json_roundtrip():
-    basis = monomial_basis(3, 2)
-    form = HomogeneousForm(basis=basis, coeffs=tuple([1, 2] + [0] * 8))
-    payload = json.loads(json.dumps(form_to_json(form)))
-    assert form_from_json(payload) == form
 
 
 # -- the array form-index decoder against the former segment walk -------------

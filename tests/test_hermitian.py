@@ -40,7 +40,8 @@ from hermcodes.projspace import (
     incidence_matrix,
     line_through,
 )
-from hermcodes.verify import random_hermitian, random_invertible
+from hermcodes.verify import random_hermitian
+from loop_reference import random_invertible
 
 
 def on_variety(ctx, variety, x) -> bool:
@@ -254,13 +255,6 @@ def test_section_rejects_other_ranks(gf4):
     variety = HermitianVariety(gf4, h)
     with pytest.raises(ValueError):
         hyperplane_sections(gf4, variety, [(1, 0, 0, 0)])
-
-
-def test_descriptor(gf4):
-    cone = make_standard_cone(gf4, 2)
-    d = cone.descriptor()
-    assert d["rank"] == 2 and d["vertex"] == [0, 0, 1]
-    assert d["matrix"] == [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
 
 
 # ---------------------------------------------------------------------------

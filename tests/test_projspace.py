@@ -20,7 +20,6 @@ from hermcodes.projspace import (
     all_lines,
     enumerate_hyperplanes,
     enumerate_points,
-    export_points_csv,
     hyperplane_point_counts,
     incidence_matrix,
     line_through,
@@ -205,15 +204,6 @@ def test_line_through(gf4, gf9):
         line9 = line_through(gf9, pts9[i], pts9[j])
         assert len(line9) == 10
         assert np.array_equal(line9, line_through(gf9, pts9[j], pts9[i]))
-
-
-def test_export_points_csv(gf4, tmp_path):
-    pts = enumerate_points(gf4, 1)
-    path = tmp_path / "points.csv"
-    export_points_csv(gf4, 1, pts, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# n=1 p=2 e=1 modulus=1,1,1"
-    assert lines[1:] == ["0,1", "1,0", "1,1", "2,1", "3,1"]
 
 
 # ---------------------------------------------------------------------------
