@@ -95,10 +95,7 @@ def min_distance(
     distribution: dict[int, int] | None = None,
 ) -> CodeParameters:
     """Minimum distance of the code: m minus the most zeros of a nonzero
-    codeword, which is m minus the maximum that
-    :func:`bounds.bruteforce_max_intersection` finds on ``code.points``
-    (the same scan kernel over the same classes, so not an independent
-    check).
+    codeword.
 
     exhaustive_messages -- enumerate codewords up to scalar through the
         generator matrix at the default class budget; exact.  A
