@@ -196,27 +196,31 @@ def class_indices(ctx: FieldCtx, coeffs) -> np.ndarray:
 
 
 # Scan kernel sizes, counted in array elements.  The low table holds at most
-# SCAN_TABLE_ELEMS codes; one comparison chunk holds at most SCAN_CHUNK_ELEMS
-# booleans, or a single table's worth when one prefix already needs more.
-# Together they bound the scan's memory for every code length m.
+# SCAN_TABLE_ELEMS codes; one comparison chunk, point axis first, holds at
+# most SCAN_CHUNK_ELEMS booleans, or a single table's worth when one prefix
+# already needs more.  Together they bound the scan's memory for every code
+# length m.
 SCAN_TABLE_ELEMS = 1 << 20
 SCAN_CHUNK_ELEMS = 1 << 20
 
 
 def _combination_table(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
-    """(q2^L, m) table of every linear combination of the L given rows.  Row
-    j holds sum_i c_i * rows[i], where c_0 ... c_{L-1} are the base-q2
-    digits of j, most significant first: the enumeration-index order.
+    """(m, q2^L) table of every linear combination of the L given rows, one
+    column per combination, in the code dtype.  Column j holds
+    sum_i c_i * rows[i], where c_0 ... c_{L-1} are the base-q2 digits of j,
+    most significant first: the enumeration-index order.
 
     The table is filled in place, last row first: once the combinations of
-    the rows after row i fill the first ``size`` entries, block c holds them
-    plus c * rows[i], so each int64 temporary is one block."""
+    the rows after row i fill the first ``size`` columns, column block c
+    holds them plus c * rows[i], so each int64 temporary is one block."""
     q2 = ctx.q2
-    table = np.zeros((q2 ** len(rows), rows.shape[1]), dtype=code_dtype(q2))
+    table = np.zeros((rows.shape[1], q2 ** len(rows)), dtype=code_dtype(q2))
     size = 1
     for row in rows[::-1]:
         for c in range(1, q2):
-            table[c * size : (c + 1) * size] = ctx.vadd(table[:size], ctx.vmul(c, row))
+            table[:, c * size : (c + 1) * size] = ctx.vadd(
+                table[:, :size], ctx.vmul(c, row)[:, None]
+            )
         size *= q2
     return table
 
@@ -224,13 +228,15 @@ def _combination_table(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
 def _negated_prefixes(
     ctx: FieldCtx, values: np.ndarray, t: int, n_high: int, h0: int, h1: int
 ) -> np.ndarray:
-    """-(values[t] + digits x values[t+1 .. t+n_high]) for the high-digit
-    prefixes h0 .. h1-1 of segment t, one row of base-q2 digits each."""
+    """(m, h1 - h0) columns -(values[t] + digits x values[t+1 .. t+n_high])
+    for the high-digit prefixes h0 .. h1-1 of segment t, one column of
+    base-q2 digits each, built point-major so the columns come out
+    contiguous in the code dtype."""
     q2 = ctx.q2
     prefix = np.arange(h0, h1, dtype=np.int64)
-    digits = prefix[:, None] // q2 ** np.arange(n_high - 1, -1, -1, dtype=np.int64) % q2
-    high = mat_mul(ctx, digits, values[t + 1 : t + 1 + n_high])
-    return ctx.vneg(ctx.vadd(values[t], high)).astype(code_dtype(q2))
+    digits = prefix // q2 ** np.arange(n_high - 1, -1, -1, dtype=np.int64)[:, None] % q2
+    high = mat_mul(ctx, values[t + 1 : t + 1 + n_high].T, digits)
+    return ctx.vneg(ctx.vadd(values[t][:, None], high)).astype(code_dtype(q2))
 
 
 def _segment_counts(
@@ -245,17 +251,29 @@ def _segment_counts(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """(global start, zero counts) of the forms at local indices [a, b) of
     segment t, which begins at global index ``seg_lo``, as consecutive
-    pieces; the last n_low free digits are looked up in ``table``."""
+    pieces; the last n_low free digits are looked up in ``table``.
+
+    Each chunk compares an (m, per, width) block, point axis first, and
+    adds its m planes, read as uint8, into one reused accumulator of the
+    narrowest dtype that holds m; the counts are widened to int64 once per
+    chunk."""
     k, m = values.shape
     width = ctx.q2**n_low
-    low = table[:width]
+    low = table[:, :width]
     n_high = k - 1 - t - n_low
     per = max(1, SCAN_CHUNK_ELEMS // (width * max(m, 1)))
     last = (b - 1) // width + 1
+    acc = np.empty((per, width), dtype=np.min_scalar_type(m))
     for h0 in range(a // width, last, per):
         h1 = min(h0 + per, last)
         neg = _negated_prefixes(ctx, values, t, n_high, h0, h1)
-        counts = (low[None, :, :] == neg[:, None, :]).sum(axis=-1).ravel()
+        counts = np.add.reduce(
+            (low[:, None, :] == neg[:, :, None]).view(np.uint8),  # bools are 0/1 bytes
+            axis=0,
+            dtype=acc.dtype,
+            out=acc[: h1 - h0],
+        )
+        counts = counts.ravel().astype(np.int64)
         base = h0 * width
         first = max(a, base)
         yield seg_lo + first, counts[first - base : min(b, h1 * width) - base]
@@ -272,11 +290,14 @@ def scan_zero_counts(
     a leading-coefficient segment; each is one of the kernel's comparison
     chunks (see ``SCAN_CHUNK_ELEMS``).  Within segment t the free
     coefficients split into high digits (rows t+1 ..) and the last L low
-    digits.  The table of all q2^L combinations of the last L rows is built
-    once; each high-digit prefix is reduced once, negated, and compared
-    with the whole table, as a + b = 0 exactly when a = -b.  A form's zero
-    count is the number of positions where its table row equals its
-    negated prefix.
+    digits.  The (m, q2^L) table of all combinations of the last L rows is
+    built once, one column per combination; each high-digit prefix is
+    reduced once to a column of m codes, negated, and compared with every
+    table column, as a + b = 0 exactly when a = -b.  A form's zero count is
+    the number of points where its table column equals its negated prefix.
+    The point axis comes first, so a chunk's counts are m contiguous boolean
+    planes added into a uint8 (m < 256), uint16 or wider accumulator; the
+    yielded counts are int64.
     """
     k, m = values.shape
     q2 = ctx.q2

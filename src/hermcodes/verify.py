@@ -131,12 +131,26 @@ def _generators(table: np.ndarray) -> list[int]:
     return gens
 
 
+def _row_blocks(q2: int) -> Iterator[slice]:
+    """Consecutive row blocks of a q2 x q2 table, each of at most
+    CHUNK_ELEMS entries (or one row), so that no pass over all pairs of
+    codes holds a full-size int64 or index temporary."""
+    step = max(1, CHUNK_ELEMS // q2)
+    for lo in range(0, q2, step):
+        yield slice(lo, lo + step)
+
+
 def _code_table(q2: int, op) -> tuple[bool, np.ndarray]:
     """Whether op maps every pair of codes to a code, and its q2 x q2 table
-    in the code dtype."""
+    in the code dtype, read a row block at a time."""
     codes = np.arange(q2)
-    grid = op(codes[:, None], codes[None, :])
-    return bool(grid.min() >= 0 and grid.max() < q2), grid.astype(code_dtype(q2))
+    table = np.empty((q2, q2), dtype=code_dtype(q2))
+    closed = True
+    for rows in _row_blocks(q2):
+        block = op(codes[rows, None], codes[None, :])
+        closed &= bool(block.min() >= 0 and block.max() < q2)
+        table[rows] = block
+    return closed, table
 
 
 # The law helpers take square tables whose every entry is a code (a row
@@ -160,12 +174,12 @@ def _distributive(mul: np.ndarray, add: np.ndarray, gens: list[int]) -> bool:
     q2 = len(add)
     flat = add.ravel()
     left, right = np.empty_like(mul), np.empty_like(mul)
-    index = np.empty(mul.shape, dtype=np.intp)
     for c in gens:
         mul.take(add[:, c], 1, out=left, mode="wrap")
-        np.multiply(mul, q2, out=index, dtype=np.intp)
-        index += mul[:, c, None]  # a*b + a*c is flat[(a*b) * q2 + a*c]
-        flat.take(index, out=right, mode="wrap")
+        for rows in _row_blocks(q2):
+            index = np.multiply(mul[rows], q2, dtype=np.intp)
+            index += mul[rows, c, None]  # a*b + a*c is flat[(a*b) * q2 + a*c]
+            flat.take(index, out=right[rows], mode="wrap")
         if not np.array_equal(left, right):
             return False
     return True
@@ -224,22 +238,24 @@ def check_field_axioms(ctx: FieldCtx) -> CheckResult:
 def check_norm_trace_maps(ctx: FieldCtx) -> CheckResult:
     q, q2 = ctx.q, ctx.q2
     codes = np.arange(q2, dtype=np.int64)
-    a, b = codes[:, None], codes[None, :]
     norm = ctx.vnorm(codes)
-    multiplicative = np.array_equal(
-        ctx.vnorm(ctx.vmul(a, b)), ctx.vmul(norm[:, None], norm[None, :])
-    )
+    trace = ctx.vtrace(codes)
+    multiplicative = additive = True
+    for rows in _row_blocks(q2):
+        a, b = codes[rows, None], codes[None, :]
+        multiplicative &= np.array_equal(
+            ctx.vnorm(ctx.vmul(a, b)), ctx.vmul(norm[rows, None], norm[None, :])
+        )
+        additive &= np.array_equal(
+            ctx.vtrace(ctx.vadd(a, b)), ctx.vadd(trace[rows, None], trace[None, :])
+        )
     frob = ctx.vfrob(codes)
     fixed = tuple(int(c) for c in codes[frob == codes]) == ctx.base_embed
     involution = bool((ctx.vfrob(frob) == codes).all())
     values, counts = np.unique(norm[1:], return_counts=True)
     norm_ok = set(values.tolist()) == set(ctx.base_embed) - {0} and bool((counts == q + 1).all())
-    trace = ctx.vtrace(codes)
     values, counts = np.unique(trace, return_counts=True)
     trace_ok = set(values.tolist()) == set(ctx.base_embed) and bool((counts == q).all())
-    additive = np.array_equal(
-        ctx.vtrace(ctx.vadd(a, b)), ctx.vadd(trace[:, None], trace[None, :])
-    )
     ok = multiplicative and fixed and involution and norm_ok and trace_ok and additive
     return _result(
         "norm_trace_maps",
@@ -491,6 +507,8 @@ def check_cone_oracle(ctx: FieldCtx, n: int, d: int) -> tuple[CheckResult, Check
     the cone bound, and every maximizer is a union of generator lines of
     the expected cardinality, and (for n = 3) a cone with vertex at the
     singular point."""
+    if n not in (2, 3, 4):
+        raise ValueError(f"maximizer structure is known for n in 2..4 only, got n = {n}")
     q = ctx.q
     cone = bnd.oracle_target(ctx, "cone", n)
     result = bnd.bruteforce_max_intersection(ctx, cone, n, d)
@@ -501,9 +519,6 @@ def check_cone_oracle(ctx: FieldCtx, n: int, d: int) -> tuple[CheckResult, Check
         f"max |cone ^ V(F)| = {result.max_count} over {result.total_forms} forms, "
         f"bound {expected}, {result.n_maximizers} maximizers",
     )
-    # refused after the scan, so an over-budget cone is a budget refusal first
-    if n not in (2, 3, 4):
-        raise ValueError(f"maximizer structure is known for n in 2..4 only, got n = {n}")
     expected_lines = {2: d, 3: d * (q + 1), 4: bnd.sorensen_max(d, q) if d == 1 else None}[n]
     found = bnd.characterize_maximizers(ctx, cone, result)
     ok = result.n_maximizers == len(result.maximizers)  # cap not hit at desk scale

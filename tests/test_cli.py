@@ -209,6 +209,21 @@ def test_verify_bounds_without_known_structure(capsys):
     assert "n = 5" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("n,d", [(5, 1), (7, 2), (1, 1)])
+def test_verify_bounds_refuses_unknown_structure_before_the_scan(monkeypatch, capsys, n, d):
+    """n outside 2..4 is refused with exit 1 before the cone oracle scans,
+    also when the cell is over budget (n = 7, d = 2) or has no cone bound
+    (n = 1)."""
+    scans = []
+    monkeypatch.setattr(
+        verify.bnd, "bruteforce_max_intersection", lambda *args, **kw: scans.append(args)
+    )
+    argv = ["verify", "--p", "2", "--suite", "bounds", "--n", str(n), "--d", str(d)]
+    assert main(argv) == 1
+    assert f"n = {n}" in _one_line_error(capsys)
+    assert scans == []
+
+
 def test_merge_rejects_report_without_config_n(tmp_path, capsys):
     _, report, path = run_cli(
         ["oracle", "--p", "2", "--e", "1", "--n", "2", "--d", "1", "--shard", "0/2"], tmp_path

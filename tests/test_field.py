@@ -575,6 +575,30 @@ def test_field_axioms_check_matches_reference_on_corrupted_tables(
     assert check_field_axioms(bad).passed == reference_check_field_axioms(bad)[0]
 
 
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (17, 1)])
+@pytest.mark.parametrize("op", [None, "mul", "add"])
+def test_field_checks_match_reference_in_row_blocks(monkeypatch, p, e, op):
+    """Three rows per block, the last block short: the blocked reads of all
+    pairs give the reference verdicts, on a field and on a law corrupted in
+    its last two rows."""
+    ctx = cached_field(p, e)
+    q2 = ctx.q2
+    mul, add, neg, inv = field_tables(ctx)
+    tables = {"mul": mul.copy(), "add": add.copy()}
+    if op:
+        x, y = q2 - 1, q2 - 2
+        tables[op][x, y] = tables[op][y, x] = (tables[op][x, y] + 1) % q2
+    field = TableField(tables["mul"], tables["add"], neg, inv)
+    monkeypatch.setattr(verify, "CHUNK_ELEMS", 3 * q2 + 1)
+    assert len(list(verify._row_blocks(q2))) == -(-q2 // 3)
+    assert check_field_axioms(field).passed == reference_check_field_axioms(field)[0]
+    assert check_field_axioms(field).passed == (op is None)
+    assert check_norm_trace_maps(ctx).passed
+    for table in ("_norm_t", "_trace_t"):
+        bad = with_corrupted_entry(ctx, table, q2 - 1)
+        assert check_norm_trace_maps(bad).passed == reference_check_norm_trace_maps(bad)[0]
+
+
 def left_projection(q2):
     return np.broadcast_to(np.arange(q2)[:, None], (q2, q2)).copy()
 

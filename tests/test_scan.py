@@ -11,6 +11,7 @@ import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -114,9 +115,26 @@ def test_combination_table_matches_former_int64_build(field, n_rows, m, seed):
     rows = rng.integers(0, ctx.q2, size=(n_rows, m))
     rows[rng.random(rows.shape) < 0.3] = 0
     got = _combination_table(ctx, rows)
-    want = reference_combination_table(ctx, rows)
+    want = reference_combination_table(ctx, rows).T  # the kernel's table is point-major
     assert got.dtype == want.dtype == code_dtype(ctx.q2)
-    assert got.shape == want.shape == (ctx.q2**n_rows, m) and np.array_equal(got, want)
+    assert got.shape == want.shape == (m, ctx.q2**n_rows) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m", [0, 255, 256, 65535, 65536])
+@pytest.mark.parametrize("k", [1, 2])
+def test_counts_at_accumulator_dtype_edges(m, k):
+    """Code lengths at the edges of the uint8 / uint16 / uint32 count
+    accumulators: a form vanishing at all m points counts m, and planted
+    zeros match the reference, as int64."""
+    ctx = FIELDS[(2, 2)]
+    total = projective_form_count(ctx.q2, k)
+    zero = np.zeros((k, m), dtype=np.int64)
+    _, counts = _collect(scan_zero_counts(ctx, zero, 0, total))
+    assert counts.dtype == np.int64 and counts.tolist() == [m] * total
+    rng = np.random.default_rng(m + k)
+    values = rng.integers(0, ctx.q2, size=(k, m))
+    values[:, : m // 2] = 0
+    _assert_same(ctx, values, 0, total)
 
 
 def reference_summary(ctx, values, lo, hi, cap):
