@@ -38,7 +38,7 @@ from .hermitian import (
     make_standard_cone,
     tangent_hyperplanes,
 )
-from .limits import EVAL_BUDGET, MAXIMIZER_CAP, BudgetExceededError, check_index_space
+from .limits import EVAL_BUDGET, MAXIMIZER_CAP, check_index_space, check_scan_budget
 from .linalg import mat_mul
 from .projspace import (
     enumerate_hyperplanes,
@@ -326,7 +326,11 @@ class OracleResult:
 
 def oracle_target(ctx: FieldCtx, variety: str, n: int):
     """The point set an oracle run over ``variety`` scans: the standard cone
-    or nondegenerate variety, or the (N, n+1) point array of all of P^n."""
+    or nondegenerate variety, or the (N, n+1) point array of all of P^n.
+    The cone and the nondegenerate variety have a bound for n >= 2 only, so
+    n = 1 is refused here, before any scan."""
+    if variety in ("cone", "nondegenerate") and n < 2:
+        raise ValueError(f"the {variety} oracle requires n >= 2, got n = {n}")
     if variety == "cone":
         return make_standard_cone(ctx, n)
     if variety == "nondegenerate":
@@ -385,11 +389,7 @@ def bruteforce_max_intersection(
     k = len(basis)
     total = projective_form_count(ctx.q2, k)
     lo, hi = shard_range(total, shard)
-    evals = (hi - lo) * len(points)
-    if evals > budget:
-        raise BudgetExceededError(
-            f"scan needs {evals} form evaluations > budget {budget}; shard or override"
-        )
+    check_scan_budget((hi - lo) * len(points), budget)
     check_index_space(total)
     values = monomial_values(ctx, basis, points)
     hist, kept = zero_count_summary(ctx, values, lo, hi, cap)

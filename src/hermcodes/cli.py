@@ -34,7 +34,7 @@ from . import codes as cds
 from .field import FieldCtx, make_field
 from .forms import form_to_json, form_values
 from .hermitian import make_standard_cone
-from .limits import CLASS_BUDGET, EVAL_BUDGET, MAXIMIZER_CAP, BudgetExceededError
+from .limits import EVAL_BUDGET, MAXIMIZER_CAP, BudgetExceededError
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -111,9 +111,8 @@ def cmd_params(args) -> int:
         report["note"] = f"variety enumeration refused: {exc}"
         _emit(report, args.out)
         return EXIT_BUDGET
-    budget = args.budget if args.budget is not None else CLASS_BUDGET
     try:
-        dist = cds.weight_distribution(ctx, code, budget=budget)
+        dist = cds.weight_distribution(ctx, code, budget=args.budget)
         computed = cds.min_distance(ctx, code, "exhaustive_messages", distribution=dist)
         if args.weights_csv:
             with open(args.weights_csv, "w", encoding="utf-8") as fh:
@@ -208,11 +207,10 @@ def _full_oracle_report(
 
 def cmd_oracle(args) -> int:
     ctx = make_field(args.p, args.e)
-    budget = args.budget if args.budget is not None else EVAL_BUDGET
     try:
         target = bnd.oracle_target(ctx, args.variety, args.n)
         result = bnd.bruteforce_max_intersection(
-            ctx, target, args.n, args.d, shard=args.shard, budget=budget, cap=args.cap
+            ctx, target, args.n, args.d, shard=args.shard, budget=args.budget, cap=args.cap
         )
     except BudgetExceededError as exc:
         report = _report("oracle", ctx, args.n, args.d, variety=args.variety)
@@ -340,6 +338,11 @@ def _add_field_args(sub) -> None:
     sub.add_argument("--e", type=int, default=1, help="exponent, q = p^e (default 1)")
 
 
+def _add_budget_arg(sub) -> None:
+    text = "most form evaluations (classes x points) one scan may take (default %(default)s)"
+    sub.add_argument("--budget", type=int, default=EVAL_BUDGET, help=text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hermcodes",
@@ -351,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None, help="message-class budget override")
+    _add_budget_arg(p)
     p.add_argument("--assume-conjecture", action="store_true")
     p.add_argument("--weights-csv", default=None, help="write the weight distribution CSV here")
     p.add_argument("--generator-out", default=None, help="write the generator matrix file here")
@@ -377,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--d", type=int, required=True)
     o.add_argument("--variety", choices=_VARIETIES, default="cone")
     o.add_argument("--shard", type=_parse_shard, default=(0, 1), metavar="I/T")
-    o.add_argument("--budget", type=int, default=None, help="evaluation budget override")
+    _add_budget_arg(o)
     o.add_argument("--cap", type=int, default=MAXIMIZER_CAP)
     o.add_argument("--assume-conjecture", action="store_true")
     o.add_argument("--out", default=None)

@@ -23,7 +23,7 @@ from .forms import (
     projective_form_count,
 )
 from .hermitian import HermitianVariety, count_points_formula
-from .limits import CLASS_BUDGET, BudgetExceededError, check_count_digits
+from .limits import EVAL_BUDGET, check_count_digits, check_scan_budget
 from .linalg import matrix_rank
 
 __all__ = [
@@ -98,7 +98,7 @@ def min_distance(
     codeword.
 
     exhaustive_messages -- enumerate codewords up to scalar through the
-        generator matrix at the default class budget; exact.  A
+        generator matrix at the default evaluation budget; exact.  A
         ``distribution`` already computed by :func:`weight_distribution`
         for this code (at any budget) is read instead of scanning again.
     witness_only -- evaluate the supplied extremal forms only; reports an
@@ -120,17 +120,14 @@ def min_distance(
 
 
 def weight_distribution(
-    ctx: FieldCtx, code: FunctionalCode, budget: int | None = None
+    ctx: FieldCtx, code: FunctionalCode, budget: int = EVAL_BUDGET
 ) -> dict[int, int]:
     """Weight -> count over the nonzero codewords up to scalar; the counts
-    sum to (q^2^rows - 1)/(q^2 - 1)."""
-    budget = CLASS_BUDGET if budget is None else budget
+    sum to (q^2^rows - 1)/(q^2 - 1).  The scan evaluates every message
+    class at every point, and more than ``budget`` such form evaluations
+    are refused (BudgetExceededError)."""
     classes = projective_form_count(ctx.q2, code.n_rows)
-    if classes > budget:
-        raise BudgetExceededError(
-            f"{classes} message classes > budget {budget}; "
-            "use witness_only mode or raise the budget"
-        )
+    check_scan_budget(classes * code.m, budget)
     hist, _ = bounds.zero_count_summary(ctx, code.generator, 0, classes, cap=0)
     # hist[z] counts the codewords with z zeros, i.e. of weight m - z.
     return {code.m - z: int(hist[z]) for z in range(code.m, -1, -1) if hist[z]}

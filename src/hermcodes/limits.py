@@ -2,9 +2,10 @@
 
 All enumerations in this package are exact, so every budget is a hard count
 of elementary work items (table entries, coordinate tuples, form
-evaluations, message classes).  Each budget can be overridden per call;
-the defaults keep the q = 2, 3 verification runs instant while refusing
-accidental explosions.
+evaluations).  Every exhaustive scan, the weight distribution and the
+oracle alike, is priced in form evaluations: classes x points.  Each budget
+can be overridden per call; the defaults keep the q = 2, 3 verification
+runs instant while refusing accidental explosions.
 """
 
 import math
@@ -21,11 +22,9 @@ DENSE_TABLE_LIMIT = 256
 # Raw coordinate tuples visited by one projective-space enumeration.
 POINT_BUDGET = 20_000_000
 
-# Form evaluations (forms x points) performed by one exhaustive scan.
-EVAL_BUDGET = 500_000_000
-
-# Projective message classes visited by one exhaustive distance run.
-CLASS_BUDGET = 2_000_000
+# Form evaluations (form classes x points) one exhaustive scan may take: the
+# smallest round value over params q = 3, n = 5, d = 1 (1.46e9, 8-10 s, 2 CPUs).
+EVAL_BUDGET = 2_000_000_000
 
 # Decimal digits of the coordinate-tuple count of the largest projective
 # space any count is worked out for; larger ones are refused unprinted.
@@ -45,6 +44,14 @@ def check_count_digits(q2: int, n: int) -> None:
     if n + 1 > COUNT_DIGITS / math.log10(q2):
         raise BudgetExceededError(
             f"P^{n}(GF({q2})) has more than 10^{COUNT_DIGITS} coordinate tuples"
+        )
+
+
+def check_scan_budget(evals: int, budget: int) -> None:
+    """Refuse an exhaustive scan of more than ``budget`` form evaluations."""
+    if evals > budget:
+        raise BudgetExceededError(
+            f"scan needs {evals} form evaluations > budget {budget}; shard or override"
         )
 
 

@@ -21,14 +21,11 @@ from . import codes as cds
 from .field import FieldCtx, code_dtype
 from .forms import (
     HomogeneousForm,
-    coeffs_at_indices,
     form_values,
     monomial_basis,
     monomial_values,
     multiply_linear,
     product_of_hyperplanes,
-    projective_form_count,
-    scan_zero_counts,
 )
 from .hermitian import (
     canonical_congruence,
@@ -617,21 +614,16 @@ def check_hyperplane_margin(ctx: FieldCtx, n: int, d: int, seed: int = 2) -> Che
 def check_missing_vertex_margin(ctx: FieldCtx, n: int, d: int) -> CheckResult:
     """Exhaustive over all degree-d forms not vanishing at the vertex:
     intersection with the cone is at most d * |base variety|."""
-    q = ctx.q
     cone = make_standard_cone(ctx, n)
     basis = monomial_basis(n, d)
-    k = len(basis)
-    values = monomial_values(ctx, basis, cone.points)
-    # value at the vertex [0:...:0:1] is the coefficient of x_n^d, the last
-    # graded-lex monomial, so the filter is "last coefficient nonzero"
+    # the value at the vertex [0:...:0:1] is the coefficient of x_n^d, the
+    # last graded-lex monomial; with the rows reversed it leads, so the forms
+    # off the vertex, up to scalar, are segment 0 (x_n^d with coefficient 1)
     assert basis.exponents[-1] == tuple([0] * n + [d])
-    total = projective_form_count(ctx.q2, k)
-    limit = d * count_points_formula(n - 1, "nondegenerate", q)
-    worst = -1
-    for start, counts in scan_zero_counts(ctx, values, 0, total):
-        missing = coeffs_at_indices(ctx.q2, k, start + np.arange(len(counts)))[:, -1] != 0
-        if missing.any():
-            worst = max(worst, int(counts[missing].max()))
+    values = monomial_values(ctx, basis, cone.points)[::-1]
+    hist, _ = bnd.zero_count_summary(ctx, values, 0, ctx.q2 ** (len(basis) - 1), cap=0)
+    worst = int(np.flatnonzero(hist)[-1])
+    limit = d * count_points_formula(n - 1, "nondegenerate", ctx.q)
     ok = worst <= limit
     return _result(
         f"missing_vertex_margin_n{n}_d{d}",

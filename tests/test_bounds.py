@@ -55,7 +55,7 @@ from hermcodes.bounds import (
     oracle_bound,
     oracle_target,
 )
-from hermcodes.forms import form_values
+from hermcodes.forms import form_values, monomial_values, projective_form_count, scan_zero_counts
 from hermcodes.hermitian import count_points_formula
 from hermcodes.limits import POINT_BUDGET
 from hermcodes.projspace import (
@@ -71,7 +71,7 @@ from hermcodes.verify import (
     check_tangent_section_structure,
     run_suite,
 )
-from loop_reference import reference_normalize_vector
+from loop_reference import reference_missing_vertex_filter, reference_normalize_vector
 
 
 def test_serre_bound_values():
@@ -332,6 +332,23 @@ def test_margin_checks(gf4):
     assert check_hyperplane_margin(gf4, 3, 2).passed
     assert check_missing_vertex_margin(gf4, 3, 1).passed
     assert check_missing_vertex_margin(gf4, 3, 2).passed
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 2, 1), (2, 2, 2), (2, 3, 1), (2, 3, 2), (3, 2, 1), (3, 2, 2)])
+def test_missing_vertex_margin_matches_filtered_full_scan(p, n, d):
+    # reference: scan every form and keep those whose x_n^d coefficient,
+    # read from the index arithmetic alone, is nonzero
+    ctx = make_field(p, 1)
+    basis = monomial_basis(n, d)
+    k = len(basis)
+    values = monomial_values(ctx, basis, make_standard_cone(ctx, n).points)
+    worst = -1
+    for start, zeros in scan_zero_counts(ctx, values, 0, projective_form_count(ctx.q2, k)):
+        off_vertex = reference_missing_vertex_filter(ctx.q2, k, start + np.arange(len(zeros)))
+        if off_vertex.any():
+            worst = max(worst, int(zeros[off_vertex].max()))
+    detail = check_missing_vertex_margin(ctx, n, d).detail
+    assert detail.startswith(f"max intersection over forms off the vertex = {worst} <= ")
 
 
 def test_tangent_section_structure_q3():

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hermcodes import codes, verify
+from hermcodes import bounds, cli, codes, verify
 from hermcodes.cli import main
+from hermcodes.limits import EVAL_BUDGET
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -127,6 +128,69 @@ def test_oracle_budget_refusal(tmp_path):
     )
     assert code == 2
     assert "error" in report
+
+
+def test_one_budget_unit_at_its_boundary(tmp_path):
+    # q = 2, (n, d) = (2, 2): 1,365 classes x 13 points = 17,745 form evaluations
+    params = ["params", "--p", "2", "--n", "2", "--d", "2", "--budget"]
+    oracle = ["oracle", "--p", "2", "--n", "2", "--d", "2", "--budget"]
+    code, report, _ = run_cli(params + ["17745"], tmp_path)
+    assert code == 0 and report["computed"]["dmin_status"] == "exact"
+    code, report, _ = run_cli(params + ["17744"], tmp_path)
+    assert code == 0 and report["computed"]["dmin_status"] == "witness_upper_bound_only"
+    code, report, _ = run_cli(oracle + ["17745"], tmp_path)
+    assert code == 0 and report["result"]["max_count"] == 9
+    code, report, _ = run_cli(oracle + ["17744"], tmp_path)
+    assert code == 2
+    assert report["error"] == (
+        "scan needs 17745 form evaluations > budget 17744; shard or override"
+    )
+
+
+def test_params_and_oracle_share_one_budget_option():
+    subs = cli.build_parser()._subparsers._group_actions[0].choices
+    budgets = [
+        next(a for a in subs[name]._actions if a.dest == "budget") for name in ("params", "oracle")
+    ]
+    assert [a.default for a in budgets] == [EVAL_BUDGET, EVAL_BUDGET]
+    assert budgets[0].help == budgets[1].help
+
+
+def test_params_default_budget_flips(tmp_path, monkeypatch):
+    # q = 5 (2, 2): 1.54e9 evaluations, inside the default budget
+    code, report, _ = run_cli(["params", "--p", "5", "--n", "2", "--d", "2"], tmp_path)
+    assert code == 0
+    assert report["computed"]["dmin"] == 100 and report["computed"]["dmin_status"] == "exact"
+    # q = 5 (4, 1): 3.33e10 evaluations, refused before any scan
+    scans = []
+    monkeypatch.setattr(bounds, "scan_zero_counts", lambda *args: scans.append(args))
+    code, report, _ = run_cli(["params", "--p", "5", "--n", "4", "--d", "1"], tmp_path)
+    assert code == 0
+    assert report["computed"]["dmin"] == 78125
+    assert report["computed"]["dmin_status"] == "witness_upper_bound_only"
+    assert scans == []
+
+
+@pytest.mark.parametrize("variety", ["cone", "nondegenerate"])
+@pytest.mark.parametrize("shard", [[], ["--shard", "0/2"]])
+def test_oracle_refuses_n1_before_the_scan(monkeypatch, capsys, tmp_path, variety, shard):
+    """The cone and the nondegenerate variety have no bound for n = 1, so
+    the oracle refuses n = 1 with exit 1 before it scans, sharded or not."""
+    scans = []
+    monkeypatch.setattr(
+        cli.bnd, "bruteforce_max_intersection", lambda *args, **kw: scans.append(args)
+    )
+    argv = ["oracle", "--p", "2", "--n", "1", "--d", "2", "--variety", variety, *shard]
+    code, report, _ = run_cli(argv, tmp_path)
+    assert code == 1 and report is None
+    assert "n >= 2" in _one_line_error(capsys)
+    assert scans == []
+
+
+def test_oracle_space_n1_still_runs(tmp_path):
+    argv = ["oracle", "--p", "2", "--n", "1", "--d", "2", "--variety", "space"]
+    code, report, _ = run_cli(argv, tmp_path)
+    assert code == 0 and report["bound"]["source"] == "serre"
 
 
 def test_shard_merge_byte_identical(tmp_path):

@@ -320,7 +320,7 @@ def _assert_decodes_like_the_walk(q2, k, g):
     assert rows.dtype == np.int64 and rows.shape == (len(g), k)
     want = [reference_coeffs_at_index(q2, k, int(x)) for x in g]
     assert list(map(tuple, rows.tolist())) == want
-    # the vertex filter of verify.check_missing_vertex_margin: x_n^d is the last monomial
+    # the vertex filter of the missing-vertex reference in test_bounds: x_n^d is the last monomial
     assert np.array_equal(rows[:, -1] != 0, reference_missing_vertex_filter(q2, k, g))
 
 
