@@ -5,7 +5,8 @@ Subcommands: ``params`` (closed-form vs computed code parameters),
 maximization, shardable), ``construct`` (extremal witness files), and
 ``merge`` (combine sharded oracle reports).
 
-Reports are JSON with a ``schema`` field, written to stdout or ``--out``.
+Reports are JSON with a ``schema`` field, written to stdout or ``--out``, in
+exactly the bytes json writes with indent 2 and sorted keys (tests hold to it).
 Output is a pure function of the configuration (seed included): reruns are
 byte-identical, and merged shard reports are byte-identical with the
 unsharded run.  Exit codes: 0 pass, 1 invariant failure, parameter
@@ -26,6 +27,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 
@@ -43,8 +45,39 @@ EXIT_BUDGET = 2
 EXIT_UNKNOWN = 3
 
 
+def _json_key(key) -> str:
+    """A dict key as json writes it: a str, or the JSON text of a non-str key, quoted."""
+    if not (key is None or isinstance(key, (str, int, float))):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return json.dumps(key if isinstance(key, str) else json.dumps(key))
+
+
+def _json(obj, indent: str = "\n") -> str:
+    """The bytes json writes with indent 2 and sorted keys.  Its indent encoder is
+    pure Python, so a list of exact ints, or of equal-length rows of exact ints
+    (maximizers), is formatted here by one ``%`` on a repeated template."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [f"{_json_key(k)}: {_json(v, inner)}" for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if not isinstance(obj, (list, tuple)):
+        return json.dumps(obj)  # scalars, and TypeError for what json refuses
+    if not obj:
+        return "[]"
+    kinds = set(map(type, obj))
+    if kinds == {int}:
+        return "[" + inner + ("," + inner).join(["%d"] * len(obj)) % tuple(obj) + indent + "]"
+    if kinds <= {list, tuple} and len(set(map(len, obj))) == 1 and obj[0]:
+        flat = tuple(chain.from_iterable(obj))
+        if set(map(type, flat)) == {int}:
+            cell = inner + "  "
+            row = "[" + cell + ("," + cell).join(["%d"] * len(obj[0])) + inner + "]"
+            return "[" + inner + ("," + inner).join([row] * len(obj)) % flat + indent + "]"
+    return "[" + inner + ("," + inner).join([_json(x, inner) for x in obj]) + indent + "]"
+
+
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = _json(report) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)

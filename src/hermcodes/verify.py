@@ -121,8 +121,8 @@ def _generators(table: np.ndarray) -> list[int]:
         while new.size:
             have = np.flatnonzero(inside)
             grown = inside.copy()
-            grown[table[new][:, have]] = True
-            grown[table[have][:, new]] = True
+            grown[table[np.ix_(new, have)]] = True
+            grown[table[np.ix_(have, new)]] = True
             new = np.flatnonzero(grown & ~inside)
             inside = grown
     return gens

@@ -1,10 +1,12 @@
 """Command-line interface: report payloads, exit codes, determinism, and
 the shard/merge path."""
 
+import enum
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -246,6 +248,156 @@ def test_cli_stdout(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["computed"]["dmin"] == 8
+
+
+# -- the report writer, with json as the oracle --------------------------------
+
+
+def _json_text(value):
+    """json's report text for value, or the type and message of its error."""
+    try:
+        return json.dumps(value, indent=2, sort_keys=True) + "\n"
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _emitted(value, path):
+    """What _emit writes for value to stdout and to --out path, each as the
+    text or the type and message of its error; an error leaves no file."""
+    results = []
+    for out in (None, path):
+        path.unlink(missing_ok=True)
+        try:
+            with redirect_stdout(io.StringIO()) as buf:
+                cli._emit(value, out and str(out))
+            results.append(path.read_text(encoding="utf-8") if out else buf.getvalue())
+        except (TypeError, ValueError) as exc:
+            assert not path.exists()
+            results.append((type(exc), str(exc)))
+    return results
+
+
+@st.composite
+def _int_rows(draw):
+    """Rows of one width (the maximizer shape), lists or tuples, with at
+    most one flaw: a bool or a float entry, or one row a code longer."""
+    width = draw(st.integers(0, 4))
+    row = st.lists(st.integers(), min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    i = draw(st.integers(0, len(rows) - 1))
+    flaw = draw(st.sampled_from([None, True, 1.0, "ragged"]))
+    if flaw == "ragged":
+        rows[i].append(0)
+    elif flaw is not None and width:
+        rows[i][draw(st.integers(0, width - 1))] = flaw
+    return [tuple(r) if draw(st.booleans()) else r for r in rows]
+
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_NUMBER_KEYS = st.integers() | st.floats() | st.booleans()
+
+
+def _containers(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), children, max_size=4)
+        | st.dictionaries(_NUMBER_KEYS | st.none(), children, max_size=3)
+        | st.dictionaries(_NUMBER_KEYS, children, max_size=4)
+    )
+
+
+_REPORT_VALUES = st.recursive(
+    _SCALARS | _int_rows() | st.lists(st.integers() | st.booleans(), max_size=6),
+    _containers,
+    max_leaves=24,
+)
+
+
+@pytest.fixture(scope="module")
+def writer_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("writer") / "out.json"
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(value=_REPORT_VALUES)
+def test_writer_matches_json_on_stdout_and_out(writer_out, value):
+    want = _json_text(value)
+    assert _emitted(value, writer_out) == [want, want]
+
+
+def test_writer_sorts_then_quotes_non_string_keys(tmp_path):
+    value = {
+        "numbers": {10: "a", 2.5: "b", True: "c", -3: "d", float("inf"): "e", float("nan"): "f"},
+        "none": {None: [[1, 2], [3, 4]]},
+        "bools": {False: [], True: {}},
+    }
+    want = _json_text(value)
+    assert '"-3": "d",\n    "true": "c",\n    "2.5": "b",\n    "10": "a"' in want
+    assert '"NaN": "f"' in want and '"null": [' in want and '"false": []' in want
+    assert _emitted(value, tmp_path / "out.json") == [want, want]
+    assert _emitted({(1, 2): 0}, tmp_path / "out.json") == [_json_text({(1, 2): 0})] * 2
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[1, np.int64(2), 3], [[1, 2], [3, np.int64(4)]], {"maximizers": [(0, 1), (np.int64(2), 3)]}],
+    ids=["int-list", "row", "nested-row"],
+)
+def test_writer_refuses_what_json_refuses(tmp_path, value):
+    want = _json_text(value)
+    assert want[0] is TypeError and "int64" in want[1]
+    assert _emitted(value, tmp_path / "out.json") == [want, want]
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 7
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [1, True, 3],
+        [[1, 2], [3, False]],
+        [(1, 2), (3, 4.0)],
+        [[1, 2], [3]],
+        [[], []],
+        [1, _Level.HIGH, 3],
+        [[_Level.LOW, 2], [3, 4]],
+        {_Level.HIGH: [_Level.LOW]},
+    ],
+    ids=[
+        "bool-in-list", "bool-in-row", "float-in-row", "ragged-rows", "empty-rows",
+        "enum-in-list", "enum-in-row", "enum-key-and-value",
+    ],
+)
+def test_writer_takes_the_general_path_off_the_bulk_shapes(tmp_path, value):
+    want = _json_text(value)
+    assert _emitted(value, tmp_path / "out.json") == [want, want]
+
+
+def _canonical(text):
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_reports_round_trip_byte_for_byte(tmp_path, capsys):
+    # the two bulk shapes at size: 4,095 maximizer rows, 16,384 support codes
+    assert main(["oracle", "--p", "3", "--n", "2", "--d", "2", "--variety", "space"]) == 0
+    out = capsys.readouterr().out
+    assert out == _canonical(out) and len(json.loads(out)["result"]["maximizers"]) == 4095
+    assert main(["construct", "--p", "2", "--e", "2", "--n", "4", "--d", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out == _canonical(out) and len(json.loads(out)["code"]["codeword_support"]) == 16384
+    shards = [tmp_path / f"shard{i}.json" for i in range(3)]
+    for i, path in enumerate(shards):
+        argv = ["oracle", "--p", "2", "--n", "3", "--d", "2", "--shard", f"{i}/3"]
+        assert main(argv + ["--out", str(path)]) == 0
+        text = path.read_text(encoding="utf-8")
+        assert text == _canonical(text)
+    assert main(["merge", *map(str, shards)]) == 0
+    out = capsys.readouterr().out
+    assert out == _canonical(out)
 
 
 def _one_line_error(capsys) -> str:

@@ -3,6 +3,7 @@ oracle and hand-computed tables for GF(4) and GF(9)."""
 
 import copy
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -646,6 +647,23 @@ def test_generators_are_minimal_in_order_and_generate_everything(table):
     for i, (g, after) in enumerate(zip(gens, gens[1:] + [len(table)])):
         assert g not in prefix[i]
         assert set(range(g + 1, after)) <= prefix[i + 1]  # skipped: already generated
+
+
+@pytest.mark.parametrize("op", ["vmul", "vadd"])
+def test_generators_read_only_the_closure_blocks(op):
+    # GF(1024): a closure round reads the |new| x |have| block of the
+    # 1024 x 1024 table, about 1.1 MiB traced; copying whole rows first
+    # (table[have][:, new]) peaked at 3.0 MiB
+    ctx = make_field(2, 5)
+    _, table = verify._code_table(ctx.q2, getattr(ctx, op))
+    tracemalloc.start()
+    try:
+        gens = verify._generators(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gens == ([0, 1, 2] if op == "vmul" else [0] + [2**i for i in range(10)])
+    assert peak < 2 * 2**20
 
 
 def small_magma(kind, size, rng):
