@@ -15,12 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldCtx
+from .field import FieldCtx, code_dtype
 from . import projspace
 from .forms import (
     HomogeneousForm,
     MonomialBasis,
+    SCAN_TABLE_ELEMS,
     coeffs_at_indices,
+    combination_table,
     intersection_count,
     monomial_basis,
     monomial_values,
@@ -39,7 +41,6 @@ from .hermitian import (
     tangent_hyperplanes,
 )
 from .limits import EVAL_BUDGET, MAXIMIZER_CAP, check_index_space, check_scan_budget
-from .linalg import mat_mul
 from .projspace import (
     enumerate_hyperplanes,
     enumerate_points,
@@ -460,42 +461,84 @@ def merge_oracle_results(parts: list[OracleResult]) -> OracleResult:
 
 def zero_mask_blocks(ctx: FieldCtx, coeffs: np.ndarray, values: np.ndarray):
     """Yield (first row, block) over the (N, k) coefficient stack against the
-    (k, m) monomial value matrix: ``block[i, j]`` says form ``first + i``
-    vanishes at point j.  A block holds at most a quarter of
-    ``projspace.CHUNK_ELEMS`` entries (or one row): ``mat_mul`` keeps about
-    three block-sized code arrays alive at once, so one block's evaluation
-    stays within about ``CHUNK_ELEMS`` codes."""
-    step = max(1, projspace.CHUNK_ELEMS // 4 // max(values.shape[1], 1))
-    for lo in range(0, len(coeffs), step):
-        yield lo, mat_mul(ctx, coeffs[lo : lo + step], values) == 0
+    (k, m) monomial value matrix, k >= 2: ``block[i, j]`` says form
+    ``first + i`` vanishes at point j.  A block holds at most a quarter of
+    ``projspace.CHUNK_ELEMS`` entries (or one row).
+
+    The monomials split into G groups of L, the last one zero-padded and
+    negated; L <= k - 1 is the largest with q2^L <= max(q2, N) and
+    q2^L * m <= ``SCAN_TABLE_ELEMS``, or 1.  A form picks one row of each
+    group's row-major (q2^L, m) :func:`forms.combination_table`, named by
+    its group coefficients as base-q2 digits, most significant first, and
+    vanishes where its other rows sum to its last one: a block costs one
+    gather and G - 2 ``vadd``.  One build makes as many tables as fit in
+    ``SCAN_TABLE_ELEMS`` codes."""
+    (n_forms, k), m, q2 = coeffs.shape, values.shape[1], ctx.q2
+    cap = min(max(q2, n_forms), SCAN_TABLE_ELEMS // max(m, 1))  # bounds q2^L
+    width = 1
+    while width < k - 1 and q2 ** (width + 1) <= cap:
+        width += 1
+    groups, size = -(-k // width), q2**width
+    padded = np.zeros((groups * width, m), dtype=np.int64)
+    padded[:k] = values
+    padded[-width:] = ctx.vneg(padded[-width:])
+    digits = np.zeros((n_forms, groups * width), dtype=np.int64)
+    digits[:, :k] = coeffs
+    tables = np.empty((groups, size, m), dtype=code_dtype(q2))
+    per_build = max(1, SCAN_TABLE_ELEMS // (size * max(m, 1)))
+    for g in range(0, groups, per_build):
+        part = padded[g * width : (g + per_build) * width].reshape(-1, width, m)
+        tables[g : g + per_build] = combination_table(ctx, part).swapaxes(1, 2)
+    # each form's row in each group's table, as a row of the stacked tables
+    at = digits.reshape(n_forms, groups, width) @ q2 ** np.arange(width - 1, -1, -1)
+    at += np.arange(groups) * size
+    tables = tables.reshape(groups * size, m)
+    step = max(1, projspace.CHUNK_ELEMS // 4 // max(m, 1))
+    for lo in range(0, n_forms, step):
+        picked = tables[at[lo : lo + step]]
+        total = picked[:, 0]
+        for g in range(1, groups - 1):
+            total = ctx.vadd(total, picked[:, g])
+        yield lo, total == picked[:, -1]
 
 
 def _cone_lines(ctx: FieldCtx, points, vertex):
-    """The distinct normalized ``points`` in canonical order, the id of each
-    one's line through ``vertex`` (the vertex itself gets the id past the
-    last line), the number of lines, and the vertex's position or -1."""
+    """The distinct normalized ``points`` in walk order, and the (q2, n_lines)
+    canonical positions of the points other than ``vertex``: one line
+    through it per column, in canonical order down the column.  The walk
+    order is the vertex, then the positions row by row, so a zero mask past
+    its first column reshapes to (rows, q2, n_lines).  Raises ValueError
+    unless the vertex is a point and each line through it holds q2 others,
+    as on P^n and on a rank-n cone."""
     vertex = np.asarray(normalize_vector(ctx, vertex), dtype=np.int64)
     points = np.asarray(points, dtype=np.int64).reshape(-1, len(vertex))
     keys = point_keys(ctx, points)
     order = np.argsort(keys, kind="stable")
     points, keys = points[order], keys[order]
-    others = keys != point_keys(ctx, vertex)
+    at_vertex = keys == point_keys(ctx, vertex)
+    others = np.flatnonzero(~at_vertex)
     # With v_j = 1 the vertex's last nonzero coordinate, X - X_j v is the same
     # projective point for every X on one line through v and differs between
-    # lines, so its key names the line.
+    # lines, so its key names the line.  A stable sort by it keeps each
+    # line's points in canonical order.
     j = int(np.flatnonzero(vertex)[-1])
     rest = points[others]
     projected = ctx.vsub(rest, ctx.vmul(rest[:, j, None], vertex))
-    lines, ids = np.unique(point_keys(ctx, normalize_rows(ctx, projected)), return_inverse=True)
-    line_ids = np.full(len(points), len(lines), dtype=np.int64)
-    line_ids[others] = ids
-    at_vertex = np.flatnonzero(~others)
-    return points, line_ids, len(lines), int(at_vertex[0]) if at_vertex.size else -1
+    line_keys = point_keys(ctx, normalize_rows(ctx, projected))
+    by_line = np.argsort(line_keys, kind="stable")
+    line_keys, q2 = line_keys[by_line], ctx.q2
+    starts = np.flatnonzero(line_keys[1:] != line_keys[:-1]) + 1
+    whole = len(rest) % q2 == 0 and np.array_equal(starts, np.arange(q2, len(rest), q2))
+    if at_vertex.sum() != 1 or not whole:
+        raise ValueError("the line walk needs the vertex and q^2 points on each line through it")
+    positions = np.ascontiguousarray(others[by_line].reshape(-1, q2).T)
+    return points[np.concatenate([np.flatnonzero(at_vertex), positions.ravel()])], positions
 
 
-def _line_cover_rows(ctx: FieldCtx, zeros, line_ids, n_lines: int, vertex_pos: int):
+def _line_cover_rows(zeros, positions):
     """(ok, lines) of the greedy line walk for every row of the (r, M) zero
-    mask over points in canonical order (see :func:`_cone_lines`).
+    mask over the points in walk order, given their (q2, n_lines) canonical
+    positions past the vertex (see :func:`_cone_lines`).
 
     The walk visits the zeros other than the vertex in canonical order,
     starts a line at each zero no earlier line covers, and stops with
@@ -506,17 +549,21 @@ def _line_cover_rows(ctx: FieldCtx, zeros, line_ids, n_lines: int, vertex_pos: i
     it: the lines completed are those started before the first broken one.
     A row without zeros gives (True, 0); one whose zeros miss the vertex
     gives (False, 0)."""
-    r, m = zeros.shape
-    rows, cols = np.nonzero(zeros)
-    slot = rows * (n_lines + 1) + line_ids[cols]
-    counts = np.bincount(slot, minlength=r * (n_lines + 1)).reshape(r, -1)[:, :n_lines]
-    first = np.full(r * (n_lines + 1), m, dtype=np.int64)
-    np.minimum.at(first, slot, cols)
-    first = first.reshape(r, -1)[:, :n_lines]
-    broken = (counts > 0) & (counts != ctx.q2)
-    first_broken = np.where(broken, first, m).min(axis=1, initial=m)
+    (r, size), (q2, n_lines) = zeros.shape, positions.shape
+    small = np.min_scalar_type(q2)
+    on_lines = zeros[:, 1:].reshape(r, q2, n_lines)
+    counts = on_lines.sum(axis=1, dtype=small)
+    # top = q2 - t for each line's first zero t is the largest weight q2 - t
+    # over its zeros (argmax over the middle axis is 10x slower); top = 0 on
+    # a line without zeros reads past the positions, so it is clipped, then
+    # replaced by ``size``
+    top = np.multiply(on_lines, np.arange(q2, 0, -1, dtype=small)[:, None], dtype=small).max(axis=1)
+    at = np.multiply(q2 - top, n_lines, dtype=np.intp) + np.arange(n_lines)
+    first = np.where(top > 0, positions.take(at, mode="clip"), size)
+    broken = (counts > 0) & (counts != q2)
+    first_broken = np.where(broken, first, size).min(axis=1, initial=size)
     lines = (first < first_broken[:, None]).sum(axis=1)
-    has_vertex = zeros[:, vertex_pos] if vertex_pos >= 0 else np.zeros(r, dtype=bool)
+    has_vertex = zeros[:, 0]
     ok = np.where(has_vertex, ~broken.any(axis=1), ~zeros.any(axis=1))
     return ok, np.where(has_vertex, lines, 0)
 
@@ -538,14 +585,14 @@ def _form_stack(ctx: FieldCtx, forms) -> tuple[bool, MonomialBasis | None, np.nd
 
 
 def _stack_line_cover(ctx: FieldCtx, basis, coeffs, points, vertex):
-    """(ok, lines, zero counts) of the greedy line walk through ``vertex``
+    """(ok, lines, vertex is a zero) of the greedy line walk through ``vertex``
     for every form of the stack, on the point set ``points``: one canonical
-    sort, one line labelling and one ``monomial_values`` for the whole
-    stack, evaluated in :func:`zero_mask_blocks`."""
-    points, line_ids, n_lines, vertex_pos = _cone_lines(ctx, points, vertex)
+    sort, one line layout and one ``monomial_values`` for the whole stack,
+    evaluated in :func:`zero_mask_blocks`."""
+    points, positions = _cone_lines(ctx, points, vertex)
     values = monomial_values(ctx, basis, points)
     blocks = [
-        (*_line_cover_rows(ctx, zeros, line_ids, n_lines, vertex_pos), zeros.sum(axis=1))
+        (*_line_cover_rows(zeros, positions), zeros[:, 0].copy())  # not a view of the block
         for _, zeros in zero_mask_blocks(ctx, coeffs, values)
     ]
     return tuple(np.concatenate(part) for part in zip(*blocks))
@@ -570,9 +617,10 @@ def check_union_of_cone_lines(ctx: FieldCtx, variety: HermitianVariety, forms):
     single, basis, coeffs = _form_stack(ctx, forms)
     if basis is None:
         return []
-    ok, lines, zero_counts = _stack_line_cover(ctx, basis, coeffs, variety.points, variety.vertex)
-    # a lone zero is no line, whether or not it is the vertex (lines is 0 then)
-    results = [(bool(o), int(c)) for o, c in zip(ok & (zero_counts != 1), lines)]
+    ok, lines, at_vertex = _stack_line_cover(ctx, basis, coeffs, variety.points, variety.vertex)
+    # a passing form's zeros are the vertex and ``lines`` whole lines, or
+    # none; the vertex alone is no union of lines
+    results = [(bool(o), int(c)) for o, c in zip(ok & ((lines > 0) | ~at_vertex), lines)]
     return results[0] if single else results
 
 

@@ -340,7 +340,7 @@ def cmd_construct(args) -> int:
     code = cds.build_code(ctx, cone, args.d)
     theory = cds.theoretical_parameters(args.n, args.d, ctx.q)
     values = form_values(ctx, witness.form, cone.points)
-    support = [int(i) for i in np.nonzero(values)[0]]
+    support = np.flatnonzero(values).tolist()
     weight = len(support)
     report = _report("construct", ctx, args.n, args.d)
     report["witness"] = {

@@ -18,8 +18,8 @@ refuse a form space of 2^63 or more classes (BudgetExceededError).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb
+from functools import lru_cache, reduce
+from math import comb, prod
 from typing import Iterator
 
 import numpy as np
@@ -40,6 +40,7 @@ __all__ = [
     "segments",
     "coeffs_at_indices",
     "class_indices",
+    "combination_table",
     "scan_zero_counts",
     "multiply_linear",
     "product_of_hyperplanes",
@@ -101,15 +102,13 @@ def _power_table(ctx: FieldCtx, max_degree: int) -> np.ndarray:
 
 def monomial_values(ctx: FieldCtx, basis: MonomialBasis, points: np.ndarray) -> np.ndarray:
     """(k, m) matrix of monomial values at each point, rows in basis order,
-    columns in point order."""
-    powers = _power_table(ctx, basis.d)
+    columns in point order; each power column x_var^e is read once."""
+    powers = _power_table(ctx, basis.d).astype(code_dtype(ctx.q2))
+    degrees = range(1, basis.d + 1)
+    cols = {(v, e): powers[points[:, v], e] for v in range(basis.n + 1) for e in degrees}
     out = np.empty((len(basis), len(points)), dtype=np.int64)
     for i, exps in enumerate(basis.exponents):
-        acc = np.ones(len(points), dtype=np.int64)
-        for var, e in enumerate(exps):
-            if e:
-                acc = ctx.vmul(acc, powers[points[:, var], e])
-        out[i] = acc
+        out[i] = reduce(ctx.vmul, [cols[v, e] for v, e in enumerate(exps) if e])
     return out
 
 
@@ -204,23 +203,33 @@ SCAN_TABLE_ELEMS = 1 << 20
 SCAN_CHUNK_ELEMS = 1 << 20
 
 
-def _combination_table(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
+def combination_table(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
     """(m, q2^L) table of every linear combination of the L given rows, one
-    column per combination, in the code dtype.  Column j holds
+    column per combination, in the code dtype; a stack (..., L, m) of row
+    sets gives a stack (..., m, q2^L) of tables.  Column j holds
     sum_i c_i * rows[i], where c_0 ... c_{L-1} are the base-q2 digits of j,
     most significant first: the enumeration-index order.
 
-    The table is filled in place, last row first: once the combinations of
-    the rows after row i fill the first ``size`` columns, column block c
-    holds them plus c * rows[i], so each int64 temporary is one block."""
+    The table is filled in place, last row first: its q2 multiples are
+    column gathers over runs of points, each within ``SCAN_CHUNK_ELEMS``
+    codes; once the combinations of the rows after row i fill the first
+    ``size`` columns, column block c holds them plus c * rows[i], so each
+    later int64 temporary is one block."""
     q2 = ctx.q2
-    table = np.zeros((rows.shape[1], q2 ** len(rows)), dtype=code_dtype(q2))
+    *stack, n_rows, m = rows.shape
+    table = np.zeros((*stack, m, q2**n_rows), dtype=code_dtype(q2))
+    run = max(1, SCAN_CHUNK_ELEMS // (q2 * prod(stack)))
     size = 1
-    for row in rows[::-1]:
-        for c in range(1, q2):
-            table[:, c * size : (c + 1) * size] = ctx.vadd(
-                table[:, :size], ctx.vmul(c, row)[:, None]
-            )
+    for i in range(n_rows - 1, -1, -1):
+        if size == 1:
+            for lo in range(0, m, run):
+                span = slice(lo, lo + run)
+                table[..., span, :q2] = ctx.vmul(rows[..., i, span, None], np.arange(q2))
+        else:
+            for c in range(1, q2):  # one statement: no block outlives its copy
+                table[..., c * size : (c + 1) * size] = ctx.vadd(
+                    table[..., :size], ctx.vmul(c, rows[..., i, :, None])
+                )
         size *= q2
     return table
 
@@ -312,7 +321,7 @@ def scan_zero_counts(
     n_low = 0
     while n_low < k - 1 - ranges[0][0] and q2 ** (n_low + 1) * max(m, 1) <= SCAN_TABLE_ELEMS:
         n_low += 1
-    table = _combination_table(ctx, values[k - n_low :])
+    table = combination_table(ctx, values[k - n_low :])
     for t, seg_lo, a, b in ranges:
         yield from _segment_counts(ctx, values, table, t, min(n_low, k - 1 - t), seg_lo, a, b)
 

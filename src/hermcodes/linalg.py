@@ -124,9 +124,11 @@ def mat_mul(ctx: FieldCtx, a, b) -> np.ndarray:
     b = np.asarray(b, dtype=np.int64)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"shape mismatch {a.shape} x {b.shape}")
-    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
-    out = np.zeros(shape, dtype=np.int64)
-    for k in range(a.shape[-1]):
+    if a.shape[-1] == 0:
+        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+        return np.zeros(shape, dtype=np.int64)
+    out = ctx.vmul(a[..., :, 0, None], b[..., None, 0, :])
+    for k in range(1, a.shape[-1]):
         out = ctx.vadd(out, ctx.vmul(a[..., :, k, None], b[..., None, k, :]))
     return out
 

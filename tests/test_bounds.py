@@ -7,10 +7,13 @@ them; ``oracle_bound`` and ``characterize_maximizers`` must agree with them.
 
 ``reference_line_walk`` and the two reference checkers below are direct
 per-point loops, one scalar ``line_through`` and one tuple set per line.
-They are slow, which is why they live here; the package checkers share one
-vectorised line-cover kernel (``bounds._cone_lines`` and
-``bounds._line_cover_rows``), of which ``cone_line_cover`` below is the
-one-row case, and take whole stacks of forms.
+They are slow, which is why they live here; the package checkers take whole
+stacks of forms and share two kernels: ``bounds.zero_mask_blocks``, which
+reads each form's zero mask off combination tables, and the line-major walk
+(``bounds._cone_lines`` lays the points out vertex first, then one column
+per line through it; ``bounds._line_cover_rows`` walks the masks), of which
+``cone_line_cover`` below is the one-row case.  The masks are held to
+``form_values``, which evaluates through power tables only.
 """
 
 import sys
@@ -64,6 +67,7 @@ from hermcodes.projspace import (
     incidence_matrix,
     line_through,
     normalize_rows,
+    point_keys,
 )
 from hermcodes.verify import (
     check_hyperplane_margin,
@@ -551,13 +555,15 @@ def cone_point_sets(draw):
 
 
 def cone_line_cover(ctx, zero_points, vertex) -> tuple[bool, int]:
-    """Whether the distinct normalized points ``zero_points`` form a union of
-    full lines through ``vertex``, and how many lines: the kernel's one-row
-    case, every point a zero.  An empty set gives (True, 0); a nonempty set
+    """Whether the distinct normalized points ``zero_points`` of a standard
+    cone form a union of full lines through its ``vertex``, and how many
+    lines: the kernel's one-row case, on the whole cone with a membership
+    mask of the points.  An empty set gives (True, 0); a nonempty set
     without the vertex gives (False, 0)."""
-    points, line_ids, n_lines, vertex_pos = _cone_lines(ctx, zero_points, vertex)
-    everywhere = np.ones((1, len(points)), dtype=bool)
-    ok, lines = _line_cover_rows(ctx, everywhere, line_ids, n_lines, vertex_pos)
+    cone = _cone(ctx, len(vertex) - 1)
+    points, positions = _cone_lines(ctx, cone.points, vertex)
+    zero_keys = point_keys(ctx, np.asarray(zero_points, dtype=np.int64).reshape(-1, len(vertex)))
+    ok, lines = _line_cover_rows(np.isin(point_keys(ctx, points), zero_keys)[None, :], positions)
     return bool(ok[0]), int(lines[0])
 
 
@@ -597,6 +603,102 @@ def test_cone_line_cover_edge_cases(gf4, gf9):
     assert reference_check_union_of_cone_lines(gf4, cone, x0x3) == (False, 3)
     plane = make_standard_cone(gf9, 2)
     assert check_union_of_cone_lines(gf9, plane, _anisotropic_binary_quadric(gf9, 2)) == (False, 0)
+
+
+def test_line_walk_refuses_point_sets_off_its_layout(gf4):
+    cone = _cone(gf4, 3)
+    vertex = cone.vertex
+    walk, positions = _cone_lines(gf4, cone.points, vertex)
+    assert positions.shape == (gf4.q2, (len(cone.points) - 1) // gf4.q2)
+    not_vertex = [i for i, p in enumerate(cone.points) if tuple(int(c) for c in p) != vertex]
+    partial = np.delete(cone.points, not_vertex[5], axis=0)  # one line keeps q2 - 1 points
+    without_vertex = cone.points[not_vertex]
+    twice = np.vstack([cone.points, cone.points[not_vertex[:1]]])
+    line_twice = np.vstack([cone.points, walk[1 + positions.shape[1] * np.arange(gf4.q2)]])
+    for points in (partial, without_vertex, twice, line_twice):
+        with pytest.raises(ValueError, match="line walk"):
+            _cone_lines(gf4, points, vertex)
+
+
+# Fields of the mask test: XOR add (GF(4), GF(16)), flat gathers (GF(9),
+# GF(25)) and the sparse log/spread tables (GF(289)).
+MASK_FIELDS = [make_field(p, e) for p, e in ((2, 1), (2, 2), (3, 1), (5, 1), (17, 1))]
+
+
+@st.composite
+def mask_stacks(draw):
+    """A field, a monomial basis (k from 2), a point set with the zero vector
+    in it (every form vanishes there), and a stack of 1 to about 300 nonzero
+    coefficient rows, some sparse and some repeated."""
+    ctx = draw(st.sampled_from(MASK_FIELDS))
+    n, d = draw(st.sampled_from([(1, 1), (1, 3), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]))
+    basis = monomial_basis(n, d)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.integers(0, ctx.q2, size=(draw(st.integers(1, 60)), n + 1))
+    points[0] = 0
+    coeffs = rng.integers(0, ctx.q2, size=(draw(st.integers(1, 300)), len(basis)))
+    coeffs[rng.random(coeffs.shape) < 0.3] = 0
+    coeffs[:, 0] |= ~coeffs.any(axis=1)
+    coeffs[1::7] = coeffs[::7][: len(coeffs[1::7])]
+    return ctx, basis, points, coeffs
+
+
+def _assert_masks_match_form_values(ctx, basis, points, coeffs):
+    values = monomial_values(ctx, basis, points)
+    blocks = list(bounds.zero_mask_blocks(ctx, coeffs, values))
+    assert [lo for lo, _ in blocks] == list(range(0, len(coeffs), len(blocks[0][1])))
+    masks = np.concatenate([block for _, block in blocks])
+    assert masks.dtype == bool and masks.shape == (len(coeffs), len(points))
+    for row, mask in zip(coeffs, masks):
+        form = HomogeneousForm(basis, tuple(int(c) for c in row))
+        assert np.array_equal(mask, form_values(ctx, form, points) == 0)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mask_stacks(), st.sampled_from(["as is", "one digit", "blocks"]))
+def test_zero_masks_match_form_values(case, patch):
+    ctx, basis, points, coeffs = case
+    if patch == "one digit":  # q2^2 * m > SCAN_TABLE_ELEMS: groups of one monomial
+        with mock.patch.object(bounds, "SCAN_TABLE_ELEMS", ctx.q2 * len(points)):
+            _assert_masks_match_form_values(*case)
+    elif patch == "blocks":  # at most 3 rows per block
+        with mock.patch.object(projspace, "CHUNK_ELEMS", 4 * 3 * len(points)):
+            _assert_masks_match_form_values(*case)
+    else:
+        _assert_masks_match_form_values(*case)
+
+
+@pytest.mark.parametrize(
+    "n_forms, table_elems, widths",
+    [
+        (15, None, {1}),  # 4^2 > 15 rows
+        (16, None, {2}),
+        (64, None, {3}),
+        (300, None, {3}),  # L <= k - 1 = 3
+        (300, 4 * 40, {1}),
+        (300, 16 * 40, {2}),
+    ],
+)
+def test_zero_mask_group_width(n_forms, table_elems, widths):
+    # GF(4), n = 3, d = 1 (k = 4) on 40 points: the group width L, read off
+    # the tables built, and the masks against form_values
+    ctx = CONE_FIELDS[0]
+    basis = monomial_basis(3, 1)
+    rng = np.random.default_rng(n_forms)
+    points = rng.integers(0, 4, size=(40, 4))
+    coeffs = rng.integers(0, 4, size=(n_forms, 4))
+    coeffs[:, 0] |= ~coeffs.any(axis=1)
+    built = []
+    build = bounds.combination_table
+
+    def recording(ctx, rows):
+        built.append(rows.shape[-2])
+        return build(ctx, rows)
+
+    with mock.patch.object(bounds, "combination_table", recording):
+        with mock.patch.object(bounds, "SCAN_TABLE_ELEMS", table_elems or bounds.SCAN_TABLE_ELEMS):
+            _assert_masks_match_form_values(ctx, basis, points, coeffs)
+    assert set(built) == widths
 
 
 # Cells whose oracle maximizers are cheap to list, with the degrees drawn.

@@ -312,6 +312,29 @@ def test_monomial_values_shape(gf4):
     assert np.array_equal(v[0], form_values(gf4, form, cone.points))
 
 
+@pytest.mark.parametrize("p", [2, 3, 17])
+@pytest.mark.parametrize("n, d", [(1, 1), (2, 3), (3, 2), (2, 4), (3, 4)])
+def test_monomial_values_match_scalar_power_products(p, n, d):
+    # every row against prod_var x_var^e by scalar ctx.mul, at GF(4), GF(9)
+    # and GF(289) (sparse path), points with zero coordinates included
+    ctx = make_field(p, 1)
+    basis = monomial_basis(n, d)
+    rng = np.random.default_rng(p * 100 + n * 10 + d)
+    points = rng.integers(0, ctx.q2, size=(25, n + 1))
+    points[rng.random(points.shape) < 0.2] = 0
+    got = monomial_values(ctx, basis, points)
+    assert got.dtype == np.int64 and got.shape == (len(basis), len(points))
+    for row, exps in zip(got, basis.exponents):
+        want = []
+        for point in points.tolist():
+            value = 1
+            for x, e in zip(point, exps):
+                for _ in range(e):
+                    value = ctx.mul(value, x)
+            want.append(value)
+        assert row.tolist() == want
+
+
 # -- the array form-index decoder against the former segment walk -------------
 
 

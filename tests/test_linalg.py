@@ -46,12 +46,23 @@ def test_rank_invariant_under_invertible_transform(gf9):
         assert matrix_rank(gf9, mat_mul(gf9, mat_mul(gf9, s, base), t)) == 2
 
 
-@pytest.mark.parametrize("shape", [(3, 3), (4, 6), (5, 3)])
-def test_mat_mul_matches_reference(gf4, shape):
+@pytest.mark.parametrize("shape", [(3, 3), (4, 6), (5, 3), (3, 0), (1, 1)])
+def test_mat_mul_matches_reference(shape):
+    # XOR add (GF(4)), flat gathers (GF(9)) and the sparse path (GF(289));
+    # an inner dimension of 0 gives zeros; stacks broadcast
     rng = np.random.default_rng(11)
-    a = rng.integers(0, 4, size=shape).astype(np.int64)
-    b = rng.integers(0, 4, size=(shape[1], 4)).astype(np.int64)
-    assert np.array_equal(mat_mul(gf4, a, b), reference_mat_mul(gf4, a, b))
+    for ctx in (make_field(2, 1), make_field(3, 1), make_field(17, 1)):
+        a = rng.integers(0, ctx.q2, size=shape).astype(np.int64)
+        b = rng.integers(0, ctx.q2, size=(shape[1], 4)).astype(np.int64)
+        got = mat_mul(ctx, a, b)
+        assert got.dtype == np.int64 and np.array_equal(got, reference_mat_mul(ctx, a, b))
+        stack_a = rng.integers(0, ctx.q2, size=(2, 1, *shape))
+        stack_b = rng.integers(0, ctx.q2, size=(3, shape[1], 4))
+        got = mat_mul(ctx, stack_a, stack_b)
+        assert got.shape == (2, 3, shape[0], 4)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(got[i, j], reference_mat_mul(ctx, stack_a[i, 0], stack_b[j]))
 
 
 def test_nullspace_is_kernel(gf9):

@@ -9,18 +9,19 @@ int64 array per step, which is why it lives here and not in the package.
 
 import tracemalloc
 from bisect import bisect_right
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hermcodes import make_field, make_standard_cone, monomial_basis
+from hermcodes import forms, make_field, make_standard_cone, monomial_basis
 from hermcodes.bounds import zero_count_summary
 from hermcodes.field import code_dtype
 from hermcodes.forms import (
     SCAN_TABLE_ELEMS,
-    _combination_table,
+    combination_table,
     monomial_values,
     projective_form_count,
     scan_zero_counts,
@@ -114,10 +115,19 @@ def test_combination_table_matches_former_int64_build(field, n_rows, m, seed):
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, ctx.q2, size=(n_rows, m))
     rows[rng.random(rows.shape) < 0.3] = 0
-    got = _combination_table(ctx, rows)
+    got = combination_table(ctx, rows)
     want = reference_combination_table(ctx, rows).T  # the kernel's table is point-major
     assert got.dtype == want.dtype == code_dtype(ctx.q2)
     assert got.shape == want.shape == (m, ctx.q2**n_rows) and np.array_equal(got, want)
+    # a stack of row sets gives the stack of their tables
+    stack = np.stack([rows, rng.integers(0, ctx.q2, size=rows.shape), np.zeros_like(rows)])
+    got = combination_table(ctx, stack.reshape(3, 1, n_rows, m))
+    assert got.shape == (3, 1, m, ctx.q2**n_rows)
+    for table, part in zip(got[:, 0], stack):
+        assert np.array_equal(table, reference_combination_table(ctx, part).T)
+    # the multiples of the last row gathered one point at a time
+    with mock.patch.object(forms, "SCAN_CHUNK_ELEMS", 3 * ctx.q2):
+        assert np.array_equal(combination_table(ctx, stack.reshape(3, 1, n_rows, m)), got)
 
 
 @pytest.mark.parametrize("m", [0, 255, 256, 65535, 65536])
