@@ -6,15 +6,17 @@ zero set of x^T H x^(q).  The module provides form evaluation,
 congruence reduction to diag(1,...,1,0,...,0), the standard rank-n cone
 and nondegenerate varieties, closed-form point counts, polar tangent
 hyperplanes, and hyperplane sections with their rank-based
-classification.  Every route takes a stack of points or hyperplanes.
+classification.  Every route takes a stack of points or hyperplanes, and
+form evaluation and the congruence transform also take a stack of
+matrices, so sampled checks evaluate all their trials at once.
 
 Sections are computed for a whole stack of hyperplanes at once.  The rank
 of each section is the rank of the Gram matrix B^T H B^(q) of the form in
-a basis B of the hyperplane (a basis-completion matrix), from one batched
-elimination over all the Gram matrices.  The point count is read
-separately, as the zero count of the linear form u.x on the variety's
-points from the exhaustive scan kernel, so the two answers stay
-independently checkable.
+a basis B of the hyperplane (a basis-completion matrix), read entrywise
+from H and the dual in closed form, then one batched elimination over all
+the Gram matrices.  The point count is read separately, as the zero count
+of the linear form u.x on the variety's points from the exhaustive scan
+kernel, so the two answers stay independently checkable.
 """
 
 from __future__ import annotations
@@ -68,26 +70,31 @@ def validate_hermitian(ctx: FieldCtx, matrix) -> np.ndarray:
 
 
 def hermitian_form_values(ctx: FieldCtx, matrix, points: np.ndarray) -> np.ndarray:
-    """Vectorized x^T H x^(q) over an (N, n+1) point array."""
+    """x^T H x^(q) over an (N, n+1) point array, for one matrix H or a stack
+    (..., n+1, n+1): the values have shape (..., N).  A coefficient h_ij is
+    skipped when it is zero in every matrix of the stack."""
     h = np.asarray(matrix, dtype=np.int64)
     ctx.check_codes(h, "Hermitian matrix entry")
+    dim = h.shape[-1]
+    used = h.reshape(-1, dim, dim).any(axis=0)
     y = ctx.vfrob(points)
-    acc = np.zeros(len(points), dtype=np.int64)
-    for i in range(h.shape[0]):
-        row = np.zeros(len(points), dtype=np.int64)
-        for j in range(h.shape[1]):
-            if h[i, j]:
-                row = ctx.vadd(row, ctx.vmul(int(h[i, j]), y[:, j]))
+    shape = h.shape[:-2] + (len(points),)
+    acc = np.zeros(shape, dtype=np.int64)
+    for i in range(dim):
+        row = np.zeros(shape, dtype=np.int64)
+        for j in np.flatnonzero(used[i]):
+            row = ctx.vadd(row, ctx.vmul(h[..., i, j, None], y[:, j]))
         acc = ctx.vadd(acc, ctx.vmul(points[:, i], row))
     return acc
 
 
 def congruence_transform(ctx: FieldCtx, matrix, s) -> np.ndarray:
     """S^T H S^(q): the Gram matrix of the form in the basis given by the
-    columns of S."""
+    columns of S.  Leading axes of H and S broadcast, so a stack of
+    matrices transforms at once."""
     h = np.asarray(matrix, dtype=np.int64)
     s = np.asarray(s, dtype=np.int64)
-    return mat_mul(ctx, mat_mul(ctx, s.T, h), ctx.vfrob(s))
+    return mat_mul(ctx, mat_mul(ctx, s.swapaxes(-1, -2), h), ctx.vfrob(s))
 
 
 def canonical_congruence(ctx: FieldCtx, matrix) -> tuple[np.ndarray, int]:
@@ -242,16 +249,24 @@ def tangent_hyperplanes(ctx: FieldCtx, variety: HermitianVariety, points) -> np.
 def _section_gram_matrices(ctx: FieldCtx, matrix: np.ndarray, duals: np.ndarray) -> np.ndarray:
     """(D, n, n) Gram matrices B^T H B^(q) of the form on each hyperplane.
     B is the (n+1) x n basis-completion matrix of the normalized dual u: its
-    columns are e_i - u_i e_last for every i except the position `last` of
-    u's final nonzero entry (which is 1)."""
+    columns are e_a - u_a e_l for every a except the position l of u's final
+    nonzero entry (which is 1).  Entrywise, for a, b != l,
+
+        (B^T H B^(q))_ab = H[a,b] - H[a,l] u_b^q - u_a (H[l,b] - H[l,l] u_b^q),
+
+    read from gathers of H, without forming B."""
     count, dim = duals.shape
     last = dim - 1 - np.argmax(duals[:, ::-1] != 0, axis=1)
     cols = np.nonzero(np.arange(dim)[None, :] != last[:, None])[1].reshape(count, dim - 1)
-    stack, place = np.arange(count)[:, None], np.arange(dim - 1)[None, :]
-    basis = np.zeros((count, dim, dim - 1), dtype=np.int64)
-    basis[stack, cols, place] = 1
-    basis[stack, last[:, None], place] = ctx.vneg(np.take_along_axis(duals, cols, axis=1))
-    return mat_mul(ctx, mat_mul(ctx, basis.swapaxes(1, 2), matrix), ctx.vfrob(basis))
+    u = np.take_along_axis(duals, cols, axis=1)
+    uq = ctx.vfrob(u)
+    lcol = last[:, None]
+    tail = ctx.vsub(matrix[lcol, cols], ctx.vmul(matrix[lcol, lcol], uq))
+    gram = ctx.vsub(
+        matrix[cols[:, :, None], cols[:, None, :]],
+        ctx.vmul(matrix[cols, lcol][:, :, None], uq[:, None, :]),
+    )
+    return ctx.vsub(gram, ctx.vmul(u[:, :, None], tail[:, None, :]))
 
 
 def hyperplane_sections(

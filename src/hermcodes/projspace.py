@@ -11,10 +11,11 @@ the same normalization, and the dual space enumerates identically.
 Lines are built directly, not found by walking point pairs: each line is
 the row space of one reduced 2 x (n+1) echelon matrix (pivot columns
 c1 < c2 plus free entries), its q^2 + 1 points are r1 and r2 + t*r1, and
-the points are located in the enumeration by their keys.  Incidence
-between many points and many hyperplanes is one chunked product; the number
-of points on each of many hyperplanes is read from the exhaustive scan
-kernel, without the full incidence matrix.
+the points are located in the enumeration by their keys.  The lines
+through a stack of point pairs are spanned the same way, all at once.
+Incidence between many points and many hyperplanes is one chunked product;
+the number of points on each of many hyperplanes is read from the
+exhaustive scan kernel, without the full incidence matrix.
 """
 
 from __future__ import annotations
@@ -178,12 +179,14 @@ def _span_points(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def line_through(ctx: FieldCtx, a, b) -> np.ndarray:
     """The q^2 + 1 rational points of the line through distinct points a, b,
-    normalized, in canonical order."""
+    normalized, in canonical order.  a and b may be stacks (..., n+1) of
+    pairs, giving (..., q^2 + 1, n+1); every pair must be distinct."""
     a, b = normalize_rows(ctx, [a, b])
-    if np.array_equal(a, b):
+    if (a == b).all(axis=-1).any():
         raise ValueError("line_through requires two distinct points")
     pts = _span_points(ctx, a, b)
-    return pts[np.argsort(point_keys(ctx, pts))]
+    order = np.argsort(point_keys(ctx, pts), axis=-1)
+    return np.take_along_axis(pts, order[..., None], axis=-2)
 
 
 def _echelon_pairs(q2: int, n: int) -> np.ndarray:

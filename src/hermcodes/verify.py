@@ -38,7 +38,7 @@ from .hermitian import (
     tangent_hyperplanes,
 )
 from .limits import POINT_BUDGET, BudgetExceededError
-from .linalg import mat_mul, matrix_rank
+from .linalg import batch_rank, mat_mul
 from .projspace import (
     CHUNK_ELEMS,
     all_lines,
@@ -323,17 +323,27 @@ def check_incidence_duality(ctx: FieldCtx, n: int) -> CheckResult:
 
 
 def check_line_basics(ctx: FieldCtx, n: int, seed: int = 0) -> CheckResult:
+    """20 sampled pairs of distinct points: the line through each pair has
+    q^2 + 1 distinct points in canonical order, is the same line from
+    either end, and lies on every hyperplane through the pair.  The pairs
+    are checked as stacks, each block's incidence matrix holding at most
+    about CHUNK_ELEMS entries (or one pair's)."""
     rng = np.random.default_rng(seed)
     pts = enumerate_points(ctx, n)
     hyps = enumerate_hyperplanes(ctx, n)
+    pairs = pts[np.array([rng.choice(len(pts), size=2, replace=False) for _ in range(20)])]
     ok = True
-    for _ in range(20):
-        i, j = rng.choice(len(pts), size=2, replace=False)
-        line = line_through(ctx, pts[i], pts[j])
-        ok &= len(line) == ctx.q2 + 1
-        ok &= np.array_equal(line, line_through(ctx, pts[j], pts[i]))
-        on = incidence_matrix(ctx, np.concatenate([pts[[i, j]], line]), hyps)
-        ok &= bool(on[2:, on[0] & on[1]].all())
+    step = max(1, CHUNK_ELEMS // ((ctx.q2 + 3) * len(hyps)))
+    for lo in range(0, len(pairs), step):
+        a, b = pairs[lo : lo + step, 0], pairs[lo : lo + step, 1]
+        k = len(a)
+        lines = line_through(ctx, np.concatenate([a, b]), np.concatenate([b, a]))
+        lines, backward = lines[:k], lines[k:]
+        ok &= lines.shape[1] == ctx.q2 + 1 and np.array_equal(lines, backward)
+        ok &= bool((np.diff(point_keys(ctx, lines), axis=1) > 0).all())
+        on = incidence_matrix(ctx, np.concatenate([a, b, lines.reshape(-1, n + 1)]), hyps)
+        through = on[:k] & on[k : 2 * k]
+        ok &= bool((on[2 * k :].reshape(k, -1, len(hyps)) | ~through[:, None]).all())
     return _result("line_basics", ok, "q^2+1 points, symmetric, hyperplane-collinear")
 
 
@@ -358,22 +368,30 @@ def check_point_count_formulas(ctx: FieldCtx, n_max: int) -> CheckResult:
 
 
 def check_congruence_reduction(ctx: FieldCtx, n: int, trials: int, seed: int = 1) -> CheckResult:
+    """Random Hermitian matrices H reduce to diag(1..1, 0..0) under their
+    canonical congruence S, with S invertible and the rank of H kept; for
+    n <= 3 also H and the diagonal form have as many zeros on P^n.  The
+    trials are drawn first and checked as one stack, the point counts in
+    blocks of at most about CHUNK_ELEMS form values (or one matrix's)."""
     rng = np.random.default_rng(seed)
-    ok = True
-    for _ in range(trials):
-        h = random_hermitian(ctx, n, rng)
-        s, r = canonical_congruence(ctx, h)
-        ok &= matrix_rank(ctx, s) == n + 1
-        diag = congruence_transform(ctx, h, s)
-        expected = np.zeros_like(diag)
-        for i in range(r):
-            expected[i, i] = 1
-        ok &= np.array_equal(diag, expected)
-        ok &= r == matrix_rank(ctx, h)
-        if n <= 3:
-            before = int((hermitian_form_values(ctx, h, enumerate_points(ctx, n)) == 0).sum())
-            after = int((hermitian_form_values(ctx, diag, enumerate_points(ctx, n)) == 0).sum())
-            ok &= before == after
+    dim = n + 1
+    hs = np.array([random_hermitian(ctx, n, rng) for _ in range(trials)]).reshape(-1, dim, dim)
+    reductions = [canonical_congruence(ctx, h) for h in hs]
+    s = np.array([s for s, _ in reductions]).reshape(hs.shape)
+    ranks = np.array([r for _, r in reductions], dtype=np.int64)
+    diag = congruence_transform(ctx, hs, s)
+    expected = np.zeros_like(diag)
+    expected[:, np.arange(dim), np.arange(dim)] = np.arange(dim)[None, :] < ranks[:, None]
+    ok = bool((batch_rank(ctx, s) == dim).all())
+    ok &= np.array_equal(diag, expected)
+    ok &= np.array_equal(ranks, batch_rank(ctx, hs))
+    if n <= 3:
+        space = enumerate_points(ctx, n)
+        step = max(1, CHUNK_ELEMS // len(space))
+        for lo in range(0, len(hs), step):
+            before = (hermitian_form_values(ctx, hs[lo : lo + step], space) == 0).sum(axis=1)
+            after = (hermitian_form_values(ctx, diag[lo : lo + step], space) == 0).sum(axis=1)
+            ok &= np.array_equal(before, after)
     return _result(
         "congruence_reduction",
         ok,
@@ -405,13 +423,17 @@ def check_section_dichotomy(ctx: FieldCtx, n: int) -> CheckResult:
     variety = make_nondegenerate(ctx, n)
     tangent_count = 1 + q * q * count_points_formula(n - 2, "nondegenerate", q) if n >= 2 else None
     nontangent_count = count_points_formula(n - 1, "nondegenerate", q)
-    polar_keys = np.unique(point_keys(ctx, tangent_hyperplanes(ctx, variety, variety.points)))
+    # distinct polar keys by sorting, so membership is a searchsorted lookup
+    polar_keys = np.sort(point_keys(ctx, tangent_hyperplanes(ctx, variety, variety.points)))
+    polar_keys = polar_keys[np.concatenate([[True], polar_keys[1:] != polar_keys[:-1]])]
     hyps = enumerate_hyperplanes(ctx, n)
     ranks, counts, kinds = hyperplane_sections(ctx, variety, hyps)
     tangent = kinds == "tangent"
     n_tangent = int(tangent.sum())
     ok = bool((ranks[tangent] == n - 1).all() and (counts[tangent] == tangent_count).all())
-    ok &= bool(np.isin(point_keys(ctx, hyps[tangent]), polar_keys).all())
+    tangent_keys = point_keys(ctx, hyps[tangent])
+    found = polar_keys.take(np.searchsorted(polar_keys, tangent_keys), mode="clip")
+    ok &= bool((found == tangent_keys).all())
     ok &= bool((ranks[~tangent] == n).all() and (counts[~tangent] == nontangent_count).all())
     ok &= n_tangent == len(polar_keys) == len(variety.points)
     return _result(
@@ -665,12 +687,10 @@ def check_tangent_section_structure(ctx: FieldCtx, d: int, samples: int, seed: i
     if witness is not None:
         tangent_count = 1 + q * q * (q + 1)
         factor_masks = incidence_matrix(ctx, cone.points, witness.factor_duals).T
-        for on_sigma in sigma_masks:
-            for on_u in factor_masks:
-                ok &= int((on_sigma & on_u).sum()) == tangent_count
-            for i in range(len(factor_masks)):
-                for j in range(i + 1, len(factor_masks)):
-                    ok &= int((on_sigma & factor_masks[i] & factor_masks[j]).sum()) == q + 1
+        ok &= bool((factor_masks.astype(np.int64) @ sigma_masks.T == tangent_count).all())
+        i, j = np.triu_indices(len(factor_masks), 1)
+        pair_masks = factor_masks[i] & factor_masks[j]
+        ok &= bool((pair_masks.astype(np.int64) @ sigma_masks.T == q + 1).all())
     return _result(
         f"tangent_section_structure_d{d}",
         ok,

@@ -1,11 +1,12 @@
 """Reference loops for the batched geometry routes.
 
-These are the former per-point, per-line and per-hyperplane loops of
-``projspace``, ``hermitian`` and ``verify``: one scalar field operation or
-one hyperplane at a time.  The differential tests require the batched
-routes to give the same values, and ``test_verify_geometry.py`` runs the
-``projspace`` and ``hermitian`` suites on the reference checks below to
-compare every (name, passed, detail).
+These are the former per-point, per-line, per-hyperplane, per-matrix and
+per-trial loops of ``projspace``, ``hermitian`` and ``verify``: one scalar
+field operation, one hyperplane, one matrix or one sampled trial at a
+time.  The differential tests require the batched routes to give the same
+values, and ``test_verify_geometry.py`` runs the ``projspace`` and
+``hermitian`` suites on the reference checks below to compare every
+(name, passed, detail).
 """
 
 from __future__ import annotations
@@ -15,18 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from hermcodes.hermitian import (
+    canonical_congruence,
     count_points_formula,
-    hermitian_form_values,
     make_nondegenerate,
     make_standard_cone,
 )
-from hermcodes.linalg import mat_mul, row_reduce
+from hermcodes.linalg import mat_mul, matrix_rank, row_reduce
 from hermcodes.projspace import (
     enumerate_hyperplanes,
     enumerate_points,
     pi_count,
 )
-from hermcodes.verify import CheckResult
+from hermcodes.verify import CheckResult, random_hermitian
 from loop_reference import reference_normalize_vector
 
 
@@ -114,6 +115,43 @@ def reference_iter_all_lines(ctx, n, line_through=reference_line_through):
                 for b in range(a + 1, len(idxs)):
                     covered.add((idxs[a], idxs[b]))
             yield line
+
+
+def reference_hermitian_form_values(ctx, matrix, points) -> np.ndarray:
+    """x^T H x^(q) for one matrix over an (N, n+1) point array, one
+    coefficient h_ij at a time, skipping the zero ones."""
+    h = np.asarray(matrix, dtype=np.int64)
+    y = ctx.vfrob(points)
+    acc = np.zeros(len(points), dtype=np.int64)
+    for i in range(h.shape[0]):
+        row = np.zeros(len(points), dtype=np.int64)
+        for j in range(h.shape[1]):
+            if h[i, j]:
+                row = ctx.vadd(row, ctx.vmul(int(h[i, j]), y[:, j]))
+        acc = ctx.vadd(acc, ctx.vmul(points[:, i], row))
+    return acc
+
+
+def reference_congruence_transform(ctx, matrix, s) -> np.ndarray:
+    """S^T H S^(q) for one matrix H and one basis change S."""
+    s = np.asarray(s, dtype=np.int64)
+    return mat_mul(ctx, mat_mul(ctx, s.T, np.asarray(matrix, dtype=np.int64)), ctx.vfrob(s))
+
+
+def reference_section_gram_matrices(ctx, matrix, duals) -> np.ndarray:
+    """(D, n, n) Gram matrices B^T H B^(q) as two products with the stack of
+    basis-completion matrices B: the columns of B are e_i - u_i e_last for
+    every i except the position ``last`` of the dual's final nonzero
+    entry."""
+    duals = np.asarray(duals, dtype=np.int64)
+    count, dim = duals.shape
+    last = dim - 1 - np.argmax(duals[:, ::-1] != 0, axis=1)
+    cols = np.nonzero(np.arange(dim)[None, :] != last[:, None])[1].reshape(count, dim - 1)
+    stack, place = np.arange(count)[:, None], np.arange(dim - 1)[None, :]
+    basis = np.zeros((count, dim, dim - 1), dtype=np.int64)
+    basis[stack, cols, place] = 1
+    basis[stack, last[:, None], place] = ctx.vneg(np.take_along_axis(duals, cols, axis=1))
+    return mat_mul(ctx, mat_mul(ctx, basis.swapaxes(1, 2), matrix), ctx.vfrob(basis))
 
 
 def reference_evaluate_hermitian_form(ctx, matrix, x) -> int:
@@ -234,13 +272,39 @@ def reference_check_line_basics(ctx, n, seed=0):
     return _result("line_basics", ok, "q^2+1 points, symmetric, hyperplane-collinear")
 
 
+def reference_check_congruence_reduction(ctx, n, trials, seed=1):
+    rng = np.random.default_rng(seed)
+    ok = True
+    for _ in range(trials):
+        h = random_hermitian(ctx, n, rng)
+        s, r = canonical_congruence(ctx, h)
+        ok &= matrix_rank(ctx, s) == n + 1
+        diag = reference_congruence_transform(ctx, h, s)
+        expected = np.zeros_like(diag)
+        for i in range(r):
+            expected[i, i] = 1
+        ok &= np.array_equal(diag, expected)
+        ok &= r == matrix_rank(ctx, h)
+        if n <= 3:
+            space = enumerate_points(ctx, n)
+            before = int((reference_hermitian_form_values(ctx, h, space) == 0).sum())
+            after = int((reference_hermitian_form_values(ctx, diag, space) == 0).sum())
+            ok &= before == after
+    return _result(
+        "congruence_reduction",
+        ok,
+        f"{trials} random Hermitian matrices reduce to diag(1..1,0..0) with rank and "
+        "point count preserved",
+    )
+
+
 def reference_check_line_trichotomy(ctx, n):
     q = ctx.q
     variety = make_nondegenerate(ctx, n)
     allowed = {1, q + 1} if n == 2 else {1, q + 1, q * q + 1}
     tally: dict[int, int] = {}
     for line in reference_iter_all_lines(ctx, n):
-        count = int((hermitian_form_values(ctx, variety.matrix, line) == 0).sum())
+        count = int((reference_hermitian_form_values(ctx, variety.matrix, line) == 0).sum())
         tally[count] = tally.get(count, 0) + 1
     ok = set(tally) <= allowed
     return _result(
@@ -356,6 +420,7 @@ def reference_check_tangent_hyperplanes(ctx, n):
 REFERENCE_CHECKS = {
     "check_incidence_duality": reference_check_incidence_duality,
     "check_line_basics": reference_check_line_basics,
+    "check_congruence_reduction": reference_check_congruence_reduction,
     "check_line_trichotomy": reference_check_line_trichotomy,
     "check_section_dichotomy": reference_check_section_dichotomy,
     "check_vertex_avoiding_sections": reference_check_vertex_avoiding_sections,

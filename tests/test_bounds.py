@@ -16,6 +16,7 @@ per line through it; ``bounds._line_cover_rows`` walks the masks), of which
 ``form_values``, which evaluates through power tables only.
 """
 
+import dataclasses
 import sys
 from collections import Counter
 from unittest import mock
@@ -359,6 +360,28 @@ def test_tangent_section_structure_q3():
     ctx = make_field(3, 1)
     assert check_tangent_section_structure(ctx, 1, samples=8, seed=0).passed
     assert check_tangent_section_structure(ctx, 2, samples=8, seed=0).passed
+
+
+@pytest.mark.parametrize("d,corrupt", [(1, "moved"), (2, "moved"), (2, "repeated")])
+def test_tangent_section_structure_reads_the_witness_factors(monkeypatch, d, corrupt):
+    # the form is the true witness; only the factor duals the check reads
+    # are wrong: one factor moved to the plane x_0 = 0, or the second factor
+    # a repeat of the first (whose pair meets a section in 1 + q^2 (q + 1)
+    # points, not q + 1)
+    ctx = make_field(3, 1)
+    construct = bounds.construct_extremal_form
+
+    def corrupted(ctx, variety, d):
+        witness = construct(ctx, variety, d)
+        duals = list(witness.factor_duals)
+        if corrupt == "moved":
+            duals[0] = (1, 0, 0, 0, 0)
+        else:
+            duals[1] = duals[0]
+        return dataclasses.replace(witness, factor_duals=tuple(duals))
+
+    monkeypatch.setattr(bounds, "construct_extremal_form", corrupted)
+    assert not check_tangent_section_structure(ctx, d, samples=8, seed=0).passed
 
 
 @pytest.mark.parametrize("p,scans", [(2, 10), (3, 2)])

@@ -12,9 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geometry_reference import (
+    reference_congruence_transform,
     reference_evaluate_hermitian_form,
+    reference_hermitian_form_values,
     reference_hyperplane_section,
     reference_iter_all_lines,
+    reference_section_gram_matrices,
     reference_tangent_hyperplane,
 )
 from hermcodes import (
@@ -26,6 +29,7 @@ from hermcodes import (
     make_standard_cone,
 )
 from hermcodes.hermitian import (
+    _section_gram_matrices,
     congruence_transform,
     hermitian_form_values,
     hyperplane_sections,
@@ -363,3 +367,109 @@ def test_tangent_hyperplanes_and_form_values_match_scalar_loops(case):
     off = space[hermitian_form_values(ctx, variety.matrix, space) != 0][:1]
     with pytest.raises(ValueError):
         tangent_hyperplanes(ctx, variety, off)
+
+
+# ---------------------------------------------------------------------------
+# Stacks of matrices against the per-matrix loops
+# ---------------------------------------------------------------------------
+
+FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1)]
+
+
+def diagonal_form(ctx, n, rank, rng, moved):
+    """diag(1,...,1,0,...,0) of the given rank in P^n, moved by a random
+    invertible congruence or left diagonal (then every off-diagonal
+    coefficient is zero)."""
+    h = np.zeros((n + 1, n + 1), dtype=np.int64)
+    h[np.arange(rank), np.arange(rank)] = 1
+    if moved:
+        h = congruence_transform(ctx, h, random_invertible(ctx, n + 1, rng))
+    return h
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """A stack of 1-6 Hermitian matrices of P^n, n = 1..3, over GF(4),
+    GF(9), GF(16) or GF(25): random ones of mixed ranks, moved diagonal
+    forms of a drawn rank, and unmoved diagonal ones, so a coefficient can
+    be zero in some matrices of the stack and not in others."""
+    ctx = make_field(*draw(st.sampled_from(FIELDS)))
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["random", "moved", "diagonal"]), min_size=1, max_size=6))
+    stack = []
+    for kind in kinds:
+        if kind == "random":
+            stack.append(random_hermitian(ctx, n, rng))
+        else:
+            rank = draw(st.integers(1, n + 1))
+            stack.append(diagonal_form(ctx, n, rank, rng, kind == "moved"))
+    return ctx, n, np.array(stack), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(hermitian_stacks())
+def test_stacked_form_values_and_congruences_match_per_matrix_loops(case):
+    ctx, n, hs, rng = case
+    space = enumerate_points(ctx, n)
+    xs = space[rng.choice(len(space), size=min(len(space), 40), replace=False)]
+    xs = ctx.vmul(rng.integers(1, ctx.q2, size=(len(xs), 1)), xs)  # unnormalized
+    values = hermitian_form_values(ctx, hs, xs)
+    assert values.shape == (len(hs), len(xs))
+    for h, got in zip(hs, values):
+        assert np.array_equal(got, reference_hermitian_form_values(ctx, h, xs))
+        assert np.array_equal(hermitian_form_values(ctx, h, xs), got)
+    # a stack of one keeps its stack axis
+    assert np.array_equal(hermitian_form_values(ctx, hs[:1], xs), values[:1])
+    ss = np.array([random_invertible(ctx, n + 1, rng) for _ in hs])
+    moved = congruence_transform(ctx, hs, ss)
+    assert moved.shape == hs.shape
+    for h, s, got in zip(hs, ss, moved):
+        assert np.array_equal(got, reference_congruence_transform(ctx, h, s))
+    # one matrix against a stack of basis changes broadcasts
+    for s, got in zip(ss, congruence_transform(ctx, hs[0], ss)):
+        assert np.array_equal(got, reference_congruence_transform(ctx, hs[0], s))
+
+
+def test_form_values_skip_only_coefficients_zero_across_the_stack(gf9):
+    space = enumerate_points(gf9, 2)
+    diag = identity(3)
+    off = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])  # h_01 = h_10 = 1 only here
+    values = hermitian_form_values(gf9, np.array([diag, off]), space)
+    assert np.array_equal(values[0], reference_hermitian_form_values(gf9, diag, space))
+    assert np.array_equal(values[1], reference_hermitian_form_values(gf9, off, space))
+    assert values.shape == (2, len(space))
+    assert hermitian_form_values(gf9, np.zeros((0, 3, 3), dtype=np.int64), space).shape == (
+        0,
+        len(space),
+    )
+
+
+@st.composite
+def gram_cases(draw):
+    """A Hermitian matrix of P^n within SECTION_CELLS: the rank-n cone or the
+    nondegenerate form, moved by a random invertible congruence or left
+    standard, or a random Hermitian matrix of any rank moved by one."""
+    p, e, n_max = draw(st.sampled_from(SECTION_CELLS))
+    ctx = make_field(p, e)
+    n = draw(st.integers(2, n_max))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["cone", "nondegenerate", "random"]))
+    if kind == "random":
+        h = random_hermitian(ctx, n, rng)
+    else:
+        h = identity(n + 1)
+        h[n, n] = int(kind == "nondegenerate")
+    if kind == "random" or draw(st.booleans()):
+        h = congruence_transform(ctx, h, random_invertible(ctx, n + 1, rng))
+    return ctx, n, h
+
+
+@settings(max_examples=40, deadline=None)
+@given(gram_cases())
+def test_closed_form_gram_matrices_match_the_basis_product(case):
+    ctx, n, h = case
+    hyps = enumerate_hyperplanes(ctx, n)
+    got = _section_gram_matrices(ctx, h, hyps)
+    assert got.shape == (len(hyps), n, n)
+    assert np.array_equal(got, reference_section_gram_matrices(ctx, h, hyps))

@@ -284,6 +284,40 @@ def test_line_through_matches_scalar_loop(case):
         line_through(ctx, a, ctx.vmul(2, a))
 
 
+@st.composite
+def point_pair_stacks(draw):
+    """A stack of 1-6 pairs of distinct points of P^n, n = 2..4, over GF(4),
+    GF(9), GF(16) or GF(25), each point scaled by a nonzero constant."""
+    ctx = make_field(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)])))
+    n = draw(st.integers(2, 4))
+    pts = enumerate_points(ctx, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(1, 6))
+    pairs = pts[np.array([rng.choice(len(pts), size=2, replace=False) for _ in range(size)])]
+    pairs = ctx.vmul(rng.integers(1, ctx.q2, size=(size, 2, 1)), pairs)
+    return ctx, n, pairs[:, 0], pairs[:, 1], rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_pair_stacks())
+def test_stacked_line_through_matches_per_pair_loop(case):
+    ctx, n, a, b, rng = case
+    lines = line_through(ctx, a, b)
+    assert lines.shape == (len(a), ctx.q2 + 1, n + 1)
+    for x, y, line in zip(a, b, lines):
+        assert np.array_equal(line, reference_line_through(ctx, x, y))
+    assert np.array_equal(line_through(ctx, b, a), lines)
+    # a stack of one keeps its stack axis; leading axes may be several
+    assert np.array_equal(line_through(ctx, a[:1], b[:1]), lines[:1])
+    assert np.array_equal(line_through(ctx, a[:, None], b[:, None])[:, 0], lines)
+    # one pair coinciding up to scalar spoils the whole stack
+    k = int(rng.integers(len(a)))
+    same = b.copy()
+    same[k] = ctx.vmul(int(rng.integers(1, ctx.q2)), a[k])
+    with pytest.raises(ValueError, match="distinct"):
+        line_through(ctx, a, same)
+
+
 @settings(max_examples=60, deadline=None)
 @given(point_pairs(), st.integers(0, 2**32 - 1))
 def test_incidence_matrix_matches_scalar_loop(case, seed):

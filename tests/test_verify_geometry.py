@@ -3,13 +3,22 @@ the ``projspace`` and ``hermitian`` suites must give the same (name,
 passed, detail) as the reference checks in ``geometry_reference``, and a
 corrupted batched route must make its check fail."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from geometry_reference import REFERENCE_CHECKS
-from hermcodes import make_field, verify
+from geometry_reference import (
+    REFERENCE_CHECKS,
+    reference_check_congruence_reduction,
+    reference_check_line_basics,
+)
+from hermcodes import hermitian, make_field, verify
+from hermcodes.projspace import enumerate_points, normalize_rows
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -109,3 +118,114 @@ def test_line_trichotomy_fails_on_a_broken_line(gf9, monkeypatch):
 
     monkeypatch.setattr(verify, "all_lines", broken)
     assert not verify.check_line_trichotomy(gf9, 3).passed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("p", [2, 3])
+def test_stacked_sampled_checks_match_reference_loops(p, seed):
+    ctx = make_field(p, 1)
+    for n, trials in ((2, 25), (3, 10)):
+        got = verify.check_congruence_reduction(ctx, n, trials, seed=seed)
+        assert got.passed
+        assert got == reference_check_congruence_reduction(ctx, n, trials, seed=seed)
+    for n in (2, 3):
+        got = verify.check_line_basics(ctx, n, seed=seed)
+        assert got.passed and got == reference_check_line_basics(ctx, n, seed=seed)
+
+
+@pytest.mark.parametrize("wrong", ["basis", "rank"])
+@pytest.mark.parametrize("n,trials", [(2, 25), (3, 10)])
+def test_congruence_check_fails_on_one_wrong_reduction(gf9, monkeypatch, wrong, n, trials):
+    reduce = verify.canonical_congruence
+    calls = []
+    # scaling the first basis vector by c scales the first diagonal entry by N(c)
+    c = next(c for c in range(2, gf9.q2) if gf9.norm(c) != 1)
+
+    def corrupted(ctx, matrix):
+        s, r = reduce(ctx, matrix)
+        calls.append(r)
+        if len(calls) == trials // 2:  # one trial in the middle of the stack
+            if wrong == "basis":
+                s = s.copy()
+                s[:, 0] = ctx.vmul(c, s[:, 0])
+            else:
+                r = r + 1 if r <= n else r - 1
+        return s, r
+
+    monkeypatch.setattr(verify, "canonical_congruence", corrupted)
+    assert not verify.check_congruence_reduction(gf9, n, trials).passed
+    assert len(calls) == trials
+
+
+@pytest.mark.parametrize("corrupt", ["duplicate", "drop", "drop_everywhere"])
+def test_line_basics_fails_on_one_corrupted_line(gf9, monkeypatch, corrupt):
+    through = verify.line_through
+    target = []
+
+    def corrupted(ctx, a, b):
+        lines = through(ctx, a, b).copy()
+        if corrupt == "drop_everywhere":
+            return lines[..., 1:, :]
+        pairs = [
+            {tuple(x), tuple(y)}
+            for x, y in zip(normalize_rows(ctx, a).tolist(), normalize_rows(ctx, b).tolist())
+        ]
+        if not target:  # the first pair the check asks for
+            target.append(pairs[0])
+        for k, pair in enumerate(pairs):
+            # the same line from either end, so the check's symmetry test passes
+            if pair == target[0]:
+                if corrupt == "duplicate":
+                    lines[k, 3] = lines[k, 2]
+                else:  # drop point 3, repeat the last point to keep the shape
+                    lines[k, 3:-1] = lines[k, 4:].copy()
+        return lines
+
+    monkeypatch.setattr(verify, "line_through", corrupted)
+    assert not verify.check_line_basics(gf9, 3).passed
+
+
+def test_section_checks_fail_on_one_flipped_gram_entry(gf9, monkeypatch):
+    gram = hermitian._section_gram_matrices
+
+    def flipped(ctx, matrix, duals):
+        out = gram(ctx, matrix, duals).copy()
+        out[0, 0, 0] = 0 if out[0, 0, 0] else 1
+        return out
+
+    monkeypatch.setattr(hermitian, "_section_gram_matrices", flipped)
+    assert not verify.check_section_dichotomy(gf9, 3).passed
+    assert not verify.check_vertex_avoiding_sections(gf9, 3).passed
+    assert not verify.check_vertex_incident_sections(gf9, 3).passed
+
+
+def test_congruence_check_evaluates_bounded_trial_blocks():
+    # P^3(GF(64)) has 266,305 points, so every trial block holds one matrix;
+    # ten matrices at once would hold about 90 MiB of form values
+    ctx = make_field(2, 3)
+    enumerate_points(ctx, 3)  # the cached point array is not the check's
+    tracemalloc.start()
+    try:
+        result = verify.check_congruence_reduction(ctx, 3, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak <= 20 * 2**20
+
+
+def test_hermitian_suite_leaves_numpy_ma_unimported():
+    # np.unique without return_counts and np.isin import numpy.ma on first
+    # use; the suite does without them
+    code = (
+        "import contextlib, io, sys\n"
+        "from hermcodes.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = main(['verify', '--p', '2', '--suite', 'hermitian', '--n', '3'])\n"
+        "print(status, 'numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == ["0", "False"]
