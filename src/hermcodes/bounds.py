@@ -48,7 +48,7 @@ from .projspace import (
     line_through,
     normalize_rows,
     normalize_vector,
-    point_keys,
+    point_index,
 )
 
 __all__ = [
@@ -512,22 +512,22 @@ def _cone_lines(ctx: FieldCtx, points, vertex):
     as on P^n and on a rank-n cone."""
     vertex = np.asarray(normalize_vector(ctx, vertex), dtype=np.int64)
     points = np.asarray(points, dtype=np.int64).reshape(-1, len(vertex))
-    keys = point_keys(ctx, points)
-    order = np.argsort(keys, kind="stable")
-    points, keys = points[order], keys[order]
-    at_vertex = keys == point_keys(ctx, vertex)
+    index = point_index(ctx, points)
+    order = np.argsort(index, kind="stable")
+    points, index = points[order], index[order]
+    at_vertex = index == point_index(ctx, vertex)
     others = np.flatnonzero(~at_vertex)
     # With v_j = 1 the vertex's last nonzero coordinate, X - X_j v is the same
     # projective point for every X on one line through v and differs between
-    # lines, so its key names the line.  A stable sort by it keeps each
+    # lines, so its position names the line.  A stable sort by it keeps each
     # line's points in canonical order.
     j = int(np.flatnonzero(vertex)[-1])
     rest = points[others]
     projected = ctx.vsub(rest, ctx.vmul(rest[:, j, None], vertex))
-    line_keys = point_keys(ctx, normalize_rows(ctx, projected))
-    by_line = np.argsort(line_keys, kind="stable")
-    line_keys, q2 = line_keys[by_line], ctx.q2
-    starts = np.flatnonzero(line_keys[1:] != line_keys[:-1]) + 1
+    line_ids = point_index(ctx, normalize_rows(ctx, projected))
+    by_line = np.argsort(line_ids, kind="stable")
+    line_ids, q2 = line_ids[by_line], ctx.q2
+    starts = np.flatnonzero(line_ids[1:] != line_ids[:-1]) + 1
     whole = len(rest) % q2 == 0 and np.array_equal(starts, np.arange(q2, len(rest), q2))
     if at_vertex.sum() != 1 or not whole:
         raise ValueError("the line walk needs the vertex and q^2 points on each line through it")

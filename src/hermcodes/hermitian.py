@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .field import FieldCtx
-from .linalg import batch_rank, identity, mat_mul, matrix_rank, nullspace
+from .linalg import batch_rank, identity, mat_mul
 from .projspace import (
     CHUNK_ELEMS,
     check_point_budget,
@@ -171,13 +171,12 @@ class HermitianVariety:
         self.matrix = validate_hermitian(ctx, matrix)
         self.matrix.setflags(write=False)
         self.n = self.matrix.shape[0] - 1
-        self.rank = matrix_rank(ctx, self.matrix)
+        s, self.rank = canonical_congruence(ctx, self.matrix)
         self.vertex: tuple[int, ...] | None = None
         if self.rank == self.n:
-            # The singular point s has s^T H = 0, i.e. H s^(q) = 0 (H^T = H^(q)),
-            # so it is the conjugate of the right kernel vector.
-            kernel = nullspace(ctx, self.matrix)
-            self.vertex = normalize_vector(ctx, ctx.vfrob(kernel[0]))
+            # S^T H S^(q) = diag(1, ..., 1, 0) puts a zero row at n, so
+            # (S e_n)^T H = 0: the last column of S is the singular point.
+            self.vertex = normalize_vector(ctx, s[:, self.n])
 
     @property
     def is_nondegenerate(self) -> bool:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .field import FieldCtx
 
-__all__ = ["row_reduce", "batch_rank", "matrix_rank", "nullspace", "mat_mul", "identity"]
+__all__ = ["row_reduce", "batch_rank", "matrix_rank", "mat_mul", "identity"]
 
 # Columns of matrix_rank's certificate sample, per row of the matrix.
 SAMPLE_COLS_PER_ROW = 2
@@ -106,16 +106,6 @@ def matrix_rank(ctx: FieldCtx, matrix) -> int:
     if stride > 1 and len(row_reduce(ctx, a[:, ::stride])[1]) == rows:
         return rows
     return len(row_reduce(ctx, a)[1])
-
-
-def nullspace(ctx: FieldCtx, matrix) -> np.ndarray:
-    """Basis of the right kernel {x : Mx = 0}, one vector per row."""
-    rref, pivots = row_reduce(ctx, matrix)
-    free = np.delete(np.arange(rref.shape[1]), pivots)
-    basis = np.zeros((len(free), rref.shape[1]), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = ctx.vneg(rref[: len(pivots), free].T)
-    return basis
 
 
 def mat_mul(ctx: FieldCtx, a, b) -> np.ndarray:

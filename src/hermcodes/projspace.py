@@ -2,20 +2,22 @@
 
 A projective point is a length-(n+1) tuple/array of element codes,
 normalized so the last nonzero coordinate is 1.  Enumeration order is
-lexicographic on the normalized coordinate codes read left to right, which
-is the order of the base-q^2 keys sum c_i q^(2(n-i)); it is a pure function
-of the context and n, so column orders of every derived matrix are
-reproducible across runs.  Hyperplanes are dual coefficient vectors under
-the same normalization, and the dual space enumerates identically.
+lexicographic on the normalized coordinate codes read left to right; it is
+a pure function of the context and n, so column orders of every derived
+matrix are reproducible across runs.  A point's position in it has a
+closed form (:func:`point_index`), so points are located without a search
+and the enumeration is rebuilt on each call rather than kept.  Hyperplanes
+are dual coefficient vectors under the same normalization, and the dual
+space enumerates identically.
 
 Lines are built directly, not found by walking point pairs: each line is
 the row space of one reduced 2 x (n+1) echelon matrix (pivot columns
 c1 < c2 plus free entries), its q^2 + 1 points are r1 and r2 + t*r1, and
-the points are located in the enumeration by their keys.  The lines
-through a stack of point pairs are spanned the same way, all at once.
-Incidence between many points and many hyperplanes is one chunked product;
-the number of points on each of many hyperplanes is read from the
-exhaustive scan kernel, without the full incidence matrix.
+their positions are read in closed form.  The lines through a stack of
+point pairs are spanned the same way, all at once.  Incidence between many
+points and many hyperplanes is one chunked product; the number of points
+on each of many hyperplanes is read from the exhaustive scan kernel,
+without the full incidence matrix.
 """
 
 from __future__ import annotations
@@ -34,14 +36,12 @@ __all__ = [
     "check_point_budget",
     "enumerate_points",
     "enumerate_hyperplanes",
-    "point_keys",
+    "point_index",
     "incidence_matrix",
     "hyperplane_point_counts",
     "line_through",
     "all_lines",
 ]
-
-_POINT_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
 
 # Codes held by one temporary of the batched incidence and line routes.
 CHUNK_ELEMS = 1 << 18
@@ -85,8 +85,11 @@ def check_point_budget(ctx: FieldCtx, n: int, budget: int = POINT_BUDGET) -> Non
         )
 
 
-def _enumerate_points_raw(ctx: FieldCtx, n: int, budget: int = POINT_BUDGET) -> np.ndarray:
-    check_point_budget(ctx, n, budget)
+def enumerate_points(ctx: FieldCtx, n: int) -> np.ndarray:
+    """All points of P^n(GF(q^2)) as a read-only (N, n+1) array of codes, in
+    canonical order, built afresh on each call.  N = pi_count(n, q^2).
+    Refused as :func:`check_point_budget` refuses P^n."""
+    check_point_budget(ctx, n)
     # Canonical (lexicographic) order without a sort: the normalized vectors
     # of length k + 1 are (0, x), then (1, 0, ..., 0), then (c, x) for
     # c = 1 .. q^2 - 1, with x running over those of length k in order.
@@ -105,34 +108,22 @@ def _enumerate_points_raw(ctx: FieldCtx, n: int, budget: int = POINT_BUDGET) -> 
     return pts
 
 
-def enumerate_points(ctx: FieldCtx, n: int) -> np.ndarray:
-    """All points of P^n(GF(q^2)) as an (N, n+1) array of codes, in
-    canonical order.  N = pi_count(n, q^2).  Refuses when q^(2(n+1)) >
-    POINT_BUDGET.  The array is read-only and cached per (p, e, n); once the
-    cached arrays hold more than POINT_BUDGET codes, the oldest are dropped
-    (the newest always stays)."""
-    key = (ctx.p, ctx.e, n)
-    cached = _POINT_CACHE.get(key)
-    if cached is None:
-        cached = _enumerate_points_raw(ctx, n)
-        _POINT_CACHE[key] = cached
-        while len(_POINT_CACHE) > 1 and sum(a.size for a in _POINT_CACHE.values()) > POINT_BUDGET:
-            del _POINT_CACHE[next(iter(_POINT_CACHE))]
-    return cached
-
-
 def enumerate_hyperplanes(ctx: FieldCtx, n: int) -> np.ndarray:
     """All hyperplanes of P^n(GF(q^2)) as normalized dual vectors, in the
     same canonical order as the point enumeration."""
     return enumerate_points(ctx, n)
 
 
-def point_keys(ctx: FieldCtx, rows) -> np.ndarray:
-    """Base-q^2 keys sum c_i q^(2(n-i)) of the coordinate vectors along the
-    last axis; on normalized points they increase in canonical order."""
+def point_index(ctx: FieldCtx, rows) -> np.ndarray:
+    """Canonical positions of the normalized points along the last axis:
+    sum_i a_i N_(n-i) + #{i : a_i != 0} - 1, with N_t = (q^(2t) - 1) /
+    (q^2 - 1) the number of normalized vectors of length t.  This is the
+    enumeration's recursion in closed form: among the vectors of length
+    k + 1, (0, x) sits at idx(x), (1, 0, ..., 0) at N_k and (c, x) at
+    c N_k + 1 + idx(x)."""
     rows = np.asarray(rows, dtype=np.int64)
-    weights = ctx.q2 ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64)
-    return (rows * weights).sum(axis=-1)
+    sizes = (ctx.q2 ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64) - 1) // (ctx.q2 - 1)
+    return (rows * sizes).sum(axis=-1) + np.count_nonzero(rows, axis=-1) - 1
 
 
 def incidence_matrix(ctx: FieldCtx, points, duals) -> np.ndarray:
@@ -185,7 +176,7 @@ def line_through(ctx: FieldCtx, a, b) -> np.ndarray:
     if (a == b).all(axis=-1).any():
         raise ValueError("line_through requires two distinct points")
     pts = _span_points(ctx, a, b)
-    order = np.argsort(point_keys(ctx, pts), axis=-1)
+    order = np.argsort(point_index(ctx, pts), axis=-1)
     return np.take_along_axis(pts, order[..., None], axis=-2)
 
 
@@ -215,7 +206,8 @@ def all_lines(ctx: FieldCtx, n: int, budget: int = POINT_BUDGET) -> np.ndarray:
     rows are ordered by their first two indices: the order in which a walk
     over point pairs (i < j) would first meet each line.  The budget bounds
     both the q^(2(n+1)) tuples of the point enumeration and the
-    L * (q^2 + 1) line points; it is checked before anything is built."""
+    L * (q^2 + 1) line points; it is checked before anything is built, and
+    n < 1 is refused as :func:`check_point_budget` refuses it."""
     q2 = ctx.q2
     count = (q2 ** (n + 1) - 1) * (q2**n - 1) // ((q2 * q2 - 1) * (q2 - 1))
     tuples, visits = q2 ** (n + 1), count * (q2 + 1)
@@ -224,14 +216,13 @@ def all_lines(ctx: FieldCtx, n: int, budget: int = POINT_BUDGET) -> np.ndarray:
             f"enumerating the lines of P^{n}(GF({q2})) scans {tuples} tuples and visits "
             f"{visits} points > budget {budget}"
         )
-    keys = point_keys(ctx, enumerate_points(ctx, n))
+    check_point_budget(ctx, n, budget)
     pairs = _echelon_pairs(q2, n)
     lines = np.empty((count, q2 + 1), dtype=np.int64)
     step = max(1, CHUNK_ELEMS // ((q2 + 1) * (n + 1)))
     for lo in range(0, count, step):
         block = pairs[lo : lo + step]
-        pts = _span_points(ctx, block[:, 0], block[:, 1])
-        lines[lo : lo + step] = np.searchsorted(keys, point_keys(ctx, pts))
+        lines[lo : lo + step] = point_index(ctx, _span_points(ctx, block[:, 0], block[:, 1]))
     lines.sort(axis=1)
     return lines[np.lexsort((lines[:, 1], lines[:, 0]))]
 

@@ -49,7 +49,7 @@ from .projspace import (
     incidence_matrix,
     line_through,
     pi_count,
-    point_keys,
+    point_index,
 )
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "random_hermitian"]
@@ -281,18 +281,18 @@ def check_preimage_solvers(ctx: FieldCtx) -> CheckResult:
 
 
 def check_point_enumeration(ctx: FieldCtx, n: int) -> CheckResult:
-    """From the definition: every row is a normalized vector of codes, the
-    base-q^2 keys strictly increase (distinct, canonical order), and there
-    are pi_n rows -- so the rows are exactly the points of P^n."""
+    """From the definition: every row is a normalized vector of codes and
+    row i has the closed-form canonical position i, for i < pi_n -- so the
+    rows are exactly the points of P^n, in canonical order.  The recursion
+    that builds the rows and the closed form are two routes to the order."""
     pts = enumerate_points(ctx, n)
     in_range = bool(((pts >= 0) & (pts < ctx.q2)).all())
     nonzero = pts != 0
     last = n - np.argmax(nonzero[:, ::-1], axis=1)
     lead = pts[np.arange(len(pts)), last]
     normalized = bool(nonzero.any(axis=1).all() and (lead == 1).all())
-    keys = point_keys(ctx, pts)
-    increasing = bool((np.diff(keys) > 0).all())
-    ok = len(pts) == pi_count(n, ctx.q2) and in_range and normalized and increasing
+    in_place = np.array_equal(point_index(ctx, pts), np.arange(pi_count(n, ctx.q2)))
+    ok = in_range and normalized and in_place
     return _result(
         "point_enumeration",
         ok,
@@ -340,7 +340,7 @@ def check_line_basics(ctx: FieldCtx, n: int, seed: int = 0) -> CheckResult:
         lines = line_through(ctx, np.concatenate([a, b]), np.concatenate([b, a]))
         lines, backward = lines[:k], lines[k:]
         ok &= lines.shape[1] == ctx.q2 + 1 and np.array_equal(lines, backward)
-        ok &= bool((np.diff(point_keys(ctx, lines), axis=1) > 0).all())
+        ok &= bool((np.diff(point_index(ctx, lines), axis=1) > 0).all())
         on = incidence_matrix(ctx, np.concatenate([a, b, lines.reshape(-1, n + 1)]), hyps)
         through = on[:k] & on[k : 2 * k]
         ok &= bool((on[2 * k :].reshape(k, -1, len(hyps)) | ~through[:, None]).all())
@@ -423,19 +423,16 @@ def check_section_dichotomy(ctx: FieldCtx, n: int) -> CheckResult:
     variety = make_nondegenerate(ctx, n)
     tangent_count = 1 + q * q * count_points_formula(n - 2, "nondegenerate", q) if n >= 2 else None
     nontangent_count = count_points_formula(n - 1, "nondegenerate", q)
-    # distinct polar keys by sorting, so membership is a searchsorted lookup
-    polar_keys = np.sort(point_keys(ctx, tangent_hyperplanes(ctx, variety, variety.points)))
-    polar_keys = polar_keys[np.concatenate([[True], polar_keys[1:] != polar_keys[:-1]])]
     hyps = enumerate_hyperplanes(ctx, n)
+    polar = np.zeros(len(hyps), dtype=bool)
+    polar[point_index(ctx, tangent_hyperplanes(ctx, variety, variety.points))] = True
     ranks, counts, kinds = hyperplane_sections(ctx, variety, hyps)
     tangent = kinds == "tangent"
     n_tangent = int(tangent.sum())
     ok = bool((ranks[tangent] == n - 1).all() and (counts[tangent] == tangent_count).all())
-    tangent_keys = point_keys(ctx, hyps[tangent])
-    found = polar_keys.take(np.searchsorted(polar_keys, tangent_keys), mode="clip")
-    ok &= bool((found == tangent_keys).all())
+    ok &= np.array_equal(polar, tangent)
     ok &= bool((ranks[~tangent] == n).all() and (counts[~tangent] == nontangent_count).all())
-    ok &= n_tangent == len(polar_keys) == len(variety.points)
+    ok &= n_tangent == len(variety.points)
     return _result(
         "hyperplane_section_dichotomy",
         ok,

@@ -1,7 +1,7 @@
-"""Reference loops for the field, linear-algebra, form-index and
-point-normalization helpers.
+"""Reference loops for the field, form-index and point-normalization
+helpers.
 
-These are the former scalar loops of ``field``, ``linalg``, ``forms``,
+These are the former scalar loops of ``field``, ``forms``,
 ``projspace`` and ``verify``, written one element or one index at a time.
 The helpers now read tables or call the package's vectorised kernels; the
 differential tests require them to agree with these loops exactly.
@@ -20,7 +20,7 @@ from hermcodes.forms import (
     segments,
     shard_range,
 )
-from hermcodes.linalg import matrix_rank, row_reduce
+from hermcodes.linalg import matrix_rank
 
 
 def reference_pow(ctx, a: int, k: int) -> int:
@@ -86,19 +86,6 @@ def reference_is_prime(n: int) -> bool:
             return False
         i += 1
     return True
-
-
-def reference_nullspace(ctx, matrix) -> np.ndarray:
-    """Kernel basis filled one free column and one pivot at a time."""
-    rref, pivots = row_reduce(ctx, matrix)
-    cols = rref.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for row, pc in enumerate(pivots):
-            basis[i, pc] = ctx.neg(int(rref[row, f]))
-    return basis
 
 
 def reference_coeffs_at_index(q2: int, k: int, g: int) -> tuple[int, ...]:

@@ -68,7 +68,7 @@ from hermcodes.projspace import (
     incidence_matrix,
     line_through,
     normalize_rows,
-    point_keys,
+    point_index,
 )
 from hermcodes.verify import (
     check_hyperplane_margin,
@@ -585,8 +585,8 @@ def cone_line_cover(ctx, zero_points, vertex) -> tuple[bool, int]:
     without the vertex gives (False, 0)."""
     cone = _cone(ctx, len(vertex) - 1)
     points, positions = _cone_lines(ctx, cone.points, vertex)
-    zero_keys = point_keys(ctx, np.asarray(zero_points, dtype=np.int64).reshape(-1, len(vertex)))
-    ok, lines = _line_cover_rows(np.isin(point_keys(ctx, points), zero_keys)[None, :], positions)
+    zero_at = point_index(ctx, np.asarray(zero_points, dtype=np.int64).reshape(-1, len(vertex)))
+    ok, lines = _line_cover_rows(np.isin(point_index(ctx, points), zero_at)[None, :], positions)
     return bool(ok[0]), int(lines[0])
 
 

@@ -10,10 +10,9 @@ from hermcodes.linalg import (
     identity,
     mat_mul,
     matrix_rank,
-    nullspace,
     row_reduce,
 )
-from loop_reference import random_invertible, reference_nullspace
+from loop_reference import random_invertible
 
 
 def reference_mat_mul(ctx, a, b):
@@ -63,39 +62,6 @@ def test_mat_mul_matches_reference(shape):
         for i in range(2):
             for j in range(3):
                 assert np.array_equal(got[i, j], reference_mat_mul(ctx, stack_a[i, 0], stack_b[j]))
-
-
-def test_nullspace_is_kernel(gf9):
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        m = rng.integers(0, 9, size=(3, 5)).astype(np.int64)
-        basis = nullspace(gf9, m)
-        assert basis.shape[0] == 5 - matrix_rank(gf9, m)
-        for vec in basis:
-            assert not mat_mul(gf9, m, vec[:, None]).any()
-
-
-NULLSPACE_FIELDS = [make_field(2, 1), make_field(3, 1), make_field(17, 1)]
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.sampled_from(NULLSPACE_FIELDS),
-    st.integers(0, 5),
-    st.integers(1, 7),
-    st.sampled_from([0.0, 0.3, 0.7, 1.0]),
-    st.integers(0, 2**32 - 1),
-)
-def test_nullspace_matches_former_loop(ctx, rows, cols, density, seed):
-    """Zero, sparse, full-rank and wide matrices: the array fill against the
-    free x pivot loop, and every basis vector in the kernel."""
-    rng = np.random.default_rng(seed)
-    m = rng.integers(0, ctx.q2, size=(rows, cols))
-    m[rng.random(m.shape) >= density] = 0
-    got, want = nullspace(ctx, m), reference_nullspace(ctx, m)
-    assert got.dtype == want.dtype == np.int64
-    assert got.shape == want.shape and np.array_equal(got, want)
-    assert not mat_mul(ctx, m, got.T).any()
 
 
 def test_row_reduce_pivots(gf4):

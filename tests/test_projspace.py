@@ -14,19 +14,19 @@ from geometry_reference import (
     reference_line_through,
 )
 from hermcodes import BudgetExceededError, make_field, pi_count
-from hermcodes import projspace, verify
+from hermcodes import bounds, projspace, verify
 from hermcodes.projspace import (
-    _enumerate_points_raw,
     all_lines,
+    check_point_budget,
     enumerate_hyperplanes,
     enumerate_points,
     hyperplane_point_counts,
     incidence_matrix,
     line_through,
+    normalize_rows,
     normalize_vector,
-    point_keys,
+    point_index,
 )
-from hermcodes.limits import POINT_BUDGET
 
 
 def test_pi_count_values():
@@ -57,34 +57,22 @@ def test_point_counts_and_normalization(p, e, n):
 
 
 def test_enumeration_reproducible(gf4):
-    a = _enumerate_points_raw(gf4, 2, POINT_BUDGET)
-    b = _enumerate_points_raw(gf4, 2, POINT_BUDGET)
+    a = enumerate_points(gf4, 2)
+    b = enumerate_points(gf4, 2)
     assert np.array_equal(a, b)
-    assert np.array_equal(a, enumerate_points(gf4, 2))
 
 
-def test_point_cache_is_bounded(gf4, gf9, monkeypatch):
-    # Cached arrays of P^1, P^2, P^3 over GF(4) hold 10, 63 and 340 codes.
-    monkeypatch.setattr(projspace, "_POINT_CACHE", {})
-    monkeypatch.setattr(projspace, "POINT_BUDGET", 200)
-    first = enumerate_points(gf4, 1)
-    assert enumerate_points(gf4, 1) is first
-    enumerate_points(gf4, 2)
-    assert list(projspace._POINT_CACHE) == [(2, 1, 1), (2, 1, 2)]
-    enumerate_points(gf4, 3)  # 413 codes: both older arrays go, the newest stays
-    assert list(projspace._POINT_CACHE) == [(2, 1, 3)]
+def test_enumerate_points_returns_a_fresh_read_only_array(gf4, gf9):
     for ctx, n in [(gf4, 1), (gf4, 2), (gf9, 2), (gf4, 3), (gf9, 1)]:
         pts = enumerate_points(ctx, n)
-        assert np.array_equal(pts, _enumerate_points_raw(ctx, n, POINT_BUDGET))
+        assert np.array_equal(pts, reference_enumerate_points(ctx, n))
         assert not pts.flags.writeable
-        cached = projspace._POINT_CACHE
-        assert len(cached) == 1 or sum(a.size for a in cached.values()) <= 200
-        assert cached[(ctx.p, ctx.e, n)] is pts
+        assert enumerate_points(ctx, n) is not pts
 
 
 def test_enumeration_budget(gf4):
     with pytest.raises(BudgetExceededError):
-        _enumerate_points_raw(gf4, 3, budget=10)
+        check_point_budget(gf4, 3, budget=10)
 
 
 def reference_enumerate_points(ctx, n):
@@ -104,7 +92,7 @@ def reference_enumerate_points(ctx, n):
 )
 def test_enumeration_matches_tuple_walk(p, e, n):
     ctx = make_field(p, e)
-    pts = _enumerate_points_raw(ctx, n, POINT_BUDGET)
+    pts = enumerate_points(ctx, n)
     want = reference_enumerate_points(ctx, n)
     assert pts.dtype == want.dtype and pts.shape == want.shape
     assert np.array_equal(pts, want)
@@ -112,11 +100,11 @@ def test_enumeration_matches_tuple_walk(p, e, n):
 
 
 def test_enumeration_budget_counts_raw_tuples(gf4):
-    assert len(_enumerate_points_raw(gf4, 3, budget=4**4)) == pi_count(3, 4)
+    check_point_budget(gf4, 3, budget=4**4)
     with pytest.raises(BudgetExceededError, match="scans 256 tuples > budget 255"):
-        _enumerate_points_raw(gf4, 3, budget=4**4 - 1)
+        check_point_budget(gf4, 3, budget=4**4 - 1)
     with pytest.raises(ValueError):
-        _enumerate_points_raw(gf4, 0, POINT_BUDGET)
+        enumerate_points(gf4, 0)
 
 
 @pytest.mark.parametrize(
@@ -138,6 +126,92 @@ def test_point_enumeration_check_is_not_vacuous(gf4, monkeypatch, corrupt):
     bad_points = corrupt(np.array(enumerate_points(gf4, 2)))
     monkeypatch.setattr(verify, "enumerate_points", lambda ctx, n: bad_points)
     assert not verify.check_point_enumeration(gf4, 2).passed
+
+
+# Every P^n(GF(q^2)) the tier-1 suite enumerates, as (p, e, n), and P^5(GF(9)).
+ENUMERATED_SPACES = [
+    *[(2, 1, n) for n in (1, 2, 3, 4, 6, 7)],
+    *[(2, 2, n) for n in (1, 2, 3, 4)],
+    (2, 3, 3),
+    *[(3, 1, n) for n in (1, 2, 3, 4, 5)],
+    *[(5, 1, n) for n in (1, 2, 3, 4)],
+    (11, 1, 2),
+    (17, 1, 1),
+]
+
+
+@pytest.mark.parametrize("p,e,n", ENUMERATED_SPACES)
+def test_point_index_is_the_enumeration_position(p, e, n):
+    ctx = make_field(p, e)
+    pts = enumerate_points(ctx, n)
+    assert np.array_equal(point_index(ctx, pts), np.arange(pi_count(n, ctx.q2)))
+
+
+@st.composite
+def normalized_points(draw):
+    """1-20 normalized points of P^n, n = 1..5, over GF(4), GF(9), GF(16) or
+    GF(25), drawn as nonzero coordinate tuples."""
+    ctx = make_field(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)])))
+    n = draw(st.integers(1, 5))
+    coords = st.lists(st.integers(0, ctx.q2 - 1), min_size=n + 1, max_size=n + 1).filter(any)
+    rows = draw(st.lists(coords, min_size=1, max_size=20))
+    return ctx, n, normalize_rows(ctx, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(normalized_points())
+def test_point_index_orders_points_as_coordinate_tuples(case):
+    ctx, n, rows = case
+    index = point_index(ctx, rows).tolist()
+    assert all(0 <= i < pi_count(n, ctx.q2) for i in index)
+    # one position per distinct point, increasing with the tuples
+    by_index = sorted(set(zip(index, map(tuple, rows.tolist()))))
+    assert [t for _, t in by_index] == sorted(set(map(tuple, rows.tolist())))
+    assert len({i for i, _ in by_index}) == len(by_index)
+
+
+def test_point_index_takes_stacks(gf9):
+    pts = enumerate_points(gf9, 3)[:60]
+    assert point_index(gf9, pts.reshape(3, 4, 5, 4)).shape == (3, 4, 5)
+    assert np.array_equal(point_index(gf9, pts.reshape(3, 20, 4)), np.arange(60).reshape(3, 20))
+    assert point_index(gf9, pts[7]).shape == () and point_index(gf9, pts[7]) == 7
+
+
+def mutant_point_index(shift, count):
+    """point_index with N_(t + shift) for N_t, and the nonzero-count term
+    dropped unless ``count``."""
+
+    def point_index(ctx, rows):
+        rows = np.asarray(rows, dtype=np.int64)
+        t = np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64) + shift
+        sizes = (ctx.q2**t - 1) // (ctx.q2 - 1)
+        return (rows * sizes).sum(axis=-1) + count * np.count_nonzero(rows, axis=-1) - 1
+
+    return point_index
+
+
+def fails(run) -> bool:
+    try:
+        return not run()
+    except IndexError:  # a position past the enumeration
+        return True
+
+
+@pytest.mark.parametrize("shift,count", [(1, True), (0, False)])
+def test_point_index_mutants_are_caught(gf4, gf9, monkeypatch, shift, count):
+    def runs(ctx):
+        walk = np.array(list(reference_iter_all_lines(ctx, 2)))
+        return [
+            lambda: verify.check_point_enumeration(ctx, 2).passed,
+            lambda: verify.check_section_dichotomy(ctx, 2).passed,
+            lambda: np.array_equal(enumerate_points(ctx, 2)[all_lines(ctx, 2)], walk),
+        ]
+
+    cases = runs(gf4) + runs(gf9)
+    assert not any(fails(run) for run in cases)
+    for module in (projspace, bounds, verify):
+        monkeypatch.setattr(module, "point_index", mutant_point_index(shift, count))
+    assert all(fails(run) for run in cases)
 
 
 def test_normalize_vector(gf4):
@@ -249,14 +323,12 @@ def test_all_lines_budget(gf4):
         all_lines(gf4, 3, budget=size - 1)
     with pytest.raises(BudgetExceededError):
         all_lines(gf4, 3, budget=4**4 - 1)  # the point enumeration itself
-
-
-def test_all_lines_budget_ignores_the_point_cache(gf4):
     # P^1(GF(4)) has one line of 5 points, but its enumeration scans 16 tuples
-    enumerate_points(gf4, 1)  # warm the cache
     with pytest.raises(BudgetExceededError, match="scans 16 tuples"):
         all_lines(gf4, 1, budget=15)
     assert all_lines(gf4, 1, budget=16).tolist() == [[0, 1, 2, 3, 4]]
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        all_lines(gf4, 0)
 
 
 @st.composite
@@ -279,7 +351,7 @@ def test_line_through_matches_scalar_loop(case):
     want = reference_line_through(ctx, a, b)
     assert line.dtype == want.dtype and np.array_equal(line, want)
     assert np.array_equal(line, line_through(ctx, b, a))
-    assert (np.diff(point_keys(ctx, line)) > 0).all()
+    assert (np.diff(point_index(ctx, line)) > 0).all()
     with pytest.raises(ValueError):
         line_through(ctx, a, ctx.vmul(2, a))
 
