@@ -323,12 +323,17 @@ def test_all_lines_budget(gf4):
         all_lines(gf4, 3, budget=size - 1)
     with pytest.raises(BudgetExceededError):
         all_lines(gf4, 3, budget=4**4 - 1)  # the point enumeration itself
-    # P^1(GF(4)) has one line of 5 points, but its enumeration scans 16 tuples
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        all_lines(gf4, 0)
+
+
+def test_all_lines_budget_ignores_the_point_cache(gf4):
+    # P^1(GF(4)) has one line of 5 points, but its enumeration scans 16 tuples;
+    # an earlier enumeration of the same space does not lower that charge
+    enumerate_points(gf4, 1)
     with pytest.raises(BudgetExceededError, match="scans 16 tuples"):
         all_lines(gf4, 1, budget=15)
     assert all_lines(gf4, 1, budget=16).tolist() == [[0, 1, 2, 3, 4]]
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        all_lines(gf4, 0)
 
 
 @st.composite
