@@ -42,6 +42,7 @@ from .hermitian import (
 )
 from .limits import EVAL_BUDGET, MAXIMIZER_CAP, check_index_space, check_scan_budget
 from .projspace import (
+    check_point_budget,
     enumerate_hyperplanes,
     enumerate_points,
     incidence_matrix,
@@ -67,7 +68,8 @@ __all__ = [
     "zero_count_summary",
     "bruteforce_max_intersection",
     "merge_oracle_results",
-    "zero_mask_blocks",
+    "value_blocks",
+    "fibre_root_counts",
     "check_union_of_cone_lines",
     "is_cone_with_vertex",
     "characterize_maximizers",
@@ -459,19 +461,20 @@ def merge_oracle_results(parts: list[OracleResult]) -> OracleResult:
 # ---------------------------------------------------------------------------
 
 
-def zero_mask_blocks(ctx: FieldCtx, coeffs: np.ndarray, values: np.ndarray):
+def value_blocks(ctx: FieldCtx, coeffs: np.ndarray, values: np.ndarray):
     """Yield (first row, block) over the (N, k) coefficient stack against the
-    (k, m) monomial value matrix, k >= 2: ``block[i, j]`` says form
-    ``first + i`` vanishes at point j.  A block holds at most a quarter of
-    ``projspace.CHUNK_ELEMS`` entries (or one row).
+    (k, m) monomial value matrix, k >= 2: ``block[i, j]`` is the value of
+    form ``first + i`` at point j, and ``block == 0`` its zero mask.  A block
+    holds at most a quarter of ``projspace.CHUNK_ELEMS`` entries (or one
+    row).
 
-    The monomials split into G groups of L, the last one zero-padded and
-    negated; L <= k - 1 is the largest with q2^L <= max(q2, N) and
+    The monomials split into G groups of L, the last one zero-padded;
+    L <= k - 1 is the largest with q2^L <= max(q2, N) and
     q2^L * m <= ``SCAN_TABLE_ELEMS``, or 1.  A form picks one row of each
     group's row-major (q2^L, m) :func:`forms.combination_table`, named by
     its group coefficients as base-q2 digits, most significant first, and
-    vanishes where its other rows sum to its last one: a block costs one
-    gather and G - 2 ``vadd``.  One build makes as many tables as fit in
+    its values are the sum of those rows: a block costs one gather and
+    G - 1 ``vadd``.  One build makes as many tables as fit in
     ``SCAN_TABLE_ELEMS`` codes."""
     (n_forms, k), m, q2 = coeffs.shape, values.shape[1], ctx.q2
     cap = min(max(q2, n_forms), SCAN_TABLE_ELEMS // max(m, 1))  # bounds q2^L
@@ -481,7 +484,6 @@ def zero_mask_blocks(ctx: FieldCtx, coeffs: np.ndarray, values: np.ndarray):
     groups, size = -(-k // width), q2**width
     padded = np.zeros((groups * width, m), dtype=np.int64)
     padded[:k] = values
-    padded[-width:] = ctx.vneg(padded[-width:])
     digits = np.zeros((n_forms, groups * width), dtype=np.int64)
     digits[:, :k] = coeffs
     tables = np.empty((groups, size, m), dtype=code_dtype(q2))
@@ -497,9 +499,62 @@ def zero_mask_blocks(ctx: FieldCtx, coeffs: np.ndarray, values: np.ndarray):
     for lo in range(0, n_forms, step):
         picked = tables[at[lo : lo + step]]
         total = picked[:, 0]
-        for g in range(1, groups - 1):
+        for g in range(1, groups):
             total = ctx.vadd(total, picked[:, g])
-        yield lo, total == picked[:, -1]
+        yield lo, total
+
+
+def _root_counts(ctx: FieldCtx, d: int) -> np.ndarray:
+    """(q2^(d+1),) table of root counts.  Entry j, whose base-q2 digits are
+    y_0 .. y_(d-1), c (most significant first), is the number of s in
+    GF(q^2) where the polynomial f of degree <= d < q^2 with f(i) = y_i at
+    the codes i = 0 .. d-1 and t^d coefficient c vanishes.  That f is
+    sum_k y_k L_k + c prod_i (t - i), with L_k the Lagrange basis of the d
+    nodes, so column j of the :func:`forms.combination_table` of the rows
+    L_0 .. L_(d-1), prod_i (s - i) over every s holds f(s)."""
+    s = np.arange(ctx.q2, dtype=np.int64)
+    rows = np.ones((d + 1, ctx.q2), dtype=np.int64)
+    for k in range(d):
+        scale = 1
+        for i in range(d):
+            if i != k:
+                rows[k] = ctx.vmul(rows[k], ctx.vsub(s, i))
+                scale = ctx.mul(scale, ctx.add(k, ctx.neg(i)))
+        rows[k] = ctx.vmul(rows[k], ctx.inv(scale))
+        rows[d] = ctx.vmul(rows[d], ctx.vsub(s, k))
+    return (combination_table(ctx, rows) == 0).sum(axis=0, dtype=np.min_scalar_type(ctx.q2))
+
+
+def fibre_root_counts(ctx: FieldCtx, basis: MonomialBasis, coeffs: np.ndarray, base, vertex):
+    """Yield (first row, at vertex, roots) for consecutive row blocks of the
+    (N, k) coefficient stack: ``at_vertex[i]`` says form ``first + i``
+    vanishes at ``vertex``, and ``roots[i, b]`` is its number of zeros other
+    than the vertex on the line through the vertex and base point b.
+
+    With v the normalized vertex and v_j = 1 its last nonzero coordinate,
+    every base point must have x_j = 0; each line through v is then v and
+    the q^2 points P + t v of exactly one such P.  On it F(P + t v) is a
+    polynomial in t of degree <= d < q^2 whose t^d coefficient is F(v), so
+    d + 1 points of the line decide it: the vertex, shared by every line,
+    and P + t v at the codes t = 0 .. d-1.  Their values name its entry of
+    :func:`_root_counts`, built once per call.  The stack is evaluated at
+    the vertex and those d |base| points through :func:`value_blocks`, so
+    blocks stay within its chunk size."""
+    vertex = np.asarray(normalize_vector(ctx, vertex), dtype=np.int64)
+    base = np.asarray(base, dtype=np.int64).reshape(-1, len(vertex))
+    j = int(np.flatnonzero(vertex)[-1])
+    if base[:, j].any():
+        raise ValueError("fibre base points must have x_j = 0 where v_j = 1 is the vertex's last nonzero")
+    d, q2 = basis.d, ctx.q2
+    on_lines = ctx.vadd(base, ctx.vmul(np.arange(d)[:, None, None], vertex))
+    points = np.concatenate([vertex[None], on_lines.reshape(-1, len(vertex))])
+    roots = _root_counts(ctx, d)
+    for lo, block in value_blocks(ctx, coeffs, monomial_values(ctx, basis, points)):
+        lead = block[:, :1]  # F(v), the t^d coefficient on every line
+        code = 0
+        for values in block[:, 1:].reshape(len(block), d, len(base)).swapaxes(0, 1):
+            code = code * q2 + values  # the digits y_0 .. y_(d-1), then F(v)
+        yield lo, lead[:, 0] == 0, roots[code * q2 + lead]
 
 
 def _cone_lines(ctx: FieldCtx, points, vertex):
@@ -588,14 +643,34 @@ def _stack_line_cover(ctx: FieldCtx, basis, coeffs, points, vertex):
     """(ok, lines, vertex is a zero) of the greedy line walk through ``vertex``
     for every form of the stack, on the point set ``points``: one canonical
     sort, one line layout and one ``monomial_values`` for the whole stack,
-    evaluated in :func:`zero_mask_blocks`."""
+    whose zero masks are read off :func:`value_blocks`."""
     points, positions = _cone_lines(ctx, points, vertex)
     values = monomial_values(ctx, basis, points)
     blocks = [
-        (*_line_cover_rows(zeros, positions), zeros[:, 0].copy())  # not a view of the block
-        for _, zeros in zero_mask_blocks(ctx, coeffs, values)
+        (*_line_cover_rows(zeros, positions), zeros[:, 0].copy())  # not a view of the mask
+        for zeros in (block == 0 for _, block in value_blocks(ctx, coeffs, values))
     ]
     return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
+def _stack_fibre_cover(ctx: FieldCtx, basis, coeffs, base, vertex):
+    """(broken, whole, vertex is a zero) per form of the stack, from
+    :func:`fibre_root_counts` over ``base``: whether some line through the
+    vertex holds zeros but is not wholly zero, and how many are wholly zero
+    (all q^2 points other than the vertex)."""
+    q2 = ctx.q2
+    blocks = [
+        (((roots > 0) & (roots < q2)).any(axis=1), (roots == q2).sum(axis=1), at_vertex)
+        for _, at_vertex, roots in fibre_root_counts(ctx, basis, coeffs, base, vertex)
+    ]
+    return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
+def _walks_lines(ctx: FieldCtx, basis: MonomialBasis) -> bool:
+    """Whether the checkers take the line walk for the whole stack: the root
+    table of :func:`fibre_root_counts` would hold q2^(d+2) >
+    ``SCAN_TABLE_ELEMS`` codes."""
+    return ctx.q2 ** (basis.d + 2) > SCAN_TABLE_ELEMS
 
 
 def check_union_of_cone_lines(ctx: FieldCtx, variety: HermitianVariety, forms):
@@ -610,14 +685,32 @@ def check_union_of_cone_lines(ctx: FieldCtx, variety: HermitianVariety, forms):
 
     ``forms`` is one HomogeneousForm, which gives one ``(ok, lines)``, or a
     sequence of forms over one basis, which gives a list with one
-    ``(ok, lines)`` per form, in order; the whole stack shares one
-    evaluation pass over the cone."""
+    ``(ok, lines)`` per form, in order.
+
+    The whole stack shares one :func:`fibre_root_counts` pass over the cone
+    points with x_j = 0, one on each generator line (v_j = 1 is the
+    vertex's last nonzero coordinate).  A form passes iff no generator line
+    is broken (holds zeros without being wholly zero) and, when the vertex
+    is a zero, some line is whole; then its count is the number of whole
+    lines.  Only the forms that fail with whole lines take the line walk
+    (:func:`_cone_lines`, :func:`_line_cover_rows`), for their partial
+    count; the whole stack takes it when the root table would not fit
+    (:func:`_walks_lines`)."""
     if not variety.is_rank_n_cone:
         raise ValueError("checker requires a rank-n cone")
     single, basis, coeffs = _form_stack(ctx, forms)
     if basis is None:
         return []
-    ok, lines, at_vertex = _stack_line_cover(ctx, basis, coeffs, variety.points, variety.vertex)
+    points, vertex = variety.points, variety.vertex
+    if _walks_lines(ctx, basis):
+        ok, lines, at_vertex = _stack_line_cover(ctx, basis, coeffs, points, vertex)
+    else:
+        base = points[points[:, np.flatnonzero(vertex)[-1]] == 0]
+        broken, lines, at_vertex = _stack_fibre_cover(ctx, basis, coeffs, base, vertex)
+        ok = ~broken
+        partial = broken & (lines > 0)
+        if partial.any():
+            lines[partial] = _stack_line_cover(ctx, basis, coeffs[partial], points, vertex)[1]
     # a passing form's zeros are the vertex and ``lines`` whole lines, or
     # none; the vertex alone is no union of lines
     results = [(bool(o), int(c)) for o, c in zip(ok & ((lines > 0) | ~at_vertex), lines)]
@@ -631,12 +724,27 @@ def is_cone_with_vertex(ctx: FieldCtx, forms, vertex):
 
     ``forms`` is one HomogeneousForm, which gives one bool, or a sequence
     of forms over one basis, which gives a list with one bool per form, in
-    order; the whole stack shares one evaluation pass over P^n."""
+    order.
+
+    The whole stack shares one :func:`fibre_root_counts` pass over the
+    points of P^n with x_j = 0, one on each line through the vertex
+    (v_j = 1 is its last nonzero coordinate): a form passes iff no such line
+    holds zeros without being wholly zero.  A wholly zero line puts the
+    vertex among the zeros, so a form that misses the vertex passes only
+    without zeros.  The stack takes the line walk over P^n instead when the
+    root table would not fit (:func:`_walks_lines`)."""
     single, basis, coeffs = _form_stack(ctx, forms)
     if basis is None:
         return []
-    space = enumerate_points(ctx, basis.n)
-    results = [bool(o) for o in _stack_line_cover(ctx, basis, coeffs, space, vertex)[0]]
+    n = basis.n
+    check_point_budget(ctx, n)
+    if _walks_lines(ctx, basis):
+        ok = _stack_line_cover(ctx, basis, coeffs, enumerate_points(ctx, n), vertex)[0]
+    else:
+        j = int(np.flatnonzero(normalize_vector(ctx, vertex))[-1])
+        hyperplane = enumerate_points(ctx, n - 1) if n > 1 else np.ones((1, 1), dtype=np.int64)
+        ok = ~_stack_fibre_cover(ctx, basis, coeffs, np.insert(hyperplane, j, 0, axis=1), vertex)[0]
+    results = [bool(o) for o in ok]
     return results[0] if single else results
 
 

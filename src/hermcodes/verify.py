@@ -676,9 +676,9 @@ def check_tangent_section_structure(ctx: FieldCtx, d: int, samples: int, seed: i
     sigma_masks = incidence_matrix(ctx, cone.points, avoiding).T
     ok = True
     values = monomial_values(ctx, basis, cone.points)
-    for _, zeros in bnd.zero_mask_blocks(ctx, coeffs, values):
+    for _, block in bnd.value_blocks(ctx, coeffs, values):
         # entry (i, j): the zeros of form i on the j-th hyperplane
-        ok &= bool((zeros.astype(np.int64) @ sigma_masks.T == base_max).all())
+        ok &= bool(((block == 0).astype(np.int64) @ sigma_masks.T == base_max).all())
     # witness factor structure: each tangent-plane factor meets the section
     # in the tangent-section count and pairwise intersections are secant
     if witness is not None:

@@ -7,18 +7,24 @@ them; ``oracle_bound`` and ``characterize_maximizers`` must agree with them.
 
 ``reference_line_walk`` and the two reference checkers below are direct
 per-point loops, one scalar ``line_through`` and one tuple set per line.
-They are slow, which is why they live here; the package checkers take whole
-stacks of forms and share two kernels: ``bounds.zero_mask_blocks``, which
-reads each form's zero mask off combination tables, and the line-major walk
-(``bounds._cone_lines`` lays the points out vertex first, then one column
-per line through it; ``bounds._line_cover_rows`` walks the masks), of which
-``cone_line_cover`` below is the one-row case.  The masks are held to
-``form_values``, which evaluates through power tables only.
+They are slow, which is why they live here.  The package checkers take
+whole stacks of forms.  ``bounds.value_blocks`` reads each form's values
+off combination tables, and both checkers decide from
+``bounds.fibre_root_counts``: each form's zero count on every line through
+the vertex, read from a root table indexed by its values at d + 1 points of
+the line.  The line-major walk (``bounds._cone_lines`` lays the points out
+vertex first, then one column per line through it;
+``bounds._line_cover_rows`` walks the zero masks), of which
+``cone_line_cover`` below is the one-row case, runs only for the partial
+count of a form that fails with whole lines, and for whole stacks whose
+root table would not fit.  The values are held to ``form_values``, which
+evaluates through power tables only.
 """
 
 import dataclasses
 import sys
 from collections import Counter
+from functools import reduce
 from unittest import mock
 
 import numpy as np
@@ -60,7 +66,8 @@ from hermcodes.bounds import (
     oracle_target,
 )
 from hermcodes.forms import form_values, monomial_values, projective_form_count, scan_zero_counts
-from hermcodes.hermitian import count_points_formula
+from hermcodes.hermitian import congruence_transform, count_points_formula
+from hermcodes.linalg import matrix_rank
 from hermcodes.limits import POINT_BUDGET
 from hermcodes.projspace import (
     enumerate_hyperplanes,
@@ -643,7 +650,7 @@ def test_line_walk_refuses_point_sets_off_its_layout(gf4):
             _cone_lines(gf4, points, vertex)
 
 
-# Fields of the mask test: XOR add (GF(4), GF(16)), flat gathers (GF(9),
+# Fields of the value-block test: XOR add (GF(4), GF(16)), flat gathers (GF(9),
 # GF(25)) and the sparse log/spread tables (GF(289)).
 MASK_FIELDS = [make_field(p, e) for p, e in ((2, 1), (2, 2), (3, 1), (5, 1), (17, 1))]
 
@@ -666,15 +673,15 @@ def mask_stacks(draw):
     return ctx, basis, points, coeffs
 
 
-def _assert_masks_match_form_values(ctx, basis, points, coeffs):
+def _assert_blocks_match_form_values(ctx, basis, points, coeffs):
     values = monomial_values(ctx, basis, points)
-    blocks = list(bounds.zero_mask_blocks(ctx, coeffs, values))
+    blocks = list(bounds.value_blocks(ctx, coeffs, values))
     assert [lo for lo, _ in blocks] == list(range(0, len(coeffs), len(blocks[0][1])))
-    masks = np.concatenate([block for _, block in blocks])
-    assert masks.dtype == bool and masks.shape == (len(coeffs), len(points))
-    for row, mask in zip(coeffs, masks):
+    got = np.concatenate([block for _, block in blocks])
+    assert got.shape == (len(coeffs), len(points))
+    for row, vals in zip(coeffs, got):
         form = HomogeneousForm(basis, tuple(int(c) for c in row))
-        assert np.array_equal(mask, form_values(ctx, form, points) == 0)
+        assert np.array_equal(vals, form_values(ctx, form, points))
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -683,12 +690,12 @@ def test_zero_masks_match_form_values(case, patch):
     ctx, basis, points, coeffs = case
     if patch == "one digit":  # q2^2 * m > SCAN_TABLE_ELEMS: groups of one monomial
         with mock.patch.object(bounds, "SCAN_TABLE_ELEMS", ctx.q2 * len(points)):
-            _assert_masks_match_form_values(*case)
+            _assert_blocks_match_form_values(*case)
     elif patch == "blocks":  # at most 3 rows per block
         with mock.patch.object(projspace, "CHUNK_ELEMS", 4 * 3 * len(points)):
-            _assert_masks_match_form_values(*case)
+            _assert_blocks_match_form_values(*case)
     else:
-        _assert_masks_match_form_values(*case)
+        _assert_blocks_match_form_values(*case)
 
 
 @pytest.mark.parametrize(
@@ -704,7 +711,7 @@ def test_zero_masks_match_form_values(case, patch):
 )
 def test_zero_mask_group_width(n_forms, table_elems, widths):
     # GF(4), n = 3, d = 1 (k = 4) on 40 points: the group width L, read off
-    # the tables built, and the masks against form_values
+    # the tables built, and the values against form_values
     ctx = CONE_FIELDS[0]
     basis = monomial_basis(3, 1)
     rng = np.random.default_rng(n_forms)
@@ -720,7 +727,7 @@ def test_zero_mask_group_width(n_forms, table_elems, widths):
 
     with mock.patch.object(bounds, "combination_table", recording):
         with mock.patch.object(bounds, "SCAN_TABLE_ELEMS", table_elems or bounds.SCAN_TABLE_ELEMS):
-            _assert_masks_match_form_values(ctx, basis, points, coeffs)
+            _assert_blocks_match_form_values(ctx, basis, points, coeffs)
     assert set(built) == widths
 
 
@@ -806,19 +813,22 @@ def test_stacked_checkers_split_into_blocks(gf4, monkeypatch):
     stack += [_anisotropic_binary_quadric(gf4, 3), stack[0]]
     whole = _stacked(gf4, cone, stack)
     blocks = []
-    original = bounds.zero_mask_blocks
+    original = bounds.value_blocks
 
     def recording(*args):
-        for lo, zeros in original(*args):
-            blocks.append((lo, len(zeros)))
-            yield lo, zeros
+        for lo, block in original(*args):
+            blocks.append((lo, len(block)))
+            yield lo, block
 
-    monkeypatch.setattr(bounds, "zero_mask_blocks", recording)
+    monkeypatch.setattr(bounds, "value_blocks", recording)
     monkeypatch.setattr(projspace, "CHUNK_ELEMS", 4 * 3 * len(cone.points))
     assert _stacked(gf4, cone, stack) == whole
-    # each checker walks the whole stack in blocks of at most 3 rows
+    # each checker evaluates the whole stack in blocks of at most
+    # CHUNK_ELEMS // 4 = 3 * 37 codes: 111 // 19 = 5 rows at the vertex and
+    # two more points on each of the cone's 9 lines, 111 // 43 = 2 rows on
+    # the 21 lines of P^3 through it
     sizes = [size for _, size in blocks]
-    assert sum(sizes) == 2 * len(stack) and max(sizes) == 3 and len(sizes) > 2
+    assert sum(sizes) == 2 * len(stack) and set(sizes) == {5, 4, 2} and len(sizes) > 2
     # the vertex-only quadric and the repeated first maximizer
     assert whole[0][-2:] == [(False, 0), whole[0][0]]
 
@@ -870,6 +880,244 @@ def test_characterize_maximizers_checks_the_whole_stack_at_once(monkeypatch):
         "generator_lines": [sorensen_max(1, 3)],
         "cone_with_vertex": True,
     }
+
+
+# ---------------------------------------------------------------------------
+# Fibre root counts: the checkers' route, against the reference loops
+# ---------------------------------------------------------------------------
+
+
+FIBRE_FIELDS = CONE_FIELDS[:3]  # GF(4), GF(9), GF(16)
+CONGRUENT_CONES = {}
+
+
+def _congruent_cone(ctx, n):
+    """A rank-n cone other than the standard one: S^T H S^(q) for the
+    standard matrix H and the first invertible S, drawn from fixed seeds,
+    that puts the vertex S^-1 e_n off the last coordinate (so the fibres
+    lie in a hyperplane x_j = 0 with j < n)."""
+    key = (ctx.q2, n)
+    if key not in CONGRUENT_CONES:
+        h = make_standard_cone(ctx, n).matrix
+        for seed in range(1000):
+            s = np.random.default_rng(seed).integers(0, ctx.q2, size=(n + 1, n + 1))
+            if matrix_rank(ctx, s) == n + 1:
+                cone = HermitianVariety(ctx, congruence_transform(ctx, h, s))
+                if cone.vertex[n] == 0:
+                    break
+        assert cone.is_rank_n_cone and cone.vertex[n] == 0
+        CONGRUENT_CONES[key] = cone
+    return CONGRUENT_CONES[key]
+
+
+def _dual_through(ctx, rng, vertex, through_vertex):
+    """A nonzero dual vector u with u . vertex = 0 iff through_vertex,
+    vertex normalized: u_j absorbs the dot product, v_j = 1 being the
+    vertex's last nonzero coordinate."""
+    j = int(np.flatnonzero(vertex)[-1])
+    while True:
+        dual = rng.integers(0, ctx.q2, size=len(vertex))
+        dot = int(reduce(ctx.vadd, ctx.vmul(dual, np.asarray(vertex)), 0))
+        dual[j] = ctx.add(int(dual[j]), ctx.neg(dot))  # now u . v = 0
+        if not through_vertex:
+            dual[j] = ctx.add(int(dual[j]), 1)
+        if dual.any():
+            return [int(c) for c in dual]
+
+
+FIBRE_KINDS = ["random", "misses_vertex", "whole_lines", "partial", "base_cone"]
+
+
+@st.composite
+def fibre_cases(draw):
+    """A cone over GF(4), GF(9) or GF(16) (standard, n = 2 or 3, or the
+    congruent rank-3 cone over GF(9)), a nonzero scalar for the vertex, and
+    a form of degree d <= q on it: random; missing the vertex; a product of
+    hyperplanes through the vertex, a union of whole lines; such a product
+    broken by one hyperplane that misses it; or, on a standard cone, a
+    random form in x_0 .. x_(n-1), the cone over a base hypersurface."""
+    ctx = draw(st.sampled_from(FIBRE_FIELDS))
+    n = draw(st.sampled_from([2, 3]))
+    congruent = ctx.q2 == 9 and n == 3 and draw(st.booleans())
+    cone = _congruent_cone(ctx, n) if congruent else _cone(ctx, n)
+    kinds = FIBRE_KINDS[:-1] if congruent else FIBRE_KINDS
+    kind = draw(st.sampled_from(kinds))
+    d = draw(st.integers(2 if kind == "partial" else 1, ctx.q))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vertex = cone.vertex
+    if kind in ("whole_lines", "partial"):
+        duals = [_dual_through(ctx, rng, vertex, True) for _ in range(d)]
+        if kind == "partial":
+            duals[-1] = _dual_through(ctx, rng, vertex, False)
+        form = product_of_hyperplanes(ctx, duals)
+    else:
+        basis = monomial_basis(n, d)
+        coeffs = rng.integers(0, ctx.q2, size=len(basis))
+        if kind == "base_cone":
+            coeffs[[e[n] > 0 for e in basis.exponents]] = 0
+        if kind == "misses_vertex":  # add c - F(v) x_j^d, c != 0: x_j^d is 1 at v
+            coeffs[0] |= not coeffs.any()
+            form = HomogeneousForm(basis, tuple(int(c) for c in coeffs))
+            at_v = form_values(ctx, form, np.array([vertex]))
+            j = int(np.flatnonzero(vertex)[-1])
+            pure = basis.exponents.index(tuple(d * (i == j) for i in range(n + 1)))
+            shift = ctx.add(int(rng.integers(1, ctx.q2)), ctx.neg(int(at_v[0])))
+            coeffs[pure] = ctx.add(int(coeffs[pure]), shift)
+        coeffs[0] |= not coeffs.any()
+        form = HomogeneousForm(basis, tuple(int(c) for c in coeffs))
+    return ctx, cone, form, int(draw(st.integers(1, ctx.q2 - 1)))
+
+
+def _spy(name, calls):
+    """mock.patch of ``bounds.<name>`` that records each call's arguments."""
+    real = getattr(bounds, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    return mock.patch.object(bounds, name, spy)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fibre_cases())
+def test_fibre_checkers_match_reference_loops(case):
+    ctx, cone, form, scale = case
+    walks = []
+    with _spy("_cone_lines", walks):
+        union = check_union_of_cone_lines(ctx, cone, form)
+        union_walks = len(walks)
+        # the vertex may be given as any nonzero multiple
+        cone_ok = is_cone_with_vertex(ctx, form, ctx.vmul(scale, np.array(cone.vertex)))
+    assert union == reference_check_union_of_cone_lines(ctx, cone, form)
+    assert cone_ok == reference_is_cone_with_vertex(ctx, form, cone.vertex)
+    if ctx.q2 ** (form.basis.d + 2) > bounds.SCAN_TABLE_ELEMS:  # GF(16), d = 4
+        assert len(walks) == 2
+    else:
+        # the fibres decide every verdict; the walk runs only for the
+        # partial count of a failing form
+        assert len(walks) == union_walks <= (not union[0])
+
+
+@pytest.mark.parametrize("p,e,n,d,congruent", [(3, 1, 3, 3, True), (2, 2, 2, 3, False)])
+def test_fibre_root_counts_add_up_to_the_zero_count(p, e, n, d, congruent):
+    # per form: the vertex flag and the zeros on each line through it add
+    # up to the form's zero count on the cone.  The cells (d = 3) are ones
+    # where reading the values at t = 0 .. d-1 in reverse order changes
+    # some root counts.
+    ctx = make_field(p, e)
+    cone = _congruent_cone(ctx, n) if congruent else _cone(ctx, n)
+    points = cone.points
+    j = int(np.flatnonzero(cone.vertex)[-1])
+    base = points[points[:, j] == 0]
+    assert len(points) == 1 + ctx.q2 * len(base)
+    rng = np.random.default_rng(3)
+    basis = monomial_basis(n, d)
+    coeffs = rng.integers(0, ctx.q2, size=(40, len(basis)))
+    coeffs[:, 0] |= ~coeffs.any(axis=1)
+    counts = np.concatenate(
+        [
+            at_vertex + roots.sum(axis=1, dtype=np.int64)
+            for _, at_vertex, roots in bounds.fibre_root_counts(ctx, basis, coeffs, base, cone.vertex)
+        ]
+    )
+    for row, count in zip(coeffs, counts):
+        form = HomogeneousForm(basis, tuple(int(c) for c in row))
+        assert count == int((form_values(ctx, form, points) == 0).sum())
+    with pytest.raises(ValueError, match="x_j = 0"):
+        next(bounds.fibre_root_counts(ctx, basis, coeffs, points, cone.vertex))
+
+
+@pytest.mark.parametrize("entry", ["whole line", "constant one"])
+def test_a_wrong_root_table_entry_makes_the_checkers_disagree(gf4, monkeypatch, entry):
+    # d = 1: entry y_0 q2 + c of the table is y_0 + c t; 0 is the zero
+    # polynomial (q2 roots) and q2 the constant 1 (none), the value of x_0
+    # along each line over a base point with x_0 = 1
+    cone = _cone(gf4, 3)
+    basis = monomial_basis(3, 1)
+    stack = [HomogeneousForm(basis, c) for c in _maximizers(gf4, 3, 1)]
+    stack.append(HomogeneousForm(basis, (1, 0, 0, 0)))
+    want = (
+        [reference_check_union_of_cone_lines(gf4, cone, f) for f in stack],
+        [reference_is_cone_with_vertex(gf4, f, cone.vertex) for f in stack],
+    )
+    assert _stacked(gf4, cone, stack) == want
+    index = 0 if entry == "whole line" else gf4.q2
+    real = bounds._root_counts
+
+    def mutated(ctx, d):
+        roots = real(ctx, d).copy()
+        assert roots[index] == (gf4.q2 if entry == "whole line" else 0)
+        roots[index] = 1
+        return roots
+
+    monkeypatch.setattr(bounds, "_root_counts", mutated)
+    unions, cones = _stacked(gf4, cone, stack)
+    assert unions[-1] != want[0][-1] and cones[-1] != want[1][-1]
+
+
+def test_checkers_take_the_line_walk_when_the_root_table_would_not_fit(gf9, monkeypatch):
+    cone = _cone(gf9, 3)
+    rng = np.random.default_rng(11)
+    stack = [product_of_hyperplanes(gf9, [_random_dual(gf9, rng, 3, True) for _ in range(2)])]
+    stack.append(product_of_hyperplanes(gf9, [(1, 0, 0, 0), _random_dual(gf9, rng, 3, False)]))
+    stack.append(_anisotropic_binary_quadric(gf9, 3))
+    stack.append(product_of_hyperplanes(gf9, [_random_dual(gf9, rng, 3, False) for _ in range(2)]))
+    by_fibres = _stacked(gf9, cone, stack)
+    assert by_fibres == (
+        [reference_check_union_of_cone_lines(gf9, cone, f) for f in stack],
+        [reference_is_cone_with_vertex(gf9, f, cone.vertex) for f in stack],
+    )
+
+    def unexpected(*args):
+        raise AssertionError("fibre root counts read past the table bound")
+
+    monkeypatch.setattr(bounds, "fibre_root_counts", unexpected)
+    monkeypatch.setattr(bounds, "SCAN_TABLE_ELEMS", gf9.q2**4 - 1)  # q2^(d+2) for d = 2
+    walks = []
+    with _spy("_cone_lines", walks):
+        assert _stacked(gf9, cone, stack) == by_fibres
+    # one walk per checker, over the whole cone and the whole of P^3
+    assert [len(args[1]) for args in walks] == [len(cone.points), len(enumerate_points(gf9, 3))]
+
+
+def test_only_a_form_failing_with_whole_lines_takes_the_walk(gf4):
+    cone = _cone(gf4, 3)
+    x0x3 = product_of_hyperplanes(gf4, [(1, 0, 0, 0), (0, 0, 0, 1)])
+    stack = [HomogeneousForm(x0x3.basis, c) for c in _maximizers(gf4, 3, 2)[:3]]
+    stack += [x0x3, _anisotropic_binary_quadric(gf4, 3)]
+    walked = []
+    with _spy("_stack_line_cover", walked):
+        unions = check_union_of_cone_lines(gf4, cone, stack)
+    assert unions[-2:] == [(False, 3), (False, 0)]
+    assert unions == [reference_check_union_of_cone_lines(gf4, cone, f) for f in stack]
+    # one walk, for x0 x3 alone: three whole lines, then a broken one
+    assert [args[2].tolist() for args in walked] == [[list(x0x3.coeffs)]]
+
+
+def test_one_hyperplane_on_p4_over_gf25_reads_fibres_only(monkeypatch):
+    # the q2-row tables over the 406,901 points of P^4 are gone: the stack
+    # is evaluated at the vertex and at one more point on each of the
+    # 16,276 lines through it, and no line walk runs
+    ctx = CONE_FIELDS[3]
+
+    def unexpected(*args):
+        raise AssertionError("line walk over P^4")
+
+    monkeypatch.setattr(bounds, "_cone_lines", unexpected)
+    evaluated = []
+    real = bounds.value_blocks
+
+    def recording(ctx, coeffs, values):
+        evaluated.append(values.shape)
+        yield from real(ctx, coeffs, values)
+
+    monkeypatch.setattr(bounds, "value_blocks", recording)
+    rng = np.random.default_rng(5)
+    for through_vertex in (True, False):
+        form = product_of_hyperplanes(ctx, [_random_dual(ctx, rng, 4, through_vertex)])
+        assert is_cone_with_vertex(ctx, form, (0, 0, 0, 0, 3)) is through_vertex
+    assert evaluated == [(5, 1 + 16276)] * 2
 
 
 SPARSE = make_field(17, 1)
@@ -955,9 +1203,14 @@ def test_characterize_maximizers_matches_former_loop(p, n, d):
     for cap in (10_000, 0, 1):
         result = bruteforce_max_intersection(ctx, cone, n, d, cap=cap)
         assert len(result.maximizers) == min(cap, result.n_maximizers)
-        assert characterize_maximizers(ctx, cone, result) == reference_characterize(
-            ctx, cone, result
-        )
+        found = characterize_maximizers(ctx, cone, result)
+        assert found == reference_characterize(ctx, cone, result)
+        if cap == 0:  # an empty stack: the vacuous result
+            assert found == {
+                "union_of_generator_lines": True,
+                "generator_lines": [],
+                "cone_with_vertex": True,
+            }
     for variety in ("nondegenerate", "space"):
         target = oracle_target(ctx, variety, n)
         result = bruteforce_max_intersection(ctx, target, n, d, cap=1)

@@ -20,7 +20,14 @@ from hermcodes import (
     weight_distribution,
 )
 from hermcodes.codes import EXACT, WITNESS_UPPER_BOUND_ONLY, write_generator_matrix
-from hermcodes.forms import projective_form_count
+from hermcodes.bounds import fibre_root_counts
+from hermcodes.forms import (
+    coeffs_at_indices,
+    monomial_basis,
+    monomial_values,
+    projective_form_count,
+    scan_zero_counts,
+)
 from hermcodes.linalg import SAMPLE_COLS_PER_ROW, matrix_rank
 
 
@@ -62,6 +69,22 @@ def test_dimension_certified_by_the_column_sample(p, e, n, d, monkeypatch):
     assert calls == [(rows, -(-cols // stride))]
 
 
+def fibre_zero_counts(ctx, cone, d, lo, hi):
+    """Zero counts on the cone of the form classes [lo, hi), one route that
+    shares no kernel with the scan: [F(v) = 0] plus, over the cone points P
+    with x_j = 0 (one per generator line; v_j = 1 is the vertex's last
+    nonzero coordinate), the zeros of F(P + t v) in t, read from
+    :func:`bounds.fibre_root_counts`."""
+    basis = monomial_basis(cone.n, d)
+    base = cone.points[cone.points[:, np.flatnonzero(cone.vertex)[-1]] == 0]
+    counts = []
+    for start in range(lo, hi, 1 << 16):  # keep the coefficient stacks small
+        coeffs = coeffs_at_indices(ctx.q2, len(basis), np.arange(start, min(hi, start + (1 << 16))))
+        for _, at_vertex, roots in fibre_root_counts(ctx, basis, coeffs, base, cone.vertex):
+            counts.append(at_vertex + roots.sum(axis=1, dtype=np.int64))
+    return np.concatenate(counts)
+
+
 def test_min_distance_modes_agree(gf4):
     cone = make_standard_cone(gf4, 2)
     for d in (1, 2):
@@ -70,6 +93,21 @@ def test_min_distance_modes_agree(gf4):
         oracle = bruteforce_max_intersection(gf4, code.points, code.n, code.d)
         assert via_messages.dmin == code.m - oracle.max_count
         assert via_messages.dmin_status == EXACT
+        # an independent route: the fibre count over every class
+        total = projective_form_count(gf4.q2, len(monomial_basis(2, d)))
+        assert via_messages.dmin == code.m - fibre_zero_counts(gf4, cone, d, 0, total).max()
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 2, 1), (2, 2, 2), (2, 3, 1), (2, 3, 2), (3, 2, 1), (3, 2, 2)])
+def test_fibre_zero_counts_match_the_scan(p, n, d):
+    # every class of the cell: the scan kernel and the fibre count agree
+    ctx = make_field(p, 1)
+    cone = make_standard_cone(ctx, n)
+    basis = monomial_basis(n, d)
+    total = projective_form_count(ctx.q2, len(basis))
+    values = monomial_values(ctx, basis, cone.points)
+    for start, zeros in scan_zero_counts(ctx, values, 0, total):
+        assert np.array_equal(fibre_zero_counts(ctx, cone, d, start, start + len(zeros)), zeros)
 
 
 @pytest.mark.parametrize(
