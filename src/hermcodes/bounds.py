@@ -525,6 +525,32 @@ def _root_counts(ctx: FieldCtx, d: int) -> np.ndarray:
     return (combination_table(ctx, rows) == 0).sum(axis=0, dtype=np.min_scalar_type(ctx.q2))
 
 
+def _line_points(ctx: FieldCtx, base, vertex, nodes: int):
+    """The normalized vertex v and the (nodes, |base|, n + 1) points P + t v
+    at the codes t = 0 .. nodes-1 over each base point P.  With v_j = 1 the
+    vertex's last nonzero coordinate, every base point must have x_j = 0;
+    each line through v is then v and the q^2 points P + t v of exactly one
+    such P."""
+    vertex = np.asarray(normalize_vector(ctx, vertex), dtype=np.int64)
+    base = np.asarray(base, dtype=np.int64).reshape(-1, len(vertex))
+    j = int(np.flatnonzero(vertex)[-1])
+    if base[:, j].any():
+        raise ValueError("fibre base points must have x_j = 0 where v_j = 1 is the vertex's last nonzero")
+    return vertex, ctx.vadd(base, ctx.vmul(np.arange(nodes)[:, None, None], vertex))
+
+
+def _line_values(ctx: FieldCtx, basis: MonomialBasis, coeffs: np.ndarray, base, vertex, nodes: int):
+    """Yield (first row, at v, on lines) for consecutive row blocks of the
+    (N, k) coefficient stack: ``at_v[i]`` is F(v) for form ``first + i`` and
+    ``on_lines[i, t, b]`` is F(P_b + t v) (see :func:`_line_points`).  The
+    vertex and the nodes |base| points go through :func:`value_blocks`, so
+    blocks stay within its chunk size."""
+    vertex, lines = _line_points(ctx, base, vertex, nodes)
+    points = np.concatenate([vertex[None], lines.reshape(-1, len(vertex))])
+    for lo, block in value_blocks(ctx, coeffs, monomial_values(ctx, basis, points)):
+        yield lo, block[:, 0], block[:, 1:].reshape(len(block), *lines.shape[:2])
+
+
 def fibre_root_counts(ctx: FieldCtx, basis: MonomialBasis, coeffs: np.ndarray, base, vertex):
     """Yield (first row, at vertex, roots) for consecutive row blocks of the
     (N, k) coefficient stack: ``at_vertex[i]`` says form ``first + i``
@@ -537,90 +563,21 @@ def fibre_root_counts(ctx: FieldCtx, basis: MonomialBasis, coeffs: np.ndarray, b
     polynomial in t of degree <= d < q^2 whose t^d coefficient is F(v), so
     d + 1 points of the line decide it: the vertex, shared by every line,
     and P + t v at the codes t = 0 .. d-1.  Their values name its entry of
-    :func:`_root_counts`, built once per call.  The stack is evaluated at
-    the vertex and those d |base| points through :func:`value_blocks`, so
-    blocks stay within its chunk size."""
-    vertex = np.asarray(normalize_vector(ctx, vertex), dtype=np.int64)
-    base = np.asarray(base, dtype=np.int64).reshape(-1, len(vertex))
-    j = int(np.flatnonzero(vertex)[-1])
-    if base[:, j].any():
-        raise ValueError("fibre base points must have x_j = 0 where v_j = 1 is the vertex's last nonzero")
+    :func:`_root_counts`, built once per call.  When that build would hold
+    q2^(d+2) > ``SCAN_TABLE_ELEMS`` codes (GF(16) at d = 4, GF(25) at
+    d >= 3), every point P + t v is read instead, t over all q^2 codes, and
+    the zeros are counted along t."""
     d, q2 = basis.d, ctx.q2
-    on_lines = ctx.vadd(base, ctx.vmul(np.arange(d)[:, None, None], vertex))
-    points = np.concatenate([vertex[None], on_lines.reshape(-1, len(vertex))])
+    if q2 ** (d + 2) > SCAN_TABLE_ELEMS:
+        for lo, at_v, on_lines in _line_values(ctx, basis, coeffs, base, vertex, q2):
+            yield lo, at_v == 0, (on_lines == 0).sum(axis=1, dtype=np.min_scalar_type(q2))
+        return
     roots = _root_counts(ctx, d)
-    for lo, block in value_blocks(ctx, coeffs, monomial_values(ctx, basis, points)):
-        lead = block[:, :1]  # F(v), the t^d coefficient on every line
+    for lo, at_v, on_lines in _line_values(ctx, basis, coeffs, base, vertex, d):
         code = 0
-        for values in block[:, 1:].reshape(len(block), d, len(base)).swapaxes(0, 1):
+        for values in on_lines.swapaxes(0, 1):
             code = code * q2 + values  # the digits y_0 .. y_(d-1), then F(v)
-        yield lo, lead[:, 0] == 0, roots[code * q2 + lead]
-
-
-def _cone_lines(ctx: FieldCtx, points, vertex):
-    """The distinct normalized ``points`` in walk order, and the (q2, n_lines)
-    canonical positions of the points other than ``vertex``: one line
-    through it per column, in canonical order down the column.  The walk
-    order is the vertex, then the positions row by row, so a zero mask past
-    its first column reshapes to (rows, q2, n_lines).  Raises ValueError
-    unless the vertex is a point and each line through it holds q2 others,
-    as on P^n and on a rank-n cone."""
-    vertex = np.asarray(normalize_vector(ctx, vertex), dtype=np.int64)
-    points = np.asarray(points, dtype=np.int64).reshape(-1, len(vertex))
-    index = point_index(ctx, points)
-    order = np.argsort(index, kind="stable")
-    points, index = points[order], index[order]
-    at_vertex = index == point_index(ctx, vertex)
-    others = np.flatnonzero(~at_vertex)
-    # With v_j = 1 the vertex's last nonzero coordinate, X - X_j v is the same
-    # projective point for every X on one line through v and differs between
-    # lines, so its position names the line.  A stable sort by it keeps each
-    # line's points in canonical order.
-    j = int(np.flatnonzero(vertex)[-1])
-    rest = points[others]
-    projected = ctx.vsub(rest, ctx.vmul(rest[:, j, None], vertex))
-    line_ids = point_index(ctx, normalize_rows(ctx, projected))
-    by_line = np.argsort(line_ids, kind="stable")
-    line_ids, q2 = line_ids[by_line], ctx.q2
-    starts = np.flatnonzero(line_ids[1:] != line_ids[:-1]) + 1
-    whole = len(rest) % q2 == 0 and np.array_equal(starts, np.arange(q2, len(rest), q2))
-    if at_vertex.sum() != 1 or not whole:
-        raise ValueError("the line walk needs the vertex and q^2 points on each line through it")
-    positions = np.ascontiguousarray(others[by_line].reshape(-1, q2).T)
-    return points[np.concatenate([np.flatnonzero(at_vertex), positions.ravel()])], positions
-
-
-def _line_cover_rows(zeros, positions):
-    """(ok, lines) of the greedy line walk for every row of the (r, M) zero
-    mask over the points in walk order, given their (q2, n_lines) canonical
-    positions past the vertex (see :func:`_cone_lines`).
-
-    The walk visits the zeros other than the vertex in canonical order,
-    starts a line at each zero no earlier line covers, and stops with
-    ``(False, lines completed so far)`` at the first line that is not wholly
-    zero.  A zero starts a line iff it is the first zero on it, and a line
-    is whole iff all q^2 of its points other than the vertex are zeros, so
-    per row the zero count and the first zero position of each line decide
-    it: the lines completed are those started before the first broken one.
-    A row without zeros gives (True, 0); one whose zeros miss the vertex
-    gives (False, 0)."""
-    (r, size), (q2, n_lines) = zeros.shape, positions.shape
-    small = np.min_scalar_type(q2)
-    on_lines = zeros[:, 1:].reshape(r, q2, n_lines)
-    counts = on_lines.sum(axis=1, dtype=small)
-    # top = q2 - t for each line's first zero t is the largest weight q2 - t
-    # over its zeros (argmax over the middle axis is 10x slower); top = 0 on
-    # a line without zeros reads past the positions, so it is clipped, then
-    # replaced by ``size``
-    top = np.multiply(on_lines, np.arange(q2, 0, -1, dtype=small)[:, None], dtype=small).max(axis=1)
-    at = np.multiply(q2 - top, n_lines, dtype=np.intp) + np.arange(n_lines)
-    first = np.where(top > 0, positions.take(at, mode="clip"), size)
-    broken = (counts > 0) & (counts != q2)
-    first_broken = np.where(broken, first, size).min(axis=1, initial=size)
-    lines = (first < first_broken[:, None]).sum(axis=1)
-    has_vertex = zeros[:, 0]
-    ok = np.where(has_vertex, ~broken.any(axis=1), ~zeros.any(axis=1))
-    return ok, np.where(has_vertex, lines, 0)
+        yield lo, at_v == 0, roots[code * q2 + at_v[:, None]]
 
 
 def _form_stack(ctx: FieldCtx, forms) -> tuple[bool, MonomialBasis | None, np.ndarray | None]:
@@ -639,20 +596,6 @@ def _form_stack(ctx: FieldCtx, forms) -> tuple[bool, MonomialBasis | None, np.nd
     return single, basis, coeffs
 
 
-def _stack_line_cover(ctx: FieldCtx, basis, coeffs, points, vertex):
-    """(ok, lines, vertex is a zero) of the greedy line walk through ``vertex``
-    for every form of the stack, on the point set ``points``: one canonical
-    sort, one line layout and one ``monomial_values`` for the whole stack,
-    whose zero masks are read off :func:`value_blocks`."""
-    points, positions = _cone_lines(ctx, points, vertex)
-    values = monomial_values(ctx, basis, points)
-    blocks = [
-        (*_line_cover_rows(zeros, positions), zeros[:, 0].copy())  # not a view of the mask
-        for zeros in (block == 0 for _, block in value_blocks(ctx, coeffs, values))
-    ]
-    return tuple(np.concatenate(part) for part in zip(*blocks))
-
-
 def _stack_fibre_cover(ctx: FieldCtx, basis, coeffs, base, vertex):
     """(broken, whole, vertex is a zero) per form of the stack, from
     :func:`fibre_root_counts` over ``base``: whether some line through the
@@ -666,11 +609,26 @@ def _stack_fibre_cover(ctx: FieldCtx, basis, coeffs, base, vertex):
     return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
-def _walks_lines(ctx: FieldCtx, basis: MonomialBasis) -> bool:
-    """Whether the checkers take the line walk for the whole stack: the root
-    table of :func:`fibre_root_counts` would hold q2^(d+2) >
-    ``SCAN_TABLE_ELEMS`` codes."""
-    return ctx.q2 ** (basis.d + 2) > SCAN_TABLE_ELEMS
+def _lines_before_break(ctx: FieldCtx, basis, coeffs, base, vertex) -> np.ndarray:
+    """Per form of the stack, the whole lines through the vertex (see
+    :func:`_stack_fibre_cover`) whose first point in canonical order comes
+    before the form's first zero on a broken line: the lines a walk over the
+    zeros in canonical order completes before it meets a zero whose line is
+    not wholly zero.  Read from every point P + t v, t over all q^2 codes,
+    and their canonical positions."""
+    q2 = ctx.q2
+    vertex, lines = _line_points(ctx, base, vertex, q2)
+    positions = point_index(ctx, normalize_rows(ctx, lines))
+    past = positions.max() + 1
+    counts = []
+    for _, _, on_lines in _line_values(ctx, basis, coeffs, base, vertex, q2):
+        zeros = on_lines == 0
+        first = np.where(zeros, positions, past).min(axis=1)
+        per_line = zeros.sum(axis=1)
+        broken = (per_line > 0) & (per_line < q2)
+        first_broken = np.where(broken, first, past).min(axis=1)
+        counts.append(((per_line == q2) & (first < first_broken[:, None])).sum(axis=1))
+    return np.concatenate(counts)
 
 
 def check_union_of_cone_lines(ctx: FieldCtx, variety: HermitianVariety, forms):
@@ -678,10 +636,10 @@ def check_union_of_cone_lines(ctx: FieldCtx, variety: HermitianVariety, forms):
     is a union of full generator lines through the vertex, and how many.
     The vertex lies on every generator line, so it never counts separately.
 
-    When the check fails the count is the number of generator lines the
-    walk over the zeros in canonical order completed before it met the
-    first zero whose line is not wholly inside the zero set; it is 0 when
-    the vertex is not a zero or is the only one.
+    When the check fails the count is the number of generator lines a walk
+    over the zeros in canonical order completes before it meets the first
+    zero whose line is not wholly inside the zero set; it is 0 when the
+    vertex is not a zero or is the only one.
 
     ``forms`` is one HomogeneousForm, which gives one ``(ok, lines)``, or a
     sequence of forms over one basis, which gives a list with one
@@ -692,28 +650,23 @@ def check_union_of_cone_lines(ctx: FieldCtx, variety: HermitianVariety, forms):
     vertex's last nonzero coordinate).  A form passes iff no generator line
     is broken (holds zeros without being wholly zero) and, when the vertex
     is a zero, some line is whole; then its count is the number of whole
-    lines.  Only the forms that fail with whole lines take the line walk
-    (:func:`_cone_lines`, :func:`_line_cover_rows`), for their partial
-    count; the whole stack takes it when the root table would not fit
-    (:func:`_walks_lines`)."""
+    lines.  Only the forms that fail with whole lines are evaluated again,
+    at every point of the same lines, for the walk's count
+    (:func:`_lines_before_break`)."""
     if not variety.is_rank_n_cone:
         raise ValueError("checker requires a rank-n cone")
     single, basis, coeffs = _form_stack(ctx, forms)
     if basis is None:
         return []
     points, vertex = variety.points, variety.vertex
-    if _walks_lines(ctx, basis):
-        ok, lines, at_vertex = _stack_line_cover(ctx, basis, coeffs, points, vertex)
-    else:
-        base = points[points[:, np.flatnonzero(vertex)[-1]] == 0]
-        broken, lines, at_vertex = _stack_fibre_cover(ctx, basis, coeffs, base, vertex)
-        ok = ~broken
-        partial = broken & (lines > 0)
-        if partial.any():
-            lines[partial] = _stack_line_cover(ctx, basis, coeffs[partial], points, vertex)[1]
+    base = points[points[:, np.flatnonzero(vertex)[-1]] == 0]
+    broken, lines, at_vertex = _stack_fibre_cover(ctx, basis, coeffs, base, vertex)
+    partial = broken & (lines > 0)
+    if partial.any():
+        lines[partial] = _lines_before_break(ctx, basis, coeffs[partial], base, vertex)
     # a passing form's zeros are the vertex and ``lines`` whole lines, or
     # none; the vertex alone is no union of lines
-    results = [(bool(o), int(c)) for o, c in zip(ok & ((lines > 0) | ~at_vertex), lines)]
+    results = [(bool(o), int(c)) for o, c in zip(~broken & ((lines > 0) | ~at_vertex), lines)]
     return results[0] if single else results
 
 
@@ -731,19 +684,15 @@ def is_cone_with_vertex(ctx: FieldCtx, forms, vertex):
     (v_j = 1 is its last nonzero coordinate): a form passes iff no such line
     holds zeros without being wholly zero.  A wholly zero line puts the
     vertex among the zeros, so a form that misses the vertex passes only
-    without zeros.  The stack takes the line walk over P^n instead when the
-    root table would not fit (:func:`_walks_lines`)."""
+    without zeros."""
     single, basis, coeffs = _form_stack(ctx, forms)
     if basis is None:
         return []
     n = basis.n
     check_point_budget(ctx, n)
-    if _walks_lines(ctx, basis):
-        ok = _stack_line_cover(ctx, basis, coeffs, enumerate_points(ctx, n), vertex)[0]
-    else:
-        j = int(np.flatnonzero(normalize_vector(ctx, vertex))[-1])
-        hyperplane = enumerate_points(ctx, n - 1) if n > 1 else np.ones((1, 1), dtype=np.int64)
-        ok = ~_stack_fibre_cover(ctx, basis, coeffs, np.insert(hyperplane, j, 0, axis=1), vertex)[0]
+    j = int(np.flatnonzero(normalize_vector(ctx, vertex))[-1])
+    hyperplane = enumerate_points(ctx, n - 1) if n > 1 else np.ones((1, 1), dtype=np.int64)
+    ok = ~_stack_fibre_cover(ctx, basis, coeffs, np.insert(hyperplane, j, 0, axis=1), vertex)[0]
     results = [bool(o) for o in ok]
     return results[0] if single else results
 

@@ -12,12 +12,10 @@ whole stacks of forms.  ``bounds.value_blocks`` reads each form's values
 off combination tables, and both checkers decide from
 ``bounds.fibre_root_counts``: each form's zero count on every line through
 the vertex, read from a root table indexed by its values at d + 1 points of
-the line.  The line-major walk (``bounds._cone_lines`` lays the points out
-vertex first, then one column per line through it;
-``bounds._line_cover_rows`` walks the zero masks), of which
-``cone_line_cover`` below is the one-row case, runs only for the partial
-count of a form that fails with whole lines, and for whole stacks whose
-root table would not fit.  The values are held to ``form_values``, which
+the line, or from every point of the line when that table would not fit.
+The walk's count for a form that fails with whole lines
+(``bounds._lines_before_break``) reads the same lines at every point, with
+their canonical positions.  The values are held to ``form_values``, which
 evaluates through power tables only.
 """
 
@@ -58,8 +56,6 @@ from hermcodes import (
 from hermcodes import bounds, projspace
 from hermcodes.bounds import (
     _concurrent_secant_duals,
-    _cone_lines,
-    _line_cover_rows,
     _tangent_plane_duals_through_secant,
     characterize_maximizers,
     oracle_bound,
@@ -75,7 +71,6 @@ from hermcodes.projspace import (
     incidence_matrix,
     line_through,
     normalize_rows,
-    point_index,
 )
 from hermcodes.verify import (
     check_hyperplane_margin,
@@ -459,7 +454,6 @@ CONE_CELLS = [
 # per form; it gets one fixed example instead of random draws.
 LARGEST_CELL = (CONE_FIELDS[3], 4)
 CONES = {}
-GENERATOR_LINES = {}
 
 
 def _cone(ctx, n):
@@ -467,21 +461,6 @@ def _cone(ctx, n):
     if key not in CONES:
         CONES[key] = make_standard_cone(ctx, n)
     return CONES[key]
-
-
-def _generator_lines(ctx, n):
-    """Every generator line of the cone as a set of point tuples."""
-    key = (ctx.q2, n)
-    if key not in GENERATOR_LINES:
-        cone = _cone(ctx, n)
-        lines, covered = [], {cone.vertex}
-        for x in cone.points:
-            x = tuple(int(c) for c in x)
-            if x not in covered:
-                lines.append({tuple(int(c) for c in p) for p in line_through(ctx, cone.vertex, x)})
-                covered |= lines[-1]
-        GENERATOR_LINES[key] = lines
-    return GENERATOR_LINES[key]
 
 
 def _random_dual(ctx, rng, n, through_vertex):
@@ -562,92 +541,47 @@ def test_checkers_match_reference_loops_on_largest_cone():
         _assert_checkers_match(ctx, n, form)
 
 
-@st.composite
-def cone_point_sets(draw):
-    """A point set of a cone: a random choice of its generator lines, with
-    or without the vertex, plus a few stray cone points."""
-    ctx, n = draw(st.sampled_from([c for c in CONE_CELLS if len(_cone(*c).points) <= 3200]))
-    cone = _cone(ctx, n)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pts = set()
-    share = draw(st.sampled_from([0.1, 0.5, 1.0]))
-    for line in _generator_lines(ctx, n):
-        if rng.random() < share:
-            pts |= line
-    stray = rng.random(len(cone.points)) < draw(st.sampled_from([0.0, 0.002, 0.02]))
-    pts |= {tuple(int(c) for c in p) for p in cone.points[stray]}
-    vertex = cone.vertex
-    if draw(st.booleans()):
-        pts.add(vertex)
-    else:
-        pts.discard(vertex)
-    return ctx, n, pts, vertex
+# Product forms that fail with whole lines, and the expected pair, which is
+# ``reference_check_union_of_cone_lines``'s.  The last two have whole lines
+# after their first zero on a broken line, so counting every whole line, or
+# placing a line at its last point instead of its first, changes the count.
+PARTIAL_FORMS = {
+    # three whole lines (x_0 = 0), which sort first; x_3 = 0 breaks every other line
+    "x0x3": (CONE_FIELDS[0], 3, False, [(1, 0, 0, 0), (0, 0, 0, 1)], (False, 3)),
+    # a vertex off the last coordinate: four whole lines, three before the break
+    "congruent GF(9)": (CONE_FIELDS[1], 3, True, [(6, 8, 3, 4), (8, 8, 2, 0)], (False, 3)),
+    # q2^(d+2) > SCAN_TABLE_ELEMS, so every point is read: two whole lines, one before the break
+    "direct GF(16)": (
+        CONE_FIELDS[2], 2, False, [(14, 9, 0), (8, 8, 0), (11, 12, 0), (8, 6, 1)], (False, 1)
+    ),
+}
 
 
-def cone_line_cover(ctx, zero_points, vertex) -> tuple[bool, int]:
-    """Whether the distinct normalized points ``zero_points`` of a standard
-    cone form a union of full lines through its ``vertex``, and how many
-    lines: the kernel's one-row case, on the whole cone with a membership
-    mask of the points.  An empty set gives (True, 0); a nonempty set
-    without the vertex gives (False, 0)."""
-    cone = _cone(ctx, len(vertex) - 1)
-    points, positions = _cone_lines(ctx, cone.points, vertex)
-    zero_at = point_index(ctx, np.asarray(zero_points, dtype=np.int64).reshape(-1, len(vertex)))
-    ok, lines = _line_cover_rows(np.isin(point_index(ctx, points), zero_at)[None, :], positions)
-    return bool(ok[0]), int(lines[0])
+@pytest.mark.parametrize("name", list(PARTIAL_FORMS))
+def test_partial_counts_match_reference_walk(name):
+    ctx, n, congruent, duals, expected = PARTIAL_FORMS[name]
+    cone = _congruent_cone(ctx, n) if congruent else _cone(ctx, n)
+    form = product_of_hyperplanes(ctx, duals)
+    assert check_union_of_cone_lines(ctx, cone, form) == expected
+    assert reference_check_union_of_cone_lines(ctx, cone, form) == expected
+    assert (ctx.q2 ** (form.basis.d + 2) > bounds.SCAN_TABLE_ELEMS) is (name == "direct GF(16)")
 
 
-@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(cone_point_sets())
-def test_cone_line_cover_matches_reference_walk(case):
-    ctx, n, pts, vertex = case
-    rows = np.array(sorted(pts), dtype=np.int64).reshape(-1, n + 1)
-    shuffled = rows[np.random.default_rng(len(rows)).permutation(len(rows))]
-    if vertex in pts:
-        expected = reference_line_walk(ctx, pts, vertex)
-    else:
-        expected = (not pts, 0)
-    assert cone_line_cover(ctx, shuffled, vertex) == expected
-
-
-def test_cone_line_cover_edge_cases(gf4, gf9):
-    cone = make_standard_cone(gf4, 3)
-    vertex = cone.vertex
-    empty = np.zeros((0, 4), dtype=np.int64)
-    assert cone_line_cover(gf4, empty, vertex) == (True, 0)
-    only_vertex = np.array([vertex], dtype=np.int64)
-    assert cone_line_cover(gf4, only_vertex, vertex) == (True, 0)
-    # one full line, then a stray point on a second line: one line completed
-    first = cone.points[0] if tuple(cone.points[0]) != vertex else cone.points[1]
-    line = line_through(gf4, vertex, first)
-    stray = cone.points[-1]
-    assert not any((line == stray).all(axis=1))
-    assert cone_line_cover(gf4, np.vstack([line, stray]), vertex) == (False, 1)
+def test_checker_edge_cases_match_reference_walk(gf4, gf9):
+    # zeros that are the vertex alone, on a rank-3 cone and a plane cone
+    for ctx, cone in ((gf4, make_standard_cone(gf4, 3)), (gf9, make_standard_cone(gf9, 2))):
+        form = _anisotropic_binary_quadric(ctx, cone.n)
+        assert check_union_of_cone_lines(ctx, cone, form) == (False, 0)
+        assert reference_check_union_of_cone_lines(ctx, cone, form) == (False, 0)
+    # in P^2 the same quadric vanishes at the vertex only
+    quadric = _anisotropic_binary_quadric(gf4, 2)
+    assert is_cone_with_vertex(gf4, quadric, (0, 0, 1))
+    assert reference_is_cone_with_vertex(gf4, quadric, (0, 0, 1))
     # a vertex given unnormalized is the same point
-    assert cone_line_cover(gf4, line, [0, 0, 0, 3]) == (True, 1)
-    # the forms behind the early exits and a partial failure
-    assert check_union_of_cone_lines(gf4, cone, _anisotropic_binary_quadric(gf4, 3)) == (False, 0)
-    assert is_cone_with_vertex(gf4, _anisotropic_binary_quadric(gf4, 2), (0, 0, 1))
-    x0x3 = product_of_hyperplanes(gf4, [(1, 0, 0, 0), (0, 0, 0, 1)])
-    assert check_union_of_cone_lines(gf4, cone, x0x3) == (False, 3)
-    assert reference_check_union_of_cone_lines(gf4, cone, x0x3) == (False, 3)
-    plane = make_standard_cone(gf9, 2)
-    assert check_union_of_cone_lines(gf9, plane, _anisotropic_binary_quadric(gf9, 2)) == (False, 0)
-
-
-def test_line_walk_refuses_point_sets_off_its_layout(gf4):
-    cone = _cone(gf4, 3)
-    vertex = cone.vertex
-    walk, positions = _cone_lines(gf4, cone.points, vertex)
-    assert positions.shape == (gf4.q2, (len(cone.points) - 1) // gf4.q2)
-    not_vertex = [i for i, p in enumerate(cone.points) if tuple(int(c) for c in p) != vertex]
-    partial = np.delete(cone.points, not_vertex[5], axis=0)  # one line keeps q2 - 1 points
-    without_vertex = cone.points[not_vertex]
-    twice = np.vstack([cone.points, cone.points[not_vertex[:1]]])
-    line_twice = np.vstack([cone.points, walk[1 + positions.shape[1] * np.arange(gf4.q2)]])
-    for points in (partial, without_vertex, twice, line_twice):
-        with pytest.raises(ValueError, match="line walk"):
-            _cone_lines(gf4, points, vertex)
+    for duals, cone_ok in (([(1, 0, 0, 0)], True), ([(1, 0, 0, 0), (0, 0, 0, 1)], False)):
+        form = product_of_hyperplanes(gf4, duals)
+        assert is_cone_with_vertex(gf4, form, (0, 0, 0, 3)) is cone_ok
+        assert reference_is_cone_with_vertex(gf4, form, (0, 0, 0, 1)) is cone_ok
 
 
 # Fields of the value-block test: XOR add (GF(4), GF(16)), flat gathers (GF(9),
@@ -983,20 +917,18 @@ def _spy(name, calls):
 @given(fibre_cases())
 def test_fibre_checkers_match_reference_loops(case):
     ctx, cone, form, scale = case
-    walks = []
-    with _spy("_cone_lines", walks):
+    walks, tables = [], []
+    with _spy("_lines_before_break", walks), _spy("_root_counts", tables):
         union = check_union_of_cone_lines(ctx, cone, form)
-        union_walks = len(walks)
         # the vertex may be given as any nonzero multiple
         cone_ok = is_cone_with_vertex(ctx, form, ctx.vmul(scale, np.array(cone.vertex)))
     assert union == reference_check_union_of_cone_lines(ctx, cone, form)
     assert cone_ok == reference_is_cone_with_vertex(ctx, form, cone.vertex)
-    if ctx.q2 ** (form.basis.d + 2) > bounds.SCAN_TABLE_ELEMS:  # GF(16), d = 4
-        assert len(walks) == 2
-    else:
-        # the fibres decide every verdict; the walk runs only for the
-        # partial count of a failing form
-        assert len(walks) == union_walks <= (not union[0])
+    # one root table per checker, unless it would not fit (GF(16), d = 4)
+    assert len(tables) == 2 * (ctx.q2 ** (form.basis.d + 2) <= bounds.SCAN_TABLE_ELEMS)
+    # the fibres decide every verdict; the walk's count runs only for a
+    # failing form, and for each that fails with a nonzero count
+    assert (not union[0] and union[1] > 0) <= len(walks) <= (not union[0])
 
 
 @pytest.mark.parametrize("p,e,n,d,congruent", [(3, 1, 3, 3, True), (2, 2, 2, 3, False)])
@@ -1056,6 +988,19 @@ def test_a_wrong_root_table_entry_makes_the_checkers_disagree(gf4, monkeypatch, 
     assert unions[-1] != want[0][-1] and cones[-1] != want[1][-1]
 
 
+def _record_value_blocks(monkeypatch):
+    """Patch ``bounds.value_blocks`` to record the shape of each value
+    matrix it reads, and return that record."""
+    evaluated, real = [], bounds.value_blocks
+
+    def recording(ctx, coeffs, values):
+        evaluated.append(values.shape)
+        yield from real(ctx, coeffs, values)
+
+    monkeypatch.setattr(bounds, "value_blocks", recording)
+    return evaluated
+
+
 def test_checkers_take_the_line_walk_when_the_root_table_would_not_fit(gf9, monkeypatch):
     cone = _cone(gf9, 3)
     rng = np.random.default_rng(11)
@@ -1063,22 +1008,24 @@ def test_checkers_take_the_line_walk_when_the_root_table_would_not_fit(gf9, monk
     stack.append(product_of_hyperplanes(gf9, [(1, 0, 0, 0), _random_dual(gf9, rng, 3, False)]))
     stack.append(_anisotropic_binary_quadric(gf9, 3))
     stack.append(product_of_hyperplanes(gf9, [_random_dual(gf9, rng, 3, False) for _ in range(2)]))
-    by_fibres = _stacked(gf9, cone, stack)
-    assert by_fibres == (
+    by_table = _stacked(gf9, cone, stack)
+    assert by_table == (
         [reference_check_union_of_cone_lines(gf9, cone, f) for f in stack],
         [reference_is_cone_with_vertex(gf9, f, cone.vertex) for f in stack],
     )
+    assert by_table[0][1] == (False, 4)
 
     def unexpected(*args):
-        raise AssertionError("fibre root counts read past the table bound")
+        raise AssertionError("root table built past the table bound")
 
-    monkeypatch.setattr(bounds, "fibre_root_counts", unexpected)
+    monkeypatch.setattr(bounds, "_root_counts", unexpected)
     monkeypatch.setattr(bounds, "SCAN_TABLE_ELEMS", gf9.q2**4 - 1)  # q2^(d+2) for d = 2
-    walks = []
-    with _spy("_cone_lines", walks):
-        assert _stacked(gf9, cone, stack) == by_fibres
-    # one walk per checker, over the whole cone and the whole of P^3
-    assert [len(args[1]) for args in walks] == [len(cone.points), len(enumerate_points(gf9, 3))]
+    evaluated = _record_value_blocks(monkeypatch)
+    assert _stacked(gf9, cone, stack) == by_table
+    # every point of the cone, again for the partial count of the second
+    # form, then every point of P^3
+    points = [len(cone.points)] * 2 + [len(enumerate_points(gf9, 3))]
+    assert evaluated == [(10, m) for m in points]
 
 
 def test_only_a_form_failing_with_whole_lines_takes_the_walk(gf4):
@@ -1087,32 +1034,20 @@ def test_only_a_form_failing_with_whole_lines_takes_the_walk(gf4):
     stack = [HomogeneousForm(x0x3.basis, c) for c in _maximizers(gf4, 3, 2)[:3]]
     stack += [x0x3, _anisotropic_binary_quadric(gf4, 3)]
     walked = []
-    with _spy("_stack_line_cover", walked):
+    with _spy("_lines_before_break", walked):
         unions = check_union_of_cone_lines(gf4, cone, stack)
     assert unions[-2:] == [(False, 3), (False, 0)]
     assert unions == [reference_check_union_of_cone_lines(gf4, cone, f) for f in stack]
-    # one walk, for x0 x3 alone: three whole lines, then a broken one
+    # one count, for x0 x3 alone: three whole lines, then a broken one
     assert [args[2].tolist() for args in walked] == [[list(x0x3.coeffs)]]
 
 
 def test_one_hyperplane_on_p4_over_gf25_reads_fibres_only(monkeypatch):
     # the q2-row tables over the 406,901 points of P^4 are gone: the stack
     # is evaluated at the vertex and at one more point on each of the
-    # 16,276 lines through it, and no line walk runs
+    # 16,276 lines through it
     ctx = CONE_FIELDS[3]
-
-    def unexpected(*args):
-        raise AssertionError("line walk over P^4")
-
-    monkeypatch.setattr(bounds, "_cone_lines", unexpected)
-    evaluated = []
-    real = bounds.value_blocks
-
-    def recording(ctx, coeffs, values):
-        evaluated.append(values.shape)
-        yield from real(ctx, coeffs, values)
-
-    monkeypatch.setattr(bounds, "value_blocks", recording)
+    evaluated = _record_value_blocks(monkeypatch)
     rng = np.random.default_rng(5)
     for through_vertex in (True, False):
         form = product_of_hyperplanes(ctx, [_random_dual(ctx, rng, 4, through_vertex)])
