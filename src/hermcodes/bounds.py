@@ -3,15 +3,20 @@ degree d <= q, extremal-configuration constructors, structural checkers for
 the maximizers, and the exhaustive maximization oracle.
 
 Bound values carry provenance.  Known theorem-grade values exist for the
-plane curve case (Bezout), the Hermitian surface (Sorensen), linear and
-quadric sections in every dimension, and cubic sections for q >= 7; other
-cells are Unknown and stay Unknown unless the caller explicitly asks for
-the conjectured closed forms, which are tagged as such and never promoted.
+plane curve case (Bezout) and the Hermitian surface (Sorensen).  For
+n >= 4 one formula, the Edoukou-Ling-Xing value of the largest
+|U_n intersect V(F)| (:func:`_section_max`), is proven for linear and
+quadric sections and for cubic sections with q >= 7; other cells are
+Unknown and stay Unknown unless the caller explicitly asks for the same
+formula as a conjecture, which is tagged as such and never promoted.
+The oracle bounds and the extremal witnesses rest on these values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -45,6 +50,7 @@ from .projspace import (
     check_point_budget,
     enumerate_hyperplanes,
     enumerate_points,
+    hyperplane_point_counts,
     incidence_matrix,
     line_through,
     normalize_rows,
@@ -117,6 +123,15 @@ def sorensen_max(d: int, q: int) -> int:
     return d * (q**3 + q**2 - q) + q + 1
 
 
+def _section_max(n: int, d: int, q: int) -> int:
+    """The Edoukou-Ling-Xing value of the largest |U_n intersect V(F)| over
+    degree-d hypersurfaces of P^n: d|U_(n-1)| - (d-1)|U_(n-2)| for even n,
+    (dq^2 - d + 1)|U_(n-2)| + d for odd n."""
+    if n % 2 == 0:
+        return d * _nondeg_count(n - 1, q) - (d - 1) * _nondeg_count(n - 2, q)
+    return (d * q * q - d + 1) * _nondeg_count(n - 2, q) + d
+
+
 def known_max_intersection(n: int, d: int, q: int) -> BoundValue:
     """Theorem-grade maximum of |U_n intersect V(F)| over degree-d
     hypersurfaces in P^n, where known; Unknown otherwise (d = 3 needs
@@ -128,22 +143,9 @@ def known_max_intersection(n: int, d: int, q: int) -> BoundValue:
         return BoundValue(d * (q + 1), "theorem", "bezout-plane-curve")
     if n == 3:
         return BoundValue(sorensen_max(d, q), "theorem", "sorensen")
-    even = n % 2 == 0
-    if d == 1:
-        value = _nondeg_count(n - 1, q) if even else q * q * _nondeg_count(n - 2, q) + 1
-        return BoundValue(value, "theorem", "hyperplane-section")
-    if d == 2:
-        if even:
-            value = 2 * _nondeg_count(n - 1, q) - _nondeg_count(n - 2, q)
-        else:
-            value = (2 * q * q - 1) * _nondeg_count(n - 2, q) + 2
-        return BoundValue(value, "theorem", "quadric-section")
-    if d == 3 and q >= 7:
-        if even:
-            value = 3 * _nondeg_count(n - 1, q) - 2 * _nondeg_count(n - 2, q)
-        else:
-            value = (3 * q * q - 2) * _nondeg_count(n - 2, q) + 3
-        return BoundValue(value, "theorem", "cubic-section")
+    if d <= 2 or (d == 3 and q >= 7):
+        source = ("hyperplane", "quadric", "cubic")[d - 1] + "-section"
+        return BoundValue(_section_max(n, d, q), "theorem", source)
     return BoundValue(None, "unknown", "open-for-this-degree")
 
 
@@ -153,11 +155,7 @@ def conjectured_max_intersection(n: int, d: int, q: int) -> BoundValue:
     if n < 3:
         raise ValueError("conjectured_max_intersection requires n >= 3")
     _check_degree(d, q)
-    if n % 2 == 0:
-        value = d * _nondeg_count(n - 1, q) - (d - 1) * _nondeg_count(n - 2, q)
-    else:
-        value = (d * q * q - d + 1) * _nondeg_count(n - 2, q) + d
-    return BoundValue(value, "conjecture", "edoukou-ling-xing")
+    return BoundValue(_section_max(n, d, q), "conjecture", "edoukou-ling-xing")
 
 
 def cone_bound(n: int, d: int, q: int, assume_conjecture: bool = False) -> BoundValue:
@@ -231,7 +229,7 @@ def _concurrent_secant_duals(ctx: FieldCtx, base: HermitianVariety, d: int) -> l
     exterior = space[np.flatnonzero(hermitian_form_values(ctx, base.matrix, space))[:1]]
     hyps = enumerate_hyperplanes(ctx, base.n)
     through = hyps[incidence_matrix(ctx, exterior, hyps)[0]]
-    secants = through[incidence_matrix(ctx, base.points, through).sum(axis=0) == ctx.q + 1]
+    secants = through[hyperplane_point_counts(ctx, base.points, through) == ctx.q + 1]
     if len(secants) < d:
         raise RuntimeError("geometry bug: fewer secant lines through the exterior point than d")
     return [tuple(int(c) for c in dual) for dual in secants[:d]]
@@ -271,22 +269,20 @@ def construct_extremal_form(ctx: FieldCtx, variety: HermitianVariety, d: int) ->
     if n == 2:
         base = make_nondegenerate(ctx, 1)
         lifted = [_generator_line_dual(ctx, p) for p in base.points[:d]]
-        predicted = plane_cone_bound(d, q)
         description = f"union-of-{d}-generator-lines"
     elif n == 3:
         base = make_nondegenerate(ctx, 2)
         duals = _concurrent_secant_duals(ctx, base, d)
         lifted = [list(u) + [0] for u in duals]
-        predicted = 1 + q * q * d * (q + 1)
         description = f"cone-over-{d}-concurrent-secant-lines"
     elif n == 4:
         base = make_nondegenerate(ctx, 3)
         duals = _tangent_plane_duals_through_secant(ctx, base, d)
         lifted = [list(u) + [0] for u in duals]
-        predicted = 1 + q * q * sorensen_max(d, q)
         description = f"cone-over-{d}-tangent-planes-through-secant"
     else:
         raise ValueError("witness construction covers n in {2, 3, 4}")
+    predicted = oracle_bound("cone", n, d, q).value
     form = product_of_hyperplanes(ctx, lifted)
     form = HomogeneousForm(basis=form.basis, coeffs=projectivize_coeffs(ctx, form.coeffs))
     attained = intersection_count(ctx, form, variety.points)
@@ -422,37 +418,20 @@ def merge_oracle_results(parts: list[OracleResult]) -> OracleResult:
         raise ValueError("nothing to merge")
     parts = sorted(parts, key=lambda r: r.lo)
     head = parts[0]
-    for r in parts:
-        if (r.n, r.d, r.q2, r.k, r.n_points, r.total_forms, r.cap) != (
-            head.n, head.d, head.q2, head.k, head.n_points, head.total_forms, head.cap
-        ):
-            raise ValueError("shard results disagree on the scan configuration")
+    config = attrgetter("n", "d", "q2", "k", "n_points", "total_forms", "cap")
+    if any(config(r) != config(head) for r in parts):
+        raise ValueError("shard results disagree on the scan configuration")
     for prev, cur in zip(parts, parts[1:]):
         if prev.hi != cur.lo:
             raise ValueError("shards are not contiguous")
     best = max(r.max_count for r in parts)
-    n_max = sum(r.n_maximizers for r in parts if r.max_count == best)
-    kept: list[tuple[int, ...]] = []
-    for r in parts:
-        if r.max_count != best:
-            continue
-        for c in r.maximizers:
-            if len(kept) >= head.cap:
-                break
-            kept.append(c)
-    return OracleResult(
-        n=head.n,
-        d=head.d,
-        q2=head.q2,
-        k=head.k,
-        n_points=head.n_points,
-        total_forms=head.total_forms,
-        lo=parts[0].lo,
+    tied = [r for r in parts if r.max_count == best]
+    return replace(
+        head,
         hi=parts[-1].hi,
         max_count=best,
-        n_maximizers=n_max,
-        maximizers=tuple(kept),
-        cap=head.cap,
+        n_maximizers=sum(r.n_maximizers for r in tied),
+        maximizers=tuple(chain.from_iterable(r.maximizers for r in tied))[: head.cap],
     )
 
 

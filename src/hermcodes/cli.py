@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import chain
 
 import numpy as np
@@ -37,7 +37,7 @@ from .field import FieldCtx, make_field
 from .forms import form_to_json, form_values
 from .hermitian import make_standard_cone
 from .limits import EVAL_BUDGET, MAXIMIZER_CAP, BudgetExceededError
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -123,14 +123,7 @@ def cmd_params(args) -> int:
     ctx = make_field(args.p, args.e)
     theory = cds.theoretical_parameters(args.n, args.d, ctx.q, args.assume_conjecture)
     report = _report("params", ctx, args.n, args.d, assume_conjecture=args.assume_conjecture)
-    report["theoretical"] = {
-        "m": theory.m,
-        "k": theory.k,
-        "dmin": theory.dmin,
-        "dmin_kind": theory.dmin_kind,
-        "provenance": theory.provenance,
-        "source": theory.source,
-    }
+    report["theoretical"] = asdict(theory)
     if theory.dmin is None:
         report["computed"] = None
         report["note"] = "the bound this distance rests on is an open problem"
@@ -162,12 +155,7 @@ def cmd_params(args) -> int:
         computed = cds.min_distance(ctx, code, "witness_only", witnesses=[witness.form])
     if args.generator_out:
         cds.write_generator_matrix(code, args.generator_out)
-    report["computed"] = {
-        "m": computed.m,
-        "k": computed.k,
-        "dmin": computed.dmin,
-        "dmin_status": computed.dmin_status,
-    }
+    report["computed"] = asdict(computed)
     match = {
         "m": computed.m == theory.m,
         "k": computed.k == theory.k,
@@ -187,7 +175,7 @@ def cmd_verify(args) -> int:
     ctx = make_field(args.p, args.e)
     checks = run_suite(args.suite, ctx, n=args.n, d=args.d, seed=args.seed)
     report = _report("verify", ctx, args.n, args.d, suite=args.suite, seed=args.seed)
-    report["checks"] = [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks]
+    report["checks"] = [asdict(c) for c in checks]
     report["passed"] = all(c.passed for c in checks)
     _emit(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_FAIL
@@ -227,7 +215,7 @@ def _full_oracle_report(
         ctx,
         variety,
         result,
-        bound={"value": bound.value, "provenance": bound.provenance, "source": bound.source},
+        bound=asdict(bound),
         matches_bound=None if bound.is_unknown else result.max_count == bound.value,
         characterization=bnd.characterize_maximizers(ctx, target, result),
     )
@@ -396,11 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = subs.add_parser("verify", help="run a named invariant suite")
     _add_field_args(v)
-    v.add_argument(
-        "--suite",
-        required=True,
-        choices=["field", "projspace", "hermitian", "bounds", "codes", "all"],
-    )
+    v.add_argument("--suite", required=True, choices=[*SUITES, "all"])
     v.add_argument("--n", type=int, default=None)
     v.add_argument("--d", type=int, default=None)
     v.add_argument("--seed", type=int, default=0)

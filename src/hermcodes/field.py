@@ -220,28 +220,20 @@ class FieldCtx:
 
     # -- construction -------------------------------------------------------
 
+    def _poly(self, a: int) -> list[int]:
+        # The code's coefficient list over GF(p), ascending and trimmed.
+        return _trim([(a // self.p**i) % self.p for i in range(2 * self.e)])
+
     def _code_mul(self, a: int, b: int) -> int:
         # Pre-table multiplication through polynomial arithmetic.
-        p, e2 = self.p, 2 * self.e
-        da = [(a // p**i) % p for i in range(e2)]
-        db = [(b // p**i) % p for i in range(e2)]
-        prod = _poly_mulmod(_trim(da), _trim(db), list(self.modulus), p)
-        return sum(c * p**i for i, c in enumerate(prod))
-
-    def _code_pow(self, a: int, k: int) -> int:
-        result, base = 1, a
-        while k:
-            if k & 1:
-                result = self._code_mul(result, base)
-            base = self._code_mul(base, base)
-            k >>= 1
-        return result
+        prod = _poly_mulmod(self._poly(a), self._poly(b), list(self.modulus), self.p)
+        return sum(c * self.p**i for i, c in enumerate(prod))
 
     def _find_generator(self) -> int:
-        order = self.q2 - 1
+        order, modulus = self.q2 - 1, list(self.modulus)
         checks = [order // r for r in _prime_factors(order)]
         for g in range(2, self.q2):
-            if all(self._code_pow(g, c) != 1 for c in checks):
+            if all(_poly_powmod(self._poly(g), c, modulus, self.p) != [1] for c in checks):
                 return g
         raise AssertionError("no primitive element found")  # unreachable
 

@@ -1,10 +1,14 @@
 """Reference loops for the field, form-index and point-normalization
-helpers.
+helpers, and the former per-degree intersection maxima.
 
 These are the former scalar loops of ``field``, ``forms``,
 ``projspace`` and ``verify``, written one element or one index at a time.
 The helpers now read tables or call the package's vectorised kernels; the
 differential tests require them to agree with these loops exactly.
+:func:`reference_known_max_intersection` and
+:func:`reference_conjectured_max_intersection` write out each proven
+degree's closed form on its own, as ``bounds`` did before it stated the
+one section-maximum formula.
 :func:`random_invertible` is the random-matrix helper the tests share.
 """
 
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from hermcodes.bounds import BoundValue
 from hermcodes.field import code_dtype
 from hermcodes.forms import (
     HomogeneousForm,
@@ -20,6 +25,7 @@ from hermcodes.forms import (
     segments,
     shard_range,
 )
+from hermcodes.hermitian import count_points_formula
 from hermcodes.linalg import matrix_rank
 
 
@@ -132,3 +138,36 @@ def reference_combination_table(ctx, rows) -> np.ndarray:
         multiples = ctx.vmul(codes, row[None, :])
         table = ctx.vadd(table[:, None, :], multiples[None, :, :]).reshape(len(table) * q2, m)
     return table.astype(code_dtype(q2))
+
+
+def _u(j: int, q: int) -> int:
+    return count_points_formula(j, "nondegenerate", q)
+
+
+def reference_known_max_intersection(n: int, d: int, q: int) -> BoundValue:
+    """The largest |U_n intersect V(F)| over degree-d hypersurfaces, 1 <= d
+    <= q, one branch per proven case; Unknown where it is open."""
+    if n == 2:
+        return BoundValue(d * (q + 1), "theorem", "bezout-plane-curve")
+    if n == 3:
+        return BoundValue(d * (q**3 + q**2 - q) + q + 1, "theorem", "sorensen")
+    even = n % 2 == 0
+    if d == 1:
+        value = _u(n - 1, q) if even else q * q * _u(n - 2, q) + 1
+        return BoundValue(value, "theorem", "hyperplane-section")
+    if d == 2:
+        value = 2 * _u(n - 1, q) - _u(n - 2, q) if even else (2 * q * q - 1) * _u(n - 2, q) + 2
+        return BoundValue(value, "theorem", "quadric-section")
+    if d == 3 and q >= 7:
+        value = 3 * _u(n - 1, q) - 2 * _u(n - 2, q) if even else (3 * q * q - 2) * _u(n - 2, q) + 3
+        return BoundValue(value, "theorem", "cubic-section")
+    return BoundValue(None, "unknown", "open-for-this-degree")
+
+
+def reference_conjectured_max_intersection(n: int, d: int, q: int) -> BoundValue:
+    """The conjectural closed form of the same maximum, n >= 3."""
+    if n % 2 == 0:
+        value = d * _u(n - 1, q) - (d - 1) * _u(n - 2, q)
+    else:
+        value = (d * q * q - d + 1) * _u(n - 2, q) + d
+    return BoundValue(value, "conjecture", "edoukou-ling-xing")

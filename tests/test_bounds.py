@@ -78,7 +78,12 @@ from hermcodes.verify import (
     check_tangent_section_structure,
     run_suite,
 )
-from loop_reference import reference_missing_vertex_filter, reference_normalize_vector
+from loop_reference import (
+    reference_conjectured_max_intersection,
+    reference_known_max_intersection,
+    reference_missing_vertex_filter,
+    reference_normalize_vector,
+)
 
 
 def test_serre_bound_values():
@@ -126,6 +131,17 @@ def test_conjectured_max_intersection():
             == known_max_intersection(n, 1, 3).value
         )
     assert conjectured_max_intersection(4, 2, 2).provenance == "conjecture"
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_section_maxima_match_per_degree_reference(q):
+    # value, provenance and source, on every n = 2..8 and 1 <= d <= q
+    for n in range(2, 9):
+        for d in range(1, q + 1):
+            assert known_max_intersection(n, d, q) == reference_known_max_intersection(n, d, q)
+            if n >= 3:
+                want = reference_conjectured_max_intersection(n, d, q)
+                assert conjectured_max_intersection(n, d, q) == want
 
 
 def test_cone_bound_values():

@@ -49,7 +49,14 @@ def test_params_unknown_bound_exit_code(tmp_path):
     code, report, _ = run_cli(["params", "--p", "5", "--e", "1", "--n", "5", "--d", "4"], tmp_path)
     assert code == 3
     assert report["computed"] is None
-    assert report["theoretical"]["dmin"] is None
+    assert report["theoretical"] == {
+        "m": 2031901,
+        "k": 126,
+        "dmin": None,
+        "dmin_kind": "unknown",
+        "provenance": "unknown",
+        "source": "needs-open-base-maximum:open-for-this-degree",
+    }
 
 
 def test_params_rejects_degree_outside_regime(tmp_path):
@@ -66,8 +73,38 @@ def test_params_assume_conjecture(tmp_path):
     )
     assert code == 2
     assert report["computed"] is None
-    assert report["theoretical"]["dmin"] is not None
-    assert report["theoretical"]["provenance"] == "conjecture"
+    # m - (|U_4| + 3 * 6 * 5^6) = 2031901 - 362526: the vertex-avoiding branch
+    assert report["theoretical"] == {
+        "m": 2031901,
+        "k": 126,
+        "dmin": 1669375,
+        "dmin_kind": "lower_bound",
+        "provenance": "conjecture",
+        "source": "edoukou-ling-xing",
+    }
+
+
+@pytest.mark.parametrize(
+    "p, d, theoretical, note",
+    [
+        # cone branch 1 + 4 * 81 < hyperplane branch 165 + 3 * 2^6 = 357 of m = 661
+        (2, 2, {"m": 661, "k": 21, "dmin": 304, "source": "quadric-section"},
+         "exhaustive scan over budget and no witness construction for n > 4"),
+        # cubic sections are proven for q >= 7
+        (7, 3, {"m": 41179601, "k": 56, "dmin": 38456817, "source": "cubic-section"},
+         "variety enumeration refused: enumerating P^5(GF(49)) scans 13841287201 tuples "
+         "> budget 20000000"),
+    ],
+)
+def test_params_theorem_lower_bound_refused(tmp_path, p, d, theoretical, note):
+    # a theorem-grade lower bound on n = 5, refused before any scan
+    code, report, _ = run_cli(["params", "--p", str(p), "--n", "5", "--d", str(d)], tmp_path)
+    assert code == 2
+    assert report["computed"] is None
+    assert report["note"] == note
+    assert report["theoretical"] == {
+        **theoretical, "dmin_kind": "lower_bound", "provenance": "theorem"
+    }
 
 
 def test_params_artifacts(tmp_path):
