@@ -447,7 +447,8 @@ def value_blocks(ctx: FieldCtx, coeffs: np.ndarray, values: np.ndarray):
     holds at most a quarter of ``projspace.CHUNK_ELEMS`` entries (or one
     row).
 
-    The monomials split into G groups of L, the last one zero-padded;
+    The monomials split into G groups of L, the last one zero-padded in
+    the code dtype;
     L <= k - 1 is the largest with q2^L <= max(q2, N) and
     q2^L * m <= ``SCAN_TABLE_ELEMS``, or 1.  A form picks one row of each
     group's row-major (q2^L, m) :func:`forms.combination_table`, named by
@@ -461,7 +462,7 @@ def value_blocks(ctx: FieldCtx, coeffs: np.ndarray, values: np.ndarray):
     while width < k - 1 and q2 ** (width + 1) <= cap:
         width += 1
     groups, size = -(-k // width), q2**width
-    padded = np.zeros((groups * width, m), dtype=np.int64)
+    padded = np.zeros((groups * width, m), dtype=code_dtype(q2))
     padded[:k] = values
     digits = np.zeros((n_forms, groups * width), dtype=np.int64)
     digits[:, :k] = coeffs

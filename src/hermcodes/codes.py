@@ -191,4 +191,4 @@ def write_generator_matrix(code: FunctionalCode, path) -> None:
             f"{code.n} {code.d} {ctx.p} {ctx.e} {ctx.modulus_token()} {code.m} {k}\n"
         )
         for row in code.generator:
-            fh.write(" ".join(str(int(c)) for c in row) + "\n")
+            fh.write(" ".join(map(str, row.tolist())) + "\n")

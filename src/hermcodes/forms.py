@@ -102,11 +102,13 @@ def _power_table(ctx: FieldCtx, max_degree: int) -> np.ndarray:
 
 def monomial_values(ctx: FieldCtx, basis: MonomialBasis, points: np.ndarray) -> np.ndarray:
     """(k, m) matrix of monomial values at each point, rows in basis order,
-    columns in point order; each power column x_var^e is read once."""
-    powers = _power_table(ctx, basis.d).astype(code_dtype(ctx.q2))
+    columns in point order, in the code dtype; each power column x_var^e is
+    read once.  The arithmetic kernels widen what they read to int64."""
+    dtype = code_dtype(ctx.q2)
+    powers = _power_table(ctx, basis.d).astype(dtype)
     degrees = range(1, basis.d + 1)
     cols = {(v, e): powers[points[:, v], e] for v in range(basis.n + 1) for e in degrees}
-    out = np.empty((len(basis), len(points)), dtype=np.int64)
+    out = np.empty((len(basis), len(points)), dtype=dtype)
     for i, exps in enumerate(basis.exponents):
         out[i] = reduce(ctx.vmul, [cols[v, e] for v, e in enumerate(exps) if e])
     return out
@@ -234,18 +236,17 @@ def combination_table(ctx: FieldCtx, rows: np.ndarray) -> np.ndarray:
     return table
 
 
-def _negated_prefixes(
-    ctx: FieldCtx, values: np.ndarray, t: int, n_high: int, h0: int, h1: int
-) -> np.ndarray:
-    """(m, h1 - h0) columns -(values[t] + digits x values[t+1 .. t+n_high])
-    for the high-digit prefixes h0 .. h1-1 of segment t, one column of
-    base-q2 digits each, built point-major so the columns come out
-    contiguous in the code dtype."""
+def _negated_prefixes(ctx: FieldCtx, rows: np.ndarray, h0: int, h1: int) -> np.ndarray:
+    """(m, h1 - h0) columns -(rows[0] + digits x rows[1:]) for the
+    high-digit prefixes h0 .. h1-1 of a segment whose leading row and high
+    rows are ``rows``, one column of base-q2 digits each, built point-major
+    so the columns come out contiguous in the code dtype."""
     q2 = ctx.q2
+    n_high = len(rows) - 1
     prefix = np.arange(h0, h1, dtype=np.int64)
     digits = prefix // q2 ** np.arange(n_high - 1, -1, -1, dtype=np.int64)[:, None] % q2
-    high = mat_mul(ctx, values[t + 1 : t + 1 + n_high].T, digits)
-    return ctx.vneg(ctx.vadd(values[t][:, None], high)).astype(code_dtype(q2))
+    high = mat_mul(ctx, rows[1:].T, digits)
+    return ctx.vneg(ctx.vadd(rows[0][:, None], high)).astype(code_dtype(q2))
 
 
 def _segment_counts(
@@ -262,20 +263,21 @@ def _segment_counts(
     segment t, which begins at global index ``seg_lo``, as consecutive
     pieces; the last n_low free digits are looked up in ``table``.
 
-    Each chunk compares an (m, per, width) block, point axis first, and
-    adds its m planes, read as uint8, into one reused accumulator of the
-    narrowest dtype that holds m; the counts are widened to int64 once per
-    chunk."""
+    The segment's leading and high rows are widened to int64 once, for
+    every chunk's prefix product.  Each chunk compares an (m, per, width)
+    block, point axis first, and adds its m planes, read as uint8, into one
+    reused accumulator of the narrowest dtype that holds m; the counts are
+    widened to int64 once per chunk."""
     k, m = values.shape
     width = ctx.q2**n_low
     low = table[:, :width]
-    n_high = k - 1 - t - n_low
+    rows = values[t : k - n_low].astype(np.int64, copy=False)
     per = max(1, SCAN_CHUNK_ELEMS // (width * max(m, 1)))
     last = (b - 1) // width + 1
     acc = np.empty((per, width), dtype=np.min_scalar_type(m))
     for h0 in range(a // width, last, per):
         h1 = min(h0 + per, last)
-        neg = _negated_prefixes(ctx, values, t, n_high, h0, h1)
+        neg = _negated_prefixes(ctx, rows, h0, h1)
         counts = np.add.reduce(
             (low[:, None, :] == neg[:, :, None]).view(np.uint8),  # bools are 0/1 bytes
             axis=0,

@@ -109,7 +109,8 @@ def _generators(table: np.ndarray) -> list[int]:
     members with all members, both ways round, until no product is new, so
     it is the true closure for any table of codes, commutative or not; a
     table where nothing generates anything else makes every code a
-    generator."""
+    generator.  Each round reads its products in blocks of at most about
+    CHUNK_ELEMS entries (or one newest member's)."""
     inside = np.zeros(len(table), dtype=bool)
     gens = []
     for k in range(len(table)):
@@ -121,8 +122,11 @@ def _generators(table: np.ndarray) -> list[int]:
         while new.size:
             have = np.flatnonzero(inside)
             grown = inside.copy()
-            grown[table[np.ix_(new, have)]] = True
-            grown[table[np.ix_(have, new)]] = True
+            step = max(1, CHUNK_ELEMS // len(have))
+            for lo in range(0, len(new), step):
+                part = new[lo : lo + step]
+                grown[table[np.ix_(part, have)]] = True
+                grown[table[np.ix_(have, part)]] = True
             new = np.flatnonzero(grown & ~inside)
             inside = grown
     return gens
@@ -152,17 +156,33 @@ def _code_table(q2: int, op) -> tuple[bool, np.ndarray]:
 
 # The law helpers take square tables whose every entry is a code (a row
 # index), so their gathers use mode="wrap", which never wraps here and lets
-# take write straight into the buffers made once per call.
+# take write straight into the buffers made once per call.  Both sides of a
+# law are compared one row block of :func:`_row_blocks` at a time, so the
+# tables are the only full-size arrays.
+
+
+def _block_buffers(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two buffers shaped like the table's first, and largest, row block."""
+    first = table[next(_row_blocks(len(table)))]
+    return np.empty_like(first), np.empty_like(first)
+
+
+def _symmetric(table: np.ndarray) -> bool:
+    """x*y = y*x for all codes x, y."""
+    return all(np.array_equal(table[rows], table[:, rows].T) for rows in _row_blocks(len(table)))
 
 
 def _associative(table: np.ndarray, gens: list[int]) -> bool:
     """(x*s)*y = x*(s*y) for all codes x, y and every s in gens."""
-    left, right = np.empty_like(table), np.empty_like(table)
+    left, right = _block_buffers(table)
     for s in gens:
-        table.take(table[:, s], 0, out=left, mode="wrap")
-        table.take(table[s], 1, out=right, mode="wrap")
-        if not np.array_equal(left, right):
-            return False
+        for rows in _row_blocks(len(table)):
+            block = table[rows]
+            lhs, rhs = left[: len(block)], right[: len(block)]
+            table.take(block[:, s], 0, out=lhs, mode="wrap")
+            block.take(table[s], 1, out=rhs, mode="wrap")
+            if not np.array_equal(lhs, rhs):
+                return False
     return True
 
 
@@ -170,15 +190,18 @@ def _distributive(mul: np.ndarray, add: np.ndarray, gens: list[int]) -> bool:
     """a*(b+c) = a*b + a*c for all codes a, b and every c in gens."""
     q2 = len(add)
     flat = add.ravel()
-    left, right = np.empty_like(mul), np.empty_like(mul)
+    left, right = _block_buffers(mul)
     for c in gens:
-        mul.take(add[:, c], 1, out=left, mode="wrap")
+        sums = add[:, c]  # b + c for every b
         for rows in _row_blocks(q2):
-            index = np.multiply(mul[rows], q2, dtype=np.intp)
-            index += mul[rows, c, None]  # a*b + a*c is flat[(a*b) * q2 + a*c]
-            flat.take(index, out=right[rows], mode="wrap")
-        if not np.array_equal(left, right):
-            return False
+            block = mul[rows]
+            lhs, rhs = left[: len(block)], right[: len(block)]
+            block.take(sums, 1, out=lhs, mode="wrap")
+            index = np.multiply(block, q2, dtype=np.intp)
+            index += block[:, c, None]  # a*b + a*c is flat[(a*b) * q2 + a*c]
+            flat.take(index, out=rhs, mode="wrap")
+            if not np.array_equal(lhs, rhs):
+                return False
     return True
 
 
@@ -187,9 +210,10 @@ def check_field_axioms(ctx: FieldCtx) -> CheckResult:
     for every pair of tables.  The product and sum of every pair are read
     once through vmul/vadd into dense tables mul/add of codes.  Closure (every
     entry a code), commutativity and the identity, negation and inverse laws
-    are one comparison each over the tables.  The three-variable laws run
-    over generators only (Light's associativity test; Clifford & Preston,
-    The Algebraic Theory of Semigroups I, 1.2):
+    are one comparison each over the tables (commutativity a row block at a
+    time).  The three-variable laws run over generators only (Light's
+    associativity test; Clifford & Preston, The Algebraic Theory of
+    Semigroups I, 1.2):
 
     - Associativity.  Let S be the set of s with (x*s)*y = x*(s*y) for all
       x, y.  S is closed under *: for s, t in S and any x, y,
@@ -218,8 +242,8 @@ def check_field_axioms(ctx: FieldCtx) -> CheckResult:
     ok = (
         mul_closed
         and add_closed
-        and np.array_equal(mul, mul.T)
-        and np.array_equal(add, add.T)
+        and _symmetric(mul)
+        and _symmetric(add)
         and np.array_equal(mul[1], codes)
         and np.array_equal(add[0], codes)
         and not add[codes, ctx.vneg(codes)].any()

@@ -1,6 +1,7 @@
 """Evaluation codes: generator matrices, dimensions, exact distances,
 weight tallies, and the closed-form parameter table."""
 
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -42,6 +43,23 @@ def test_dimension_is_full(p, n, d):
     ctx = make_field(p, 1)
     code = build_code(ctx, make_standard_cone(ctx, n), d)
     assert code_dimension(ctx, code) == comb(n + d, d)
+
+
+def test_generator_is_stored_in_the_code_dtype(gf16):
+    """The GF(16) rank-4 cone code at d = 4 keeps its 70 x 17,681 generator
+    in uint8, one byte per code, and builds it without an int64 copy."""
+    cone = make_standard_cone(gf16, 4)
+    cone.points  # enumerated before the trace: only the build is measured
+    tracemalloc.start()
+    try:
+        code = build_code(gf16, cone, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code.generator.shape == (70, 17681) and code.generator.dtype == np.uint8
+    assert code.generator.nbytes == 1_237_670
+    assert peak < 4 * 2**20
+    assert code_dimension(gf16, code) == 70
 
 
 def test_rank_unchanged_by_duplicated_rows(gf4):
@@ -216,3 +234,20 @@ def test_generator_matrix_file(gf4, tmp_path):
     assert len(lines) == 1 + 3
     first_row = [int(tok) for tok in lines[1].split()]
     assert first_row == [int(c) for c in code.generator[0]]
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 4)])
+def test_generator_matrix_file_matches_per_entry_formatting(p, e, tmp_path):
+    # GF(4) and GF(256), whose codes reach 255, the last uint8 code
+    ctx = make_field(p, e)
+    code = build_code(ctx, make_standard_cone(ctx, 2), 1)
+    if ctx.q2 == 256:
+        assert code.generator.max() == 255
+    path = tmp_path / "generator.txt"
+    write_generator_matrix(code, path)
+    header = (
+        f"{code.n} {code.d} {ctx.p} {ctx.e} {ctx.modulus_token()} {code.m} "
+        f"{code_dimension(ctx, code)}\n"
+    )
+    rows = "".join(" ".join(str(int(c)) for c in row) + "\n" for row in code.generator)
+    assert path.read_bytes() == (header + rows).encode()

@@ -600,6 +600,46 @@ def test_field_checks_match_reference_in_row_blocks(monkeypatch, p, e, op):
         assert check_norm_trace_maps(bad).passed == reference_check_norm_trace_maps(bad)[0]
 
 
+def law_verdicts(mul, add):
+    """(mul associative, add associative, distributive, mul commutative, add
+    commutative) from the law helpers, over each table's generators."""
+    add_gens = verify._generators(add)
+    return (
+        verify._associative(mul, verify._generators(mul)),
+        verify._associative(add, add_gens),
+        verify._distributive(mul, add, add_gens),
+        verify._symmetric(mul),
+        verify._symmetric(add),
+    )
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (3, 2)])  # GF(16), GF(81)
+@pytest.mark.parametrize("op,where", [(None, None), ("mul", 0), ("mul", -1), ("add", 0), ("add", -1)])
+def test_field_laws_compare_one_row_block_at_a_time(monkeypatch, p, e, op, where):
+    """Split into three row blocks, the code-dtype tables get the unsplit
+    verdicts: sound tables pass, and one entry corrupted in the first or the
+    last block fails its commutativity and associativity laws and
+    distributivity."""
+    ctx = cached_field(p, e)
+    q2 = ctx.q2
+    mul, add = (t.astype(code_dtype(q2)) for t in field_tables(ctx)[:2])
+    tables = {"mul": mul, "add": add}
+    if op:
+        x = 2 if where == 0 else q2 - 1
+        tables[op][x, x - 1] = (tables[op][x, x - 1] + 1) % q2
+    whole = law_verdicts(mul, add)
+    monkeypatch.setattr(verify, "CHUNK_ELEMS", q2 * -(-q2 // 3))
+    blocks = list(verify._row_blocks(q2))
+    assert len(blocks) == 3
+    if op:
+        assert x in range(q2)[blocks[where]]
+    assert law_verdicts(mul, add) == whole
+    if op is None:
+        assert all(whole)
+    else:
+        assert not whole[op == "add"] and not whole[2] and not whole[3 + (op == "add")]
+
+
 def left_projection(q2):
     return np.broadcast_to(np.arange(q2)[:, None], (q2, q2)).copy()
 
@@ -647,6 +687,15 @@ def test_generators_are_minimal_in_order_and_generate_everything(table):
     for i, (g, after) in enumerate(zip(gens, gens[1:] + [len(table)])):
         assert g not in prefix[i]
         assert set(range(g + 1, after)) <= prefix[i + 1]  # skipped: already generated
+
+
+@pytest.mark.parametrize("table", generator_cases())
+def test_generators_match_with_one_newest_member_per_block(monkeypatch, table):
+    # CHUNK_ELEMS = 1: each closure round reads one newest member's products
+    # at a time, and the generators stay those of the whole-round reads
+    whole = verify._generators(table)
+    monkeypatch.setattr(verify, "CHUNK_ELEMS", 1)
+    assert verify._generators(table) == whole
 
 
 @pytest.mark.parametrize("op", ["vmul", "vadd"])
