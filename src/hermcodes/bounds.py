@@ -14,9 +14,11 @@ The oracle bounds and the extremal witnesses rest on these values.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import chain
 from operator import attrgetter
+from typing import Iterator
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .forms import (
     projective_form_count,
     projectivize_coeffs,
     scan_zero_counts,
+    segments,
     shard_range,
 )
 from .hermitian import (
@@ -72,6 +75,8 @@ __all__ = [
     "OracleResult",
     "oracle_target",
     "zero_count_summary",
+    "cone_fibre_counts",
+    "scan_summary",
     "bruteforce_max_intersection",
     "merge_oracle_results",
     "value_blocks",
@@ -351,10 +356,16 @@ def zero_count_summary(
     distribution, the minimum distance and the maximum intersection with its
     maximizers are all read off these two.
     """
-    hist = np.zeros(values.shape[1] + 1, dtype=np.int64)
+    return _summarize(scan_zero_counts(ctx, values, lo, hi), values.shape[1], cap)
+
+
+def _summarize(pieces, m: int, cap: int) -> tuple[np.ndarray, list[int]]:
+    """(histogram, maximizers) of :func:`zero_count_summary` from the
+    (global start, zero counts) pieces of a scan over m points."""
+    hist = np.zeros(m + 1, dtype=np.int64)
     best = -1
     kept: list[int] = []
-    for start, zeros in scan_zero_counts(ctx, values, lo, hi):
+    for start, zeros in pieces:
         hist += np.bincount(zeros, minlength=len(hist))
         piece_best = int(zeros.max())
         if piece_best > best:
@@ -363,6 +374,65 @@ def zero_count_summary(
             hits = np.flatnonzero(zeros == best)[: cap - len(kept)]
             kept.extend(start + int(i) for i in hits)
     return hist, kept
+
+
+def cone_fibre_counts(
+    ctx: FieldCtx, cone: HermitianVariety, lo: int, hi: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(global start, zero counts) pieces of the projectivized linear forms
+    with global index in [lo, hi) on the standard rank-n cone, as
+    :func:`forms.scan_zero_counts` yields them over all of its points, read
+    from one scan of its base U alone.
+
+    Write F = G(x') + c x_n.  On the line through the vertex v = e_n and a
+    base point P, F(P + t v) = G(P) + t c and F(v) = c.  So F has |U| zeros
+    (one on each line) when c != 0, and 1 + q^2 z_U(G) when c = 0, where
+    z_U(G) is F's zero count on the base points, each with x_n = 0.  c is
+    the last coefficient: the last base-q2 digit of the index within a
+    segment, except in the last segment, the form x_n alone.  The scan's
+    pieces never cross a segment, so each piece reads its segment once."""
+    base = cone.fibre_base
+    values = monomial_values(ctx, monomial_basis(cone.n, 1), base)
+    q2, k, size = ctx.q2, len(values), len(base)
+    starts = [seg_lo for _, seg_lo, _ in segments(q2, k)]
+    for start, zeros in scan_zero_counts(ctx, values, lo, hi):
+        t = bisect_right(starts, start) - 1
+        c_zero = ((start - starts[t] + np.arange(len(zeros))) % q2 == 0) & (t < k - 1)
+        yield start, np.where(c_zero, 1 + q2 * zeros, size)
+
+
+def scan_summary(
+    ctx: FieldCtx,
+    target,
+    basis: MonomialBasis,
+    lo: int,
+    hi: int,
+    cap: int,
+    budget: int = EVAL_BUDGET,
+    values: np.ndarray | None = None,
+) -> tuple[np.ndarray, list[int]]:
+    """(histogram, maximizers) of :func:`zero_count_summary` for the forms
+    over ``basis`` with global index in [lo, hi) on the target's points, a
+    HermitianVariety or an (N, n+1) point array.  The linear forms on the
+    standard rank-n cone are counted by :func:`cone_fibre_counts` at its |U|
+    base points; every other scan evaluates each form at every point, from
+    ``values`` when given (the (k, N) monomial value matrix of the points).
+
+    Each route is priced by the evaluations it makes, classes x |U| or
+    classes x N, and more than ``budget`` are refused (BudgetExceededError)
+    before anything is evaluated, as is a form space past int64."""
+    fibres = basis.d == 1 and isinstance(target, HermitianVariety) and target.base is not None
+    if fibres:
+        points = target.fibre_base
+    else:
+        points = target.points if isinstance(target, HermitianVariety) else np.asarray(target)
+    check_scan_budget((hi - lo) * len(points), budget)
+    check_index_space(projective_form_count(ctx.q2, len(basis)))
+    if fibres:
+        return _summarize(cone_fibre_counts(ctx, target, lo, hi), 1 + ctx.q2 * len(points), cap)
+    if values is None:
+        values = monomial_values(ctx, basis, points)
+    return zero_count_summary(ctx, values, lo, hi, cap)
 
 
 def bruteforce_max_intersection(
@@ -383,15 +453,11 @@ def bruteforce_max_intersection(
     partitions the index space yields the same merged answer.  An empty
     shard reports max_count -1 and no maximizers.
     """
-    points = target.points if isinstance(target, HermitianVariety) else np.asarray(target)
     basis = monomial_basis(n, d)
     k = len(basis)
     total = projective_form_count(ctx.q2, k)
     lo, hi = shard_range(total, shard)
-    check_scan_budget((hi - lo) * len(points), budget)
-    check_index_space(total)
-    values = monomial_values(ctx, basis, points)
-    hist, kept = zero_count_summary(ctx, values, lo, hi, cap)
+    hist, kept = scan_summary(ctx, target, basis, lo, hi, cap, budget)
     reached = np.flatnonzero(hist)
     best = int(reached[-1]) if reached.size else -1
     return OracleResult(
@@ -399,7 +465,7 @@ def bruteforce_max_intersection(
         d=d,
         q2=ctx.q2,
         k=k,
-        n_points=len(points),
+        n_points=len(hist) - 1,
         total_forms=total,
         lo=lo,
         hi=hi,
@@ -625,9 +691,10 @@ def check_union_of_cone_lines(ctx: FieldCtx, variety: HermitianVariety, forms):
     sequence of forms over one basis, which gives a list with one
     ``(ok, lines)`` per form, in order.
 
-    The whole stack shares one :func:`fibre_root_counts` pass over the cone
-    points with x_j = 0, one on each generator line (v_j = 1 is the
-    vertex's last nonzero coordinate).  A form passes iff no generator line
+    The whole stack shares one :func:`fibre_root_counts` pass over the
+    cone's ``fibre_base``, its points with x_j = 0, one on each generator
+    line (v_j = 1 is the vertex's last nonzero coordinate): the base U of
+    the standard cone.  A form passes iff no generator line
     is broken (holds zeros without being wholly zero) and, when the vertex
     is a zero, some line is whole; then its count is the number of whole
     lines.  Only the forms that fail with whole lines are evaluated again,
@@ -638,8 +705,7 @@ def check_union_of_cone_lines(ctx: FieldCtx, variety: HermitianVariety, forms):
     single, basis, coeffs = _form_stack(ctx, forms)
     if basis is None:
         return []
-    points, vertex = variety.points, variety.vertex
-    base = points[points[:, np.flatnonzero(vertex)[-1]] == 0]
+    base, vertex = variety.fibre_base, variety.vertex
     broken, lines, at_vertex = _stack_fibre_cover(ctx, basis, coeffs, base, vertex)
     partial = broken & (lines > 0)
     if partial.any():

@@ -23,7 +23,7 @@ from .forms import (
     projective_form_count,
 )
 from .hermitian import HermitianVariety, count_points_formula
-from .limits import EVAL_BUDGET, check_count_digits, check_scan_budget
+from .limits import EVAL_BUDGET, check_count_digits
 from .linalg import matrix_rank
 
 __all__ = [
@@ -124,11 +124,13 @@ def weight_distribution(
 ) -> dict[int, int]:
     """Weight -> count over the nonzero codewords up to scalar; the counts
     sum to (q^2^rows - 1)/(q^2 - 1).  The scan evaluates every message
-    class at every point, and more than ``budget`` such form evaluations
-    are refused (BudgetExceededError)."""
+    class at every point, or, at d = 1 on the standard cone, at the points
+    of its base (:func:`bounds.scan_summary`), and more than ``budget``
+    such form evaluations are refused (BudgetExceededError)."""
     classes = projective_form_count(ctx.q2, code.n_rows)
-    check_scan_budget(classes * code.m, budget)
-    hist, _ = bounds.zero_count_summary(ctx, code.generator, 0, classes, cap=0)
+    hist, _ = bounds.scan_summary(
+        ctx, code.variety, code.basis, 0, classes, 0, budget, values=code.generator
+    )
     # hist[z] counts the codewords with z zeros, i.e. of weight m - z.
     return {code.m - z: int(hist[z]) for z in range(code.m, -1, -1) if hist[z]}
 

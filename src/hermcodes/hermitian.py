@@ -35,6 +35,8 @@ from .projspace import (
     incidence_matrix,
     normalize_rows,
     normalize_vector,
+    pi_count,
+    point_index,
 )
 
 __all__ = [
@@ -152,7 +154,9 @@ def canonical_congruence(ctx: FieldCtx, matrix) -> tuple[np.ndarray, int]:
             if j != t and a[t, j]:
                 coeff = ctx.frob(ctx.neg(ctx.div(int(a[t, j]), diag)))
                 add_multiple(j, t, coeff)
-        scale(t, ctx.inv(ctx.norm_preimage(diag)))
+        factor = ctx.inv(ctx.norm_preimage(diag))
+        if factor != 1:  # a diagonal 1 is already normalized
+            scale(t, factor)
         t += 1
 
     return s, t
@@ -164,6 +168,11 @@ class HermitianVariety:
     Points are materialized lazily, once, in canonical enumeration order.
     Instances are immutable after the point list exists and are safe to
     share between workers.
+
+    ``base`` is the nondegenerate variety U in P^(n-1) that
+    :func:`make_standard_cone` puts under the standard cone, and None for
+    every other variety: a variety built from a matrix finds its points by
+    evaluating the form over all of P^n.
     """
 
     def __init__(self, ctx: FieldCtx, matrix):
@@ -173,6 +182,7 @@ class HermitianVariety:
         self.n = self.matrix.shape[0] - 1
         s, self.rank = canonical_congruence(ctx, self.matrix)
         self.vertex: tuple[int, ...] | None = None
+        self.base: HermitianVariety | None = None
         if self.rank == self.n:
             # S^T H S^(q) = diag(1, ..., 1, 0) puts a zero row at n, so
             # (S e_n)^T H = 0: the last column of S is the singular point.
@@ -188,23 +198,62 @@ class HermitianVariety:
 
     @cached_property
     def points(self) -> np.ndarray:
-        space = enumerate_points(self.ctx, self.n)
-        values = hermitian_form_values(self.ctx, self.matrix, space)
-        pts = space[values == 0]
+        """The standard cone's points are its vertex v = e_n and the points
+        P + t v, t over every code, of the line over each base point P,
+        normalized and put in canonical order; every other variety keeps
+        the zeros of its form on P^n."""
+        if self.base is None:
+            space = enumerate_points(self.ctx, self.n)
+            pts = space[hermitian_form_values(self.ctx, self.matrix, space) == 0]
+        else:
+            q2, dim = self.ctx.q2, self.n + 1
+            lines = np.repeat(self.fibre_base[None], q2, axis=0)
+            lines[..., self.n] = np.arange(q2)[:, None]  # P + t v with v = e_n
+            pts = np.concatenate([[self.vertex], normalize_rows(self.ctx, lines).reshape(-1, dim)])
+            # a counting sort on the distinct canonical positions, one int32
+            # slot and one flag per point of P^n: it loads no sort kernel
+            pos = point_index(self.ctx, pts)
+            slot = np.empty(pi_count(self.n, q2), dtype=np.int32)
+            slot[pos] = np.arange(len(pts), dtype=np.int32)
+            taken = np.zeros(len(slot), dtype=bool)
+            taken[pos] = True
+            pts = pts[slot[taken]]
         pts.setflags(write=False)
         return pts
+
+    @cached_property
+    def fibre_base(self) -> np.ndarray:
+        """The points of a rank-n cone with x_j = 0, where v_j = 1 is the
+        vertex's last nonzero coordinate: one on each line through the
+        vertex, in canonical order.  The standard cone lifts its base
+        variety's points with x_n = 0; any other cone reads them off its
+        points."""
+        if not self.is_rank_n_cone:
+            raise ValueError("fibres are defined for rank-n cones")
+        if self.base is not None:
+            base = self.base.points
+            lifted = np.zeros((len(base), self.n + 1), dtype=np.int64)
+            lifted[:, : self.n] = base
+        else:
+            lifted = self.points[self.points[:, np.flatnonzero(self.vertex)[-1]] == 0]
+        lifted.setflags(write=False)
+        return lifted
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"HermitianVariety(n={self.n}, rank={self.rank}, q={self.ctx.q})"
 
 
 def make_standard_cone(ctx: FieldCtx, n: int) -> HermitianVariety:
-    """The rank-n cone: diag(1,...,1,0) in P^n, vertex [0:...:0:1]; refused
+    """The rank-n cone: diag(1,...,1,0) in P^n, vertex [0:...:0:1], over the
+    base U = :func:`make_nondegenerate` (n - 1) in x_n = 0 (n >= 2); refused
     as :func:`enumerate_points` refuses P^n."""
     check_point_budget(ctx, n)
     h = identity(n + 1)
     h[n, n] = 0
-    return HermitianVariety(ctx, h)
+    cone = HermitianVariety(ctx, h)
+    if n > 1:  # the cone in P^1 is its vertex alone
+        cone.base = make_nondegenerate(ctx, n - 1)
+    return cone
 
 
 def make_nondegenerate(ctx: FieldCtx, n: int) -> HermitianVariety:

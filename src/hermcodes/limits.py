@@ -3,7 +3,9 @@
 All enumerations in this package are exact, so every budget is a hard count
 of elementary work items (table entries, coordinate tuples, form
 evaluations).  Every exhaustive scan, the weight distribution and the
-oracle alike, is priced in form evaluations: classes x points.  Each budget
+oracle alike, is priced in the form evaluations it makes: classes x the
+points it evaluates them at (the base points alone for linear forms on the
+standard cone).  Each budget
 can be overridden per call; the defaults keep the q = 2, 3 verification
 runs instant while refusing accidental explosions.
 """
@@ -22,8 +24,9 @@ DENSE_TABLE_LIMIT = 256
 # Raw coordinate tuples visited by one projective-space enumeration.
 POINT_BUDGET = 20_000_000
 
-# Form evaluations (form classes x points) one exhaustive scan may take: the
-# smallest round value over params q = 3, n = 5, d = 1 (1.46e9, 8-10 s, 2 CPUs).
+# Form evaluations one exhaustive scan may take: the smallest round value
+# over params q = 3, n = 5, d = 1 when it read all 21,961 points (1.46e9,
+# 8-10 s, 2 CPUs); its base scan makes 1.6e8.
 EVAL_BUDGET = 2_000_000_000
 
 # Decimal digits of the coordinate-tuple count of the largest projective

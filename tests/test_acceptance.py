@@ -36,7 +36,7 @@ from hermcodes import (
 from hermcodes.cli import main as cli_main
 from hermcodes.codes import WITNESS_UPPER_BOUND_ONLY
 from hermcodes.forms import HomogeneousForm, intersection_count
-from hermcodes.hermitian import hermitian_form_values, hyperplane_sections
+from hermcodes.hermitian import HermitianVariety, hermitian_form_values, hyperplane_sections
 from hermcodes.projspace import enumerate_hyperplanes, enumerate_points, incidence_matrix
 from hermcodes.verify import iter_all_lines
 
@@ -62,18 +62,29 @@ def oracle_runs(gf4):
     return runs
 
 
+def _same_bytes(a, b) -> bool:
+    return (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+
+
 def test_criterion_1_point_counts():
+    # The standard cone builds its points from the lines over its base, so
+    # it has 1 + q^2 |U| points by construction; the count is checked on the
+    # zeros of the same matrix over P^n, which the cone's points must equal
+    # byte for byte.
     t0 = time.perf_counter()
     ok = True
     details = []
-    for p in (2, 3):
-        ctx = make_field(p, 1)
-        for n in range(1, 5):
-            nondeg = make_nondegenerate(ctx, n)
-            cone = make_standard_cone(ctx, n)
-            ok &= len(nondeg.points) == count_points_formula(n, "nondegenerate", ctx.q)
-            ok &= len(cone.points) == count_points_formula(n, "rank_n_cone", ctx.q)
-        details.append(f"q={ctx.q}: cone n=4 has {len(cone.points)} points")
+    cells = [(2, 1, n) for n in range(1, 5)] + [(3, 1, n) for n in range(1, 5)] + [(2, 2, 4)]
+    for p, e, n in cells:
+        ctx = make_field(p, e)
+        nondeg = make_nondegenerate(ctx, n)
+        cone = make_standard_cone(ctx, n)
+        space_route = HermitianVariety(ctx, cone.matrix).points
+        ok &= len(nondeg.points) == count_points_formula(n, "nondegenerate", ctx.q)
+        ok &= len(space_route) == count_points_formula(n, "rank_n_cone", ctx.q)
+        ok &= _same_bytes(cone.points, space_route)
+        if n == 4:
+            details.append(f"q={ctx.q}: cone n=4 has {len(cone.points)} points")
     ctx2, ctx3 = make_field(2, 1), make_field(3, 1)
     ok &= len(make_standard_cone(ctx2, 4).points) == 181
     ok &= len(make_standard_cone(ctx3, 4).points) == 2521

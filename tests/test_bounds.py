@@ -1017,7 +1017,7 @@ def _record_value_blocks(monkeypatch):
     return evaluated
 
 
-def test_checkers_take_the_line_walk_when_the_root_table_would_not_fit(gf9, monkeypatch):
+def test_checkers_count_every_line_point_when_the_root_table_would_not_fit(gf9, monkeypatch):
     cone = _cone(gf9, 3)
     rng = np.random.default_rng(11)
     stack = [product_of_hyperplanes(gf9, [_random_dual(gf9, rng, 3, True) for _ in range(2)])]
@@ -1044,18 +1044,18 @@ def test_checkers_take_the_line_walk_when_the_root_table_would_not_fit(gf9, monk
     assert evaluated == [(10, m) for m in points]
 
 
-def test_only_a_form_failing_with_whole_lines_takes_the_walk(gf4):
+def test_only_a_form_failing_with_whole_lines_counts_lines_before_break(gf4):
     cone = _cone(gf4, 3)
     x0x3 = product_of_hyperplanes(gf4, [(1, 0, 0, 0), (0, 0, 0, 1)])
     stack = [HomogeneousForm(x0x3.basis, c) for c in _maximizers(gf4, 3, 2)[:3]]
     stack += [x0x3, _anisotropic_binary_quadric(gf4, 3)]
-    walked = []
-    with _spy("_lines_before_break", walked):
+    counted = []
+    with _spy("_lines_before_break", counted):
         unions = check_union_of_cone_lines(gf4, cone, stack)
     assert unions[-2:] == [(False, 3), (False, 0)]
     assert unions == [reference_check_union_of_cone_lines(gf4, cone, f) for f in stack]
     # one count, for x0 x3 alone: three whole lines, then a broken one
-    assert [args[2].tolist() for args in walked] == [[list(x0x3.coeffs)]]
+    assert [args[2].tolist() for args in counted] == [[list(x0x3.coeffs)]]
 
 
 def test_one_hyperplane_on_p4_over_gf25_reads_fibres_only(monkeypatch):

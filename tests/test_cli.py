@@ -200,14 +200,26 @@ def test_params_default_budget_flips(tmp_path, monkeypatch):
     code, report, _ = run_cli(["params", "--p", "5", "--n", "2", "--d", "2"], tmp_path)
     assert code == 0
     assert report["computed"]["dmin"] == 100 and report["computed"]["dmin_status"] == "exact"
-    # q = 5 (4, 1): 3.33e10 evaluations, refused before any scan
+    # q = 3 (3, 2): 4.36e8 classes x 253 points = 1.1e11 evaluations,
+    # refused before any scan
     scans = []
     monkeypatch.setattr(bounds, "scan_zero_counts", lambda *args: scans.append(args))
-    code, report, _ = run_cli(["params", "--p", "5", "--n", "4", "--d", "1"], tmp_path)
+    code, report, _ = run_cli(["params", "--p", "3", "--n", "3", "--d", "2"], tmp_path)
     assert code == 0
-    assert report["computed"]["dmin"] == 78125
+    assert report["computed"]["dmin"] == 180
     assert report["computed"]["dmin_status"] == "witness_upper_bound_only"
     assert scans == []
+
+
+def test_d1_cone_cell_admitted_by_its_base_scan(tmp_path):
+    # q = 7 (3, 1): 120,100 classes x 344 base points = 4.1e7 evaluations;
+    # priced at all 16,857 cone points (2.0e9) it was over the default budget
+    code, report, _ = run_cli(["params", "--p", "7", "--n", "3", "--d", "1"], tmp_path)
+    assert code == 0
+    assert report["computed"] == {"dmin": 16464, "dmin_status": "exact", "k": 4, "m": 16857}
+    code, report, _ = run_cli(["oracle", "--p", "7", "--n", "3", "--d", "1"], tmp_path)
+    assert code == 0 and report["matches_bound"] is True
+    assert report["result"]["max_count"] == 393 and report["scan"]["n_points"] == 16857
 
 
 @pytest.mark.parametrize("variety", ["cone", "nondegenerate"])

@@ -21,7 +21,7 @@ from hermcodes import (
     weight_distribution,
 )
 from hermcodes.codes import EXACT, WITNESS_UPPER_BOUND_ONLY, write_generator_matrix
-from hermcodes.bounds import fibre_root_counts
+from hermcodes.bounds import cone_fibre_counts, fibre_root_counts
 from hermcodes.forms import (
     coeffs_at_indices,
     monomial_basis,
@@ -126,6 +126,17 @@ def test_fibre_zero_counts_match_the_scan(p, n, d):
     values = monomial_values(ctx, basis, cone.points)
     for start, zeros in scan_zero_counts(ctx, values, 0, total):
         assert np.array_equal(fibre_zero_counts(ctx, cone, d, start, start + len(zeros)), zeros)
+
+
+def test_cone_fibre_counts_match_the_root_count_route():
+    # q = 3 (4, 1), every class: the base scan against the value_blocks
+    # gather of fibre_root_counts, which shares no kernel with it
+    ctx = make_field(3, 1)
+    cone = make_standard_cone(ctx, 4)
+    total = projective_form_count(ctx.q2, 5)
+    counts = np.concatenate([z for _, z in cone_fibre_counts(ctx, cone, 0, total)])
+    assert len(counts) == total == 7381
+    assert np.array_equal(counts, fibre_zero_counts(ctx, cone, 1, 0, total))
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hermcodes import forms, make_field, make_standard_cone, monomial_basis
+from hermcodes import (
+    BudgetExceededError,
+    HermitianVariety,
+    bounds,
+    bruteforce_max_intersection,
+    build_code,
+    forms,
+    make_field,
+    make_nondegenerate,
+    make_standard_cone,
+    monomial_basis,
+    weight_distribution,
+)
 from hermcodes.bounds import zero_count_summary
 from hermcodes.field import code_dtype
 from hermcodes.forms import (
@@ -27,7 +39,8 @@ from hermcodes.forms import (
     scan_zero_counts,
     segments,
 )
-from loop_reference import reference_combination_table
+from hermcodes.hermitian import congruence_transform
+from loop_reference import random_invertible, reference_combination_table
 
 
 def reference_scan_zero_counts(ctx, values, lo, hi, block=1 << 15):
@@ -225,3 +238,106 @@ def test_scan_memory_is_bounded_on_long_code():
         tracemalloc.stop()
     assert classes == 3000
     assert peak < 64 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# The d = 1 cone route: one scan of the base U
+# ---------------------------------------------------------------------------
+
+# (p, e, n): every d = 1 standard-cone cell the other tier-1 tests scan,
+# and GF(16) at n = 2, 3.
+D1_CONE_CELLS = [
+    (2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3), (3, 1, 4), (2, 2, 2), (2, 2, 3)
+]
+
+
+def _point_scan(ctx, cone, lo, hi):
+    """(pieces, counts) of the kernel over all of the cone's points."""
+    values = monomial_values(ctx, monomial_basis(cone.n, 1), cone.points)
+    return _collect(scan_zero_counts(ctx, values, lo, hi))
+
+
+@pytest.mark.parametrize("p,e,n", D1_CONE_CELLS)
+def test_cone_fibre_counts_match_the_point_scan(p, e, n):
+    # every class of the cell, and ranges that start and end inside segments
+    ctx = make_field(p, e)
+    cone = make_standard_cone(ctx, n)
+    total = projective_form_count(ctx.q2, n + 1)
+    for lo, hi in ((0, total), (1, total - 1), (total // 3 + 1, total - ctx.q2 - 2), (5, 5)):
+        pieces, counts = _collect(bounds.cone_fibre_counts(ctx, cone, lo, hi))
+        assert np.array_equal(counts, _point_scan(ctx, cone, lo, hi)[1])
+        assert [start for start, _ in pieces] == list(np.cumsum([lo] + [n for _, n in pieces])[:-1])
+
+
+@pytest.mark.parametrize("p,e,n", D1_CONE_CELLS[:6])
+def test_d1_cone_weight_distribution_and_oracle_match_the_point_route(p, e, n):
+    ctx = make_field(p, e)
+    cone = make_standard_cone(ctx, n)
+    code = build_code(ctx, cone, 1)
+    total = projective_form_count(ctx.q2, n + 1)
+    hist, _ = zero_count_summary(ctx, code.generator, 0, total, cap=0)
+    want = {code.m - z: int(hist[z]) for z in range(code.m, -1, -1) if hist[z]}
+    assert weight_distribution(ctx, code) == want
+    # the raw point array takes the point scan; the cone takes its base
+    for cap in (10_000, 1):
+        assert bruteforce_max_intersection(ctx, cone, n, 1, cap=cap) == (
+            bruteforce_max_intersection(ctx, cone.points, n, 1, cap=cap)
+        )
+
+
+def test_sharded_fibre_oracle_equals_the_unsharded_run():
+    # q = 3 (3, 1): segments [0, 729), [729, 810), [810, 819), [819, 820);
+    # shard edges fall inside every segment but the last
+    ctx = make_field(3, 1)
+    cone = make_standard_cone(ctx, 3)
+    full = bruteforce_max_intersection(ctx, cone, 3, 1)
+    edges = set()
+    for count in (3, 7, 100):
+        parts = [bruteforce_max_intersection(ctx, cone, 3, 1, shard=(i, count)) for i in range(count)]
+        assert bounds.merge_oracle_results(parts) == full
+        edges |= {part.lo for part in parts}
+    inside = [any(lo < edge < hi for edge in edges) for _, lo, hi in segments(ctx.q2, 4)]
+    assert inside == [True, True, True, False]
+
+
+def _scanned_widths(monkeypatch):
+    """Patch ``bounds.scan_zero_counts`` to record the width of each value
+    matrix it scans, and return that record."""
+    widths, real = [], bounds.scan_zero_counts
+
+    def recording(ctx, values, lo, hi):
+        widths.append(values.shape[1])
+        return real(ctx, values, lo, hi)
+
+    monkeypatch.setattr(bounds, "scan_zero_counts", recording)
+    return widths
+
+
+def test_only_the_d1_standard_cone_scans_its_base(monkeypatch):
+    ctx = make_field(2, 1)
+    cone = make_standard_cone(ctx, 3)
+    s = random_invertible(ctx, 4, np.random.default_rng(3))
+    congruent = HermitianVariety(ctx, congruence_transform(ctx, cone.matrix, s))
+    widths = _scanned_widths(monkeypatch)
+    bruteforce_max_intersection(ctx, cone, 3, 1)
+    weight_distribution(ctx, build_code(ctx, cone, 1))
+    assert widths == [len(cone.base.points)] * 2 == [9, 9]
+    widths.clear()
+    bruteforce_max_intersection(ctx, cone, 3, 2)
+    bruteforce_max_intersection(ctx, congruent, 3, 1)
+    bruteforce_max_intersection(ctx, HermitianVariety(ctx, cone.matrix), 3, 1)
+    bruteforce_max_intersection(ctx, make_nondegenerate(ctx, 3), 3, 1)
+    weight_distribution(ctx, build_code(ctx, congruent, 1))
+    assert widths == [37, 37, 37, 45, 37]
+
+
+def test_fibre_route_is_priced_by_its_base_points():
+    # q = 2 (2, 1): 21 classes x 3 base points = 63 evaluations (the point
+    # scan would take 21 x 13 = 273)
+    ctx = make_field(2, 1)
+    cone = make_standard_cone(ctx, 2)
+    assert bruteforce_max_intersection(ctx, cone, 2, 1, budget=63).max_count == 5
+    with pytest.raises(BudgetExceededError, match="scan needs 63 form evaluations > budget 62"):
+        bruteforce_max_intersection(ctx, cone, 2, 1, budget=62)
+    with pytest.raises(BudgetExceededError, match="scan needs 273 form evaluations"):
+        bruteforce_max_intersection(ctx, cone.points, 2, 1, budget=272)
