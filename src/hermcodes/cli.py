@@ -10,10 +10,11 @@ exactly the bytes json writes with indent 2 and sorted keys (tests hold to it).
 Output is a pure function of the configuration (seed included): reruns are
 byte-identical, and merged shard reports are byte-identical with the
 unsharded run.  Exit codes: 0 pass, 1 invariant failure, parameter
-mismatch, invalid input, a usage error (an unknown, missing or malformed
-option) or an output file that cannot be written, 2 budget refusal or a
-negative ``--budget`` or ``--cap``, 3 unknown bound.  Every nonzero exit
-without a report writes a one-line message to stderr.
+mismatch, invalid input (a negative ``--seed`` among it), a usage error
+(an unknown, missing or malformed option) or an output file that cannot be
+written, 2 budget refusal or a negative ``--budget`` or ``--cap``, 3
+unknown bound.  Every nonzero exit without a report writes a one-line
+message to stderr.
 ``merge`` rejects a malformed partial report with exit 1: one that is not
 a partial oracle report of schema 1, lacks a field merging reads, has one
 of the wrong type, names a variety the oracle does not scan or a negative
@@ -430,6 +431,10 @@ def main(argv: list[str] | None = None) -> int:
         if value is not None and value < 0:
             sys.stderr.write(f"error: --{name} must be >= 0, got {value}\n")
             return EXIT_BUDGET
+    seed = getattr(args, "seed", 0)
+    if seed < 0:  # random.Random would draw |seed|'s samples
+        sys.stderr.write(f"error: --seed must be >= 0, got {seed}\n")
+        return EXIT_FAIL
     try:
         return args.func(args)
     except BudgetExceededError as exc:

@@ -322,7 +322,10 @@ def hyperplane_sections(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Restrict the form to each hyperplane of a (D, n+1) stack of duals and
     classify the sections: (ranks, point counts, kinds), one entry per dual.
-    Requires a nondegenerate variety or a rank-n cone."""
+    Requires a nondegenerate variety or a rank-n cone.  The duals are taken
+    in blocks whose Gram matrices and their elimination hold about four
+    arrays of (n+1)^2 codes per dual, each within a quarter of CHUNK_ELEMS
+    codes (or one dual's)."""
     duals = normalize_rows(ctx, duals)
     if duals.ndim != 2 or duals.shape[1] != variety.n + 1:
         raise ValueError("dimension mismatch between hyperplane and variety")
@@ -330,7 +333,7 @@ def hyperplane_sections(
         raise ValueError("sections are defined for nondegenerate varieties and rank-n cones")
     if not len(duals):
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=str)
-    step = max(1, CHUNK_ELEMS // (variety.n + 1) ** 2)
+    step = max(1, CHUNK_ELEMS // 4 // (variety.n + 1) ** 2)
     ranks = np.concatenate(
         [
             batch_rank(ctx, _section_gram_matrices(ctx, variety.matrix, duals[lo : lo + step]))

@@ -43,7 +43,12 @@ __all__ = [
     "all_lines",
 ]
 
-# Codes held by one temporary of the batched incidence and line routes.
+# Codes one block holds at once over all its full-size temporaries, in the
+# steps that hold about four of them and give each a quarter: the line
+# spans, the section Gram matrices and their elimination, the line checks'
+# incidence and bounds.value_blocks.  incidence_matrix and verify's other
+# blocks size a single temporary at CHUNK_ELEMS; callers of
+# incidence_matrix that want less pass fewer points.
 CHUNK_ELEMS = 1 << 18
 
 
@@ -162,10 +167,14 @@ def hyperplane_point_counts(ctx: FieldCtx, points, duals) -> np.ndarray:
 
 def _span_points(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(..., q^2 + 1, n+1) normalized points of the lines spanned by the
-    independent rows a, b: first a, then b + t*a for every code t."""
+    independent rows a, b: first a, then b + t*a for every code t.  The
+    points are written into one array, so about three of that size are held
+    at once."""
     t = np.arange(ctx.q2, dtype=np.int64)[:, None]
-    ends = ctx.vadd(b[..., None, :], ctx.vmul(t, a[..., None, :]))
-    return normalize_rows(ctx, np.concatenate([a[..., None, :], ends], axis=-2))
+    pts = np.empty(a.shape[:-1] + (ctx.q2 + 1, a.shape[-1]), dtype=np.int64)
+    pts[..., 0, :] = a
+    pts[..., 1:, :] = ctx.vadd(b[..., None, :], ctx.vmul(t, a[..., None, :]))
+    return normalize_rows(ctx, pts)
 
 
 def line_through(ctx: FieldCtx, a, b) -> np.ndarray:
@@ -207,7 +216,10 @@ def all_lines(ctx: FieldCtx, n: int, budget: int = POINT_BUDGET) -> np.ndarray:
     over point pairs (i < j) would first meet each line.  The budget bounds
     both the q^(2(n+1)) tuples of the point enumeration and the
     L * (q^2 + 1) line points; it is checked before anything is built, and
-    n < 1 is refused as :func:`check_point_budget` refuses it."""
+    n < 1 is refused as :func:`check_point_budget` refuses it.  A block of
+    lines holds about four arrays of its span's size (the span, its
+    normalization, the position sum), each within a quarter of
+    CHUNK_ELEMS codes (or one line's)."""
     q2 = ctx.q2
     count = (q2 ** (n + 1) - 1) * (q2**n - 1) // ((q2 * q2 - 1) * (q2 - 1))
     tuples, visits = q2 ** (n + 1), count * (q2 + 1)
@@ -219,7 +231,7 @@ def all_lines(ctx: FieldCtx, n: int, budget: int = POINT_BUDGET) -> np.ndarray:
     check_point_budget(ctx, n, budget)
     pairs = _echelon_pairs(q2, n)
     lines = np.empty((count, q2 + 1), dtype=np.int64)
-    step = max(1, CHUNK_ELEMS // ((q2 + 1) * (n + 1)))
+    step = max(1, CHUNK_ELEMS // 4 // ((q2 + 1) * (n + 1)))
     for lo in range(0, count, step):
         block = pairs[lo : lo + step]
         lines[lo : lo + step] = point_index(ctx, _span_points(ctx, block[:, 0], block[:, 1]))

@@ -4,11 +4,14 @@ Every check is a pure function returning a :class:`CheckResult`; suites
 group them for the command-line ``verify`` runner, and the test suite
 asserts them directly.  Checks are exhaustive wherever the configuration
 is desk-scale (the default q = 2, 3 cells) and say so in their detail
-strings; sampled checks consume an explicit seed.
+strings.  Sampled checks draw from ``random.Random(seed)``, the standard
+library generator that importing numpy already loads, and no detail string
+names what was drawn.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
@@ -72,16 +75,16 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def random_hermitian(ctx: FieldCtx, n: int, rng: np.random.Generator) -> np.ndarray:
+def random_hermitian(ctx: FieldCtx, n: int, rng: random.Random) -> np.ndarray:
     """Random nonzero Hermitian matrix: diagonal from the base field,
     off-diagonal free with the conjugate mirrored."""
     dim = n + 1
     while True:
         h = np.zeros((dim, dim), dtype=np.int64)
         for i in range(dim):
-            h[i, i] = ctx.base_embed[int(rng.integers(0, ctx.q))]
+            h[i, i] = ctx.base_embed[rng.randrange(ctx.q)]
             for j in range(i + 1, dim):
-                c = int(rng.integers(0, ctx.q2))
+                c = rng.randrange(ctx.q2)
                 h[i, j] = c
                 h[j, i] = ctx.frob(c)
         if h.any():
@@ -351,14 +354,15 @@ def check_line_basics(ctx: FieldCtx, n: int, seed: int = 0) -> CheckResult:
     """20 sampled pairs of distinct points: the line through each pair has
     q^2 + 1 distinct points in canonical order, is the same line from
     either end, and lies on every hyperplane through the pair.  The pairs
-    are checked as stacks, each block's incidence matrix holding at most
-    about CHUNK_ELEMS entries (or one pair's)."""
-    rng = np.random.default_rng(seed)
+    are checked as stacks; a block's incidence product holds about four
+    arrays of its size, each within a quarter of CHUNK_ELEMS entries (or
+    one pair's)."""
+    rng = random.Random(seed)
     pts = enumerate_points(ctx, n)
     hyps = enumerate_hyperplanes(ctx, n)
-    pairs = pts[np.array([rng.choice(len(pts), size=2, replace=False) for _ in range(20)])]
+    pairs = pts[np.array([rng.sample(range(len(pts)), 2) for _ in range(20)])]
     ok = True
-    step = max(1, CHUNK_ELEMS // ((ctx.q2 + 3) * len(hyps)))
+    step = max(1, CHUNK_ELEMS // 4 // ((ctx.q2 + 3) * len(hyps)))
     for lo in range(0, len(pairs), step):
         a, b = pairs[lo : lo + step, 0], pairs[lo : lo + step, 1]
         k = len(a)
@@ -405,7 +409,7 @@ def check_congruence_reduction(ctx: FieldCtx, n: int, trials: int, seed: int = 1
     n <= 3 also H and the diagonal form have as many zeros on P^n.  The
     trials are drawn first and checked as one stack, the point counts in
     blocks of at most about CHUNK_ELEMS form values (or one matrix's)."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     dim = n + 1
     hs = np.array([random_hermitian(ctx, n, rng) for _ in range(trials)]).reshape(-1, dim, dim)
     reductions = [canonical_congruence(ctx, h) for h in hs]
@@ -637,7 +641,7 @@ def check_hyperplane_margin(ctx: FieldCtx, n: int, d: int, seed: int = 2) -> Che
     """Forms containing a vertex-avoiding hyperplane meet the cone off that
     hyperplane in at most (d-1)(q+1)q^(2n-4) points (sampled cofactors)."""
     q = ctx.q
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     cone = make_standard_cone(ctx, n)
     margin = (d - 1) * (q + 1) * q ** (2 * n - 4)
     plane_dual = [0] * n + [1]  # x_n = 0 misses the vertex
@@ -647,7 +651,7 @@ def check_hyperplane_margin(ctx: FieldCtx, n: int, d: int, seed: int = 2) -> Che
         if d == 1:
             form = product_of_hyperplanes(ctx, [plane_dual])
         else:
-            coeffs = tuple(int(rng.integers(0, ctx.q2)) for _ in range(len(basis_cof)))
+            coeffs = tuple(rng.randrange(ctx.q2) for _ in range(len(basis_cof)))
             if not any(coeffs):
                 continue
             cof = HomogeneousForm(basis=basis_cof, coeffs=coeffs)
@@ -693,10 +697,8 @@ def check_tangent_section_structure(ctx: FieldCtx, d: int, samples: int, seed: i
     base_max = bnd.sorensen_max(d, q)
     hyps = enumerate_hyperplanes(ctx, 4)
     avoiding = hyps[~incidence_matrix(ctx, [cone.vertex], hyps)[0]]
-    rng = np.random.default_rng(seed)
     if samples and samples < len(avoiding):
-        picks = rng.choice(len(avoiding), size=samples, replace=False)
-        avoiding = avoiding[picks]
+        avoiding = avoiding[random.Random(seed).sample(range(len(avoiding)), samples)]
     witness = None
     if q == 2 and d == 1:
         result = bnd.bruteforce_max_intersection(ctx, cone, 4, 1)

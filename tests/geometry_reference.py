@@ -11,6 +11,7 @@ values, and ``test_verify_geometry.py`` runs the ``projspace`` and
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,11 +255,11 @@ def reference_check_incidence_duality(ctx, n):
 
 
 def reference_check_line_basics(ctx, n, seed=0):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     pts = enumerate_points(ctx, n)
     ok = True
     for _ in range(20):
-        i, j = rng.choice(len(pts), size=2, replace=False)
+        i, j = rng.sample(range(len(pts)), 2)
         line = reference_line_through(ctx, pts[i], pts[j])
         ok &= len(line) == ctx.q2 + 1
         ok &= np.array_equal(line, reference_line_through(ctx, pts[j], pts[i]))
@@ -273,7 +274,7 @@ def reference_check_line_basics(ctx, n, seed=0):
 
 
 def reference_check_congruence_reduction(ctx, n, trials, seed=1):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     ok = True
     for _ in range(trials):
         h = random_hermitian(ctx, n, rng)

@@ -468,6 +468,16 @@ def test_negative_budget_and_cap_refused(tmp_path, capsys):
         assert flag in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("suite", ["field", "projspace"])
+def test_negative_seed_refused_before_any_work(tmp_path, capsys, monkeypatch, suite):
+    """A suite that draws no samples (field) refuses a negative seed as one
+    that does (projspace): exit 1, one stderr line, no report, no check."""
+    monkeypatch.setattr(cli, "run_suite", lambda *args, **kw: pytest.fail("a suite ran"))
+    code, report, _ = run_cli(["verify", "--p", "2", "--suite", suite, "--seed", "-1"], tmp_path)
+    assert code == 1 and report is None
+    assert "--seed" in _one_line_error(capsys)
+
+
 def test_verify_bounds_without_known_structure(capsys):
     argv = ["verify", "--p", "2", "--e", "1", "--suite", "bounds", "--n", "5", "--d", "1"]
     assert main(argv) == 1

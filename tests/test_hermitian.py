@@ -4,6 +4,8 @@ Frozen expected values come from the closed-form counts, checked here by
 full enumeration, and from exhaustive scans defined inside the tests.
 """
 
+import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -113,7 +115,7 @@ def test_canonical_congruence_diagonal_input(gf4):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_canonical_congruence_random(gf4, n):
-    rng = np.random.default_rng(17)
+    rng = random.Random(17)
     space = enumerate_points(gf4, n)
     for _ in range(100):
         h = random_hermitian(gf4, n, rng)
@@ -280,10 +282,11 @@ def hermitian_varieties(draw):
     ctx = make_field(p, e)
     n = draw(st.integers(2, n_max))
     cone = draw(st.booleans())
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng, draws = np.random.default_rng(seed), random.Random(seed)
     if draw(st.booleans()):
         for _ in range(20):
-            h = random_hermitian(ctx, n, rng)
+            h = random_hermitian(ctx, n, draws)
             if matrix_rank(ctx, h) == (n if cone else n + 1):
                 return ctx, HermitianVariety(ctx, h), rng
     base = identity(n + 1)
@@ -332,6 +335,25 @@ def test_scattered_duals_on_a_large_cone(gf9):
     assert list(zip(ranks.tolist(), counts.tolist(), kinds.tolist())) == [
         (w.rank, w.point_count, w.kind) for w in want
     ]
+
+
+def test_sections_hold_a_few_results_at_once(gf9):
+    # the 6,561 duals of the GF(9) P^4 cone that miss its vertex e_4 take
+    # three blocks of (n+1)^2 codes per dual, each a quarter of CHUNK_ELEMS:
+    # the Gram matrices, their elimination and the point-count scan stay
+    # within a few results (one block of CHUNK_ELEMS took 4.9 MiB)
+    cone = make_standard_cone(gf9, 4)
+    hyps = enumerate_hyperplanes(gf9, 4)
+    duals = hyps[hyps[:, 4] != 0]
+    cone.points  # built before the trace, as a long-lived variety holds them
+    tracemalloc.start()
+    try:
+        result = hyperplane_sections(gf9, cone, duals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(duals) == 6561 and (result[2] == "vertex_avoiding").all()
+    assert peak <= min(5 * sum(part.nbytes for part in result), 3 * 2**20)
 
 
 def test_hyperplane_sections_edge_cases(gf4):
@@ -395,12 +417,13 @@ def hermitian_stacks(draw):
     be zero in some matrices of the stack and not in others."""
     ctx = make_field(*draw(st.sampled_from(FIELDS)))
     n = draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng, draws = np.random.default_rng(seed), random.Random(seed)
     kinds = draw(st.lists(st.sampled_from(["random", "moved", "diagonal"]), min_size=1, max_size=6))
     stack = []
     for kind in kinds:
         if kind == "random":
-            stack.append(random_hermitian(ctx, n, rng))
+            stack.append(random_hermitian(ctx, n, draws))
         else:
             rank = draw(st.integers(1, n + 1))
             stack.append(diagonal_form(ctx, n, rank, rng, kind == "moved"))
@@ -453,10 +476,11 @@ def gram_cases(draw):
     p, e, n_max = draw(st.sampled_from(SECTION_CELLS))
     ctx = make_field(p, e)
     n = draw(st.integers(2, n_max))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
     kind = draw(st.sampled_from(["cone", "nondegenerate", "random"]))
     if kind == "random":
-        h = random_hermitian(ctx, n, rng)
+        h = random_hermitian(ctx, n, random.Random(seed))
     else:
         h = identity(n + 1)
         h[n, n] = int(kind == "nondegenerate")

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -314,6 +315,20 @@ def test_all_lines_match_the_scalar_walk(p, e, n):
     pts = enumerate_points(ctx, n)
     walk = list(reference_iter_all_lines(ctx, n))
     assert [pts[line].tolist() for line in all_lines(ctx, n)] == [w.tolist() for w in walk]
+
+
+def test_all_lines_holds_a_few_results_at_once(gf9):
+    # the 7,462 lines of P^3(GF(9)) take 0.57 MiB; a block of their spans
+    # and positions takes about four quarter-CHUNK_ELEMS arrays on top of the
+    # result and the echelon pairs (full CHUNK_ELEMS temporaries took 9.1 MiB)
+    tracemalloc.start()
+    try:
+        lines = all_lines(gf9, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lines.shape == (7462, 10)
+    assert peak <= min(5 * lines.nbytes, 3 * 2**20)
 
 
 def test_all_lines_budget(gf4):

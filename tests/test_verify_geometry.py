@@ -108,6 +108,20 @@ def test_incidence_duality_holds_no_full_incidence_matrix(gf9):
     assert peak < 16 * 2**20
 
 
+def test_line_basics_holds_one_block_of_codes(gf9):
+    # the 20 pairs' lines of P^3(GF(9)) against its 820 hyperplanes: each
+    # incidence block keeps its product within CHUNK_ELEMS int64 codes in
+    # all (full CHUNK_ELEMS products took 5.5 MiB)
+    tracemalloc.start()
+    try:
+        result = verify.check_line_basics(gf9, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak <= 8 * verify.CHUNK_ELEMS
+
+
 def test_line_trichotomy_fails_on_a_broken_line(gf9, monkeypatch):
     lines = verify.all_lines
 
@@ -230,3 +244,21 @@ def test_hermitian_suite_leaves_numpy_ma_unimported():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert run.stdout.split() == ["0", "False"]
+
+
+def test_sampled_suites_leave_numpy_random_unimported():
+    # the samples come from random.Random, which importing numpy already
+    # loads; numpy.random would cost its own import
+    code = (
+        "import contextlib, io, sys\n"
+        "from hermcodes.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = [main(['verify', '--p', '2', '--suite', suite])\n"
+        "              for suite in ('projspace', 'hermitian', 'bounds')]\n"
+        "print(*status, 'numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == ["0", "0", "0", "False"]
