@@ -13,7 +13,7 @@ print("base field codes inside GF(4):", ctx.base_embed)
 
 w = 2  # the class of x, a primitive cube root of unity
 print("w * w =", ctx.mul(w, w), " w^3 =", ctx.pow(w, 3))
-print("conjugate / norm / trace of w:", ctx.conjugation_maps(w))
+print("conjugate / norm / trace of w:", ctx.frob(w), ctx.norm(w), ctx.trace(w))
 
 # the norm maps GF(q^2)* onto GF(q)* with fibers of size q + 1
 ctx9 = make_field(3, 1)

@@ -56,9 +56,7 @@ from .projspace import (
     hyperplane_point_counts,
     incidence_matrix,
     line_through,
-    normalize_rows,
     normalize_vector,
-    point_index,
 )
 
 __all__ = [
@@ -571,32 +569,6 @@ def _root_counts(ctx: FieldCtx, d: int) -> np.ndarray:
     return (combination_table(ctx, rows) == 0).sum(axis=0, dtype=np.min_scalar_type(ctx.q2))
 
 
-def _line_points(ctx: FieldCtx, base, vertex, nodes: int):
-    """The normalized vertex v and the (nodes, |base|, n + 1) points P + t v
-    at the codes t = 0 .. nodes-1 over each base point P.  With v_j = 1 the
-    vertex's last nonzero coordinate, every base point must have x_j = 0;
-    each line through v is then v and the q^2 points P + t v of exactly one
-    such P."""
-    vertex = np.asarray(normalize_vector(ctx, vertex), dtype=np.int64)
-    base = np.asarray(base, dtype=np.int64).reshape(-1, len(vertex))
-    j = int(np.flatnonzero(vertex)[-1])
-    if base[:, j].any():
-        raise ValueError("fibre base points must have x_j = 0 where v_j = 1 is the vertex's last nonzero")
-    return vertex, ctx.vadd(base, ctx.vmul(np.arange(nodes)[:, None, None], vertex))
-
-
-def _line_values(ctx: FieldCtx, basis: MonomialBasis, coeffs: np.ndarray, base, vertex, nodes: int):
-    """Yield (first row, at v, on lines) for consecutive row blocks of the
-    (N, k) coefficient stack: ``at_v[i]`` is F(v) for form ``first + i`` and
-    ``on_lines[i, t, b]`` is F(P_b + t v) (see :func:`_line_points`).  The
-    vertex and the nodes |base| points go through :func:`value_blocks`, so
-    blocks stay within its chunk size."""
-    vertex, lines = _line_points(ctx, base, vertex, nodes)
-    points = np.concatenate([vertex[None], lines.reshape(-1, len(vertex))])
-    for lo, block in value_blocks(ctx, coeffs, monomial_values(ctx, basis, points)):
-        yield lo, block[:, 0], block[:, 1:].reshape(len(block), *lines.shape[:2])
-
-
 def fibre_root_counts(ctx: FieldCtx, basis: MonomialBasis, coeffs: np.ndarray, base, vertex):
     """Yield (first row, at vertex, roots) for consecutive row blocks of the
     (N, k) coefficient stack: ``at_vertex[i]`` says form ``first + i``
@@ -612,18 +584,28 @@ def fibre_root_counts(ctx: FieldCtx, basis: MonomialBasis, coeffs: np.ndarray, b
     :func:`_root_counts`, built once per call.  When that build would hold
     q2^(d+2) > ``SCAN_TABLE_ELEMS`` codes (GF(16) at d = 4, GF(25) at
     d >= 3), every point P + t v is read instead, t over all q^2 codes, and
-    the zeros are counted along t."""
+    the zeros are counted along t.  The vertex and the points P + t v go
+    through :func:`value_blocks`, so blocks stay within its chunk size."""
+    vertex = np.asarray(normalize_vector(ctx, vertex), dtype=np.int64)
+    base = np.asarray(base, dtype=np.int64).reshape(-1, len(vertex))
+    if base[:, np.flatnonzero(vertex)[-1]].any():
+        raise ValueError("fibre base points must have x_j = 0 where v_j = 1 is the vertex's last nonzero")
     d, q2 = basis.d, ctx.q2
-    if q2 ** (d + 2) > SCAN_TABLE_ELEMS:
-        for lo, at_v, on_lines in _line_values(ctx, basis, coeffs, base, vertex, q2):
-            yield lo, at_v == 0, (on_lines == 0).sum(axis=1, dtype=np.min_scalar_type(q2))
-        return
-    roots = _root_counts(ctx, d)
-    for lo, at_v, on_lines in _line_values(ctx, basis, coeffs, base, vertex, d):
-        code = 0
-        for values in on_lines.swapaxes(0, 1):
-            code = code * q2 + values  # the digits y_0 .. y_(d-1), then F(v)
-        yield lo, at_v == 0, roots[code * q2 + at_v[:, None]]
+    every_point = q2 ** (d + 2) > SCAN_TABLE_ELEMS
+    nodes = q2 if every_point else d
+    lines = ctx.vadd(base, ctx.vmul(np.arange(nodes)[:, None, None], vertex))
+    points = np.concatenate([vertex[None], lines.reshape(-1, len(vertex))])
+    roots = None if every_point else _root_counts(ctx, d)
+    for lo, block in value_blocks(ctx, coeffs, monomial_values(ctx, basis, points)):
+        at_v, on_lines = block[:, 0], block[:, 1:].reshape(len(block), nodes, len(base))
+        if every_point:
+            found = (on_lines == 0).sum(axis=1, dtype=np.min_scalar_type(q2))
+        else:
+            code = 0
+            for values in on_lines.swapaxes(0, 1):
+                code = code * q2 + values  # the digits y_0 .. y_(d-1), then F(v)
+            found = roots[code * q2 + at_v[:, None]]
+        yield lo, at_v == 0, found
 
 
 def _form_stack(ctx: FieldCtx, forms) -> tuple[bool, MonomialBasis | None, np.ndarray | None]:
@@ -655,37 +637,14 @@ def _stack_fibre_cover(ctx: FieldCtx, basis, coeffs, base, vertex):
     return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
-def _lines_before_break(ctx: FieldCtx, basis, coeffs, base, vertex) -> np.ndarray:
-    """Per form of the stack, the whole lines through the vertex (see
-    :func:`_stack_fibre_cover`) whose first point in canonical order comes
-    before the form's first zero on a broken line: the lines a walk over the
-    zeros in canonical order completes before it meets a zero whose line is
-    not wholly zero.  Read from every point P + t v, t over all q^2 codes,
-    and their canonical positions."""
-    q2 = ctx.q2
-    vertex, lines = _line_points(ctx, base, vertex, q2)
-    positions = point_index(ctx, normalize_rows(ctx, lines))
-    past = positions.max() + 1
-    counts = []
-    for _, _, on_lines in _line_values(ctx, basis, coeffs, base, vertex, q2):
-        zeros = on_lines == 0
-        first = np.where(zeros, positions, past).min(axis=1)
-        per_line = zeros.sum(axis=1)
-        broken = (per_line > 0) & (per_line < q2)
-        first_broken = np.where(broken, first, past).min(axis=1)
-        counts.append(((per_line == q2) & (first < first_broken[:, None])).sum(axis=1))
-    return np.concatenate(counts)
-
-
 def check_union_of_cone_lines(ctx: FieldCtx, variety: HermitianVariety, forms):
     """Whether the intersection of a form's zero set with the rank-n cone
     is a union of full generator lines through the vertex, and how many.
     The vertex lies on every generator line, so it never counts separately.
 
-    When the check fails the count is the number of generator lines a walk
-    over the zeros in canonical order completes before it meets the first
-    zero whose line is not wholly inside the zero set; it is 0 when the
-    vertex is not a zero or is the only one.
+    The count is the number of generator lines that lie wholly in the zero
+    set, whether the check passes or fails; it is 0 when the vertex is not a
+    zero or is the only one.
 
     ``forms`` is one HomogeneousForm, which gives one ``(ok, lines)``, or a
     sequence of forms over one basis, which gives a list with one
@@ -696,10 +655,7 @@ def check_union_of_cone_lines(ctx: FieldCtx, variety: HermitianVariety, forms):
     line (v_j = 1 is the vertex's last nonzero coordinate): the base U of
     the standard cone.  A form passes iff no generator line
     is broken (holds zeros without being wholly zero) and, when the vertex
-    is a zero, some line is whole; then its count is the number of whole
-    lines.  Only the forms that fail with whole lines are evaluated again,
-    at every point of the same lines, for the walk's count
-    (:func:`_lines_before_break`)."""
+    is a zero, some line is whole.  Its count comes from the same pass."""
     if not variety.is_rank_n_cone:
         raise ValueError("checker requires a rank-n cone")
     single, basis, coeffs = _form_stack(ctx, forms)
@@ -707,9 +663,6 @@ def check_union_of_cone_lines(ctx: FieldCtx, variety: HermitianVariety, forms):
         return []
     base, vertex = variety.fibre_base, variety.vertex
     broken, lines, at_vertex = _stack_fibre_cover(ctx, basis, coeffs, base, vertex)
-    partial = broken & (lines > 0)
-    if partial.any():
-        lines[partial] = _lines_before_break(ctx, basis, coeffs[partial], base, vertex)
     # a passing form's zeros are the vertex and ``lines`` whole lines, or
     # none; the vertex alone is no union of lines
     results = [(bool(o), int(c)) for o, c in zip(~broken & ((lines > 0) | ~at_vertex), lines)]

@@ -18,8 +18,11 @@ message to stderr.
 ``merge`` rejects a malformed partial report with exit 1: one that is not
 a partial oracle report of schema 1, lacks a field merging reads, has one
 of the wrong type, names a variety the oracle does not scan or a negative
-cap, or lists a maximizer that is not k codes of the field its config
-names.  These checks run on every merge, partial or full.
+cap, has scan fields its cell does not give (k other than C(n + d, d),
+total_forms other than the class count, or a range outside
+0 <= lo <= hi <= total_forms), or lists a maximizer that is not k codes of
+the field its config names.  These checks run on every merge, partial or
+full.
 """
 
 from __future__ import annotations
@@ -29,15 +32,16 @@ import json
 import sys
 from dataclasses import asdict, replace
 from itertools import chain
+from math import comb
 
 import numpy as np
 
 from . import bounds as bnd
 from . import codes as cds
 from .field import FieldCtx, make_field
-from .forms import form_to_json, form_values
+from .forms import form_to_json, form_values, projective_form_count
 from .hermitian import make_standard_cone
-from .limits import EVAL_BUDGET, MAXIMIZER_CAP, BudgetExceededError
+from .limits import EVAL_BUDGET, MAXIMIZER_CAP, BudgetExceededError, check_count_digits
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -209,9 +213,8 @@ def _oracle_report(ctx: FieldCtx, variety: str, result: bnd.OracleResult, **fiel
 
 
 def _full_oracle_report(
-    ctx: FieldCtx, target, variety: str, assume_conjecture: bool, result: bnd.OracleResult
+    ctx: FieldCtx, target, variety: str, bound: bnd.BoundValue, result: bnd.OracleResult
 ) -> tuple[dict, int]:
-    bound = bnd.oracle_bound(variety, result.n, result.d, ctx.q, assume_conjecture)
     report = _oracle_report(
         ctx,
         variety,
@@ -231,6 +234,8 @@ def cmd_oracle(args) -> int:
     ctx = make_field(args.p, args.e)
     try:
         target = bnd.oracle_target(ctx, args.variety, args.n)
+        # refuses a degree outside the bound's regime before the scan, sharded or not
+        bound = bnd.oracle_bound(args.variety, args.n, args.d, ctx.q, args.assume_conjecture)
         result = bnd.bruteforce_max_intersection(
             ctx, target, args.n, args.d, shard=args.shard, budget=args.budget, cap=args.cap
         )
@@ -242,7 +247,7 @@ def cmd_oracle(args) -> int:
         shard = {"index": args.shard[0], "total": args.shard[1]}
         _emit(_oracle_report(ctx, args.variety, result, partial=True, shard=shard), args.out)
         return EXIT_OK
-    report, code = _full_oracle_report(ctx, target, args.variety, args.assume_conjecture, result)
+    report, code = _full_oracle_report(ctx, target, args.variety, bound, result)
     _emit(report, args.out)
     return code
 
@@ -273,11 +278,32 @@ def _load_oracle_report(path: str) -> tuple[dict, bnd.OracleResult]:
                     f"{path} is not an oracle report: {section}.{key} = {part[key]!r} "
                     f"is not {kind.__name__}"
                 )
-    cfg, cap = payload["config"], payload["scan"]["cap"]
+    cfg, scan = payload["config"], payload["scan"]
     if cfg["variety"] not in _VARIETIES:
         raise ValueError(f"{path} is not an oracle report: unknown variety {cfg['variety']!r}")
-    if cap < 0:
-        raise ValueError(f"{path} is not an oracle report: scan.cap = {cap} is negative")
+    if scan["cap"] < 0:
+        raise ValueError(f"{path} is not an oracle report: scan.cap = {scan['cap']} is negative")
+    n, d, q2, k, total = cfg["n"], cfg["d"], cfg["q2"], scan["k"], scan["total_forms"]
+    # an oracle scan holds fewer than 2^63 classes and q2^k > 2^63 from k = 64;
+    # n, d >= 1 and C(n + d, d) exceeds both, so comb below stays small
+    if not 0 <= scan["lo"] <= scan["hi"] <= total < 1 << 63:
+        raise ValueError(
+            f"{path} is not an oracle report: scan range [{scan['lo']}, {scan['hi']}) "
+            f"is not inside [0, {total}], or total_forms is 2^63 or more"
+        )
+    if q2 < 2:
+        raise ValueError(f"{path} is not an oracle report: config.q2 = {q2} is not a field size")
+    check_count_digits(q2, n)  # a P^n too large to count is refused as by the oracle
+    if not (min(n, d) >= 1 and max(n, d) < k < 64 and k == comb(n + d, d)):
+        raise ValueError(
+            f"{path} is not an oracle report: scan.k = {k} is not C(n + d, d) "
+            f"for n = {n}, d = {d}"
+        )
+    if total != projective_form_count(q2, k):
+        raise ValueError(
+            f"{path} is not an oracle report: scan.total_forms = {total} is not the "
+            f"number of form classes for q2 = {q2}, k = {k}"
+        )
     values = {key: payload[sec][key] for sec in _RESULT_SECTIONS for key in _MERGE_FIELDS[sec]}
     result = bnd.OracleResult(n=cfg["n"], d=cfg["d"], q2=cfg["q2"], **values)
     for i, coeffs in enumerate(result.maximizers):
@@ -310,7 +336,8 @@ def cmd_merge(args) -> int:
         _emit(_oracle_report(ctx, cfg["variety"], merged, partial=True, merged=True), args.out)
         return EXIT_OK
     target = bnd.oracle_target(ctx, cfg["variety"], cfg["n"])
-    report, code = _full_oracle_report(ctx, target, cfg["variety"], args.assume_conjecture, merged)
+    bound = bnd.oracle_bound(cfg["variety"], cfg["n"], cfg["d"], ctx.q, args.assume_conjecture)
+    report, code = _full_oracle_report(ctx, target, cfg["variety"], bound, merged)
     _emit(report, args.out)
     return code
 

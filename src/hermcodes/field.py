@@ -414,10 +414,6 @@ class FieldCtx:
         """Conjugation a -> a^q, an involution fixing exactly GF(q)."""
         return int(self._frob_t[a])
 
-    def conjugation_maps(self, a: int) -> tuple[int, int, int]:
-        """(a^q, a^(q+1), a + a^q): conjugate, norm, and trace at once."""
-        return int(self._frob_t[a]), int(self._norm_t[a]), int(self._trace_t[a])
-
     def norm(self, a: int) -> int:
         """Relative norm a -> a^(q+1); lands in GF(q)."""
         return int(self.vnorm(a))

@@ -563,8 +563,8 @@ def check_cone_oracle(ctx: FieldCtx, n: int, d: int) -> tuple[CheckResult, Check
         raise ValueError(f"maximizer structure is known for n in 2..4 only, got n = {n}")
     q = ctx.q
     cone = bnd.oracle_target(ctx, "cone", n)
+    expected = bnd.oracle_bound("cone", n, d, q).value  # refuses d > q before the scan
     result = bnd.bruteforce_max_intersection(ctx, cone, n, d)
-    expected = bnd.oracle_bound("cone", n, d, q).value
     bound = _result(
         f"oracle_cone_n{n}_d{d}",
         result.max_count == expected,
@@ -587,8 +587,8 @@ def check_cone_oracle(ctx: FieldCtx, n: int, d: int) -> tuple[CheckResult, Check
 
 def check_oracle_nondegenerate(ctx: FieldCtx, n: int, d: int) -> CheckResult:
     variety = bnd.oracle_target(ctx, "nondegenerate", n)
+    expected = bnd.oracle_bound("nondegenerate", n, d, ctx.q).value  # refuses d > q first
     result = bnd.bruteforce_max_intersection(ctx, variety, n, d)
-    expected = bnd.oracle_bound("nondegenerate", n, d, ctx.q).value
     ok = result.max_count == expected
     return _result(
         f"oracle_nondegenerate_n{n}_d{d}",

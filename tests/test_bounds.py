@@ -13,10 +13,10 @@ off combination tables, and both checkers decide from
 ``bounds.fibre_root_counts``: each form's zero count on every line through
 the vertex, read from a root table indexed by its values at d + 1 points of
 the line, or from every point of the line when that table would not fit.
-The walk's count for a form that fails with whole lines
-(``bounds._lines_before_break``) reads the same lines at every point, with
-their canonical positions.  The values are held to ``form_values``, which
-evaluates through power tables only.
+The walk decides whether a form passes; a form's line count, passing or
+not, is the number of lines through the vertex that lie wholly in its zero
+set, which the checker reads from the same pass.  The values are held to
+``form_values``, which evaluates through power tables only.
 """
 
 import dataclasses
@@ -429,19 +429,21 @@ def test_bounds_suite_scans_each_cone_cell_once(p, scans, monkeypatch):
 
 
 def reference_line_walk(ctx, zset, vertex):
-    """Walk the zeros in canonical order; start a line through the vertex at
-    each point no earlier line covers; stop at the first line not inside."""
+    """Walk the zeros in canonical order and take the line through the
+    vertex at each point no earlier line covers: whether every line taken
+    lies inside the zero set, and how many of them do."""
     covered = {vertex}
-    n_lines = 0
+    inside, n_lines = True, 0
     for x in sorted(zset):
         if x in covered:
             continue
         line = {tuple(int(c) for c in p) for p in line_through(ctx, vertex, x)}
-        if not line <= zset:
-            return False, n_lines
         covered |= line
-        n_lines += 1
-    return True, n_lines
+        if line <= zset:
+            n_lines += 1
+        else:
+            inside = False
+    return inside, n_lines
 
 
 def _zero_set(ctx, form, points):
@@ -558,17 +560,17 @@ def test_checkers_match_reference_loops_on_largest_cone():
 
 
 # Product forms that fail with whole lines, and the expected pair, which is
-# ``reference_check_union_of_cone_lines``'s.  The last two have whole lines
-# after their first zero on a broken line, so counting every whole line, or
-# placing a line at its last point instead of its first, changes the count.
+# ``reference_check_union_of_cone_lines``'s: the count is every whole line.
+# The last two have whole lines after their first zero on a broken line, so
+# a count that stopped at the break would miss some.
 PARTIAL_FORMS = {
     # three whole lines (x_0 = 0), which sort first; x_3 = 0 breaks every other line
     "x0x3": (CONE_FIELDS[0], 3, False, [(1, 0, 0, 0), (0, 0, 0, 1)], (False, 3)),
     # a vertex off the last coordinate: four whole lines, three before the break
-    "congruent GF(9)": (CONE_FIELDS[1], 3, True, [(6, 8, 3, 4), (8, 8, 2, 0)], (False, 3)),
+    "congruent GF(9)": (CONE_FIELDS[1], 3, True, [(6, 8, 3, 4), (8, 8, 2, 0)], (False, 4)),
     # q2^(d+2) > SCAN_TABLE_ELEMS, so every point is read: two whole lines, one before the break
     "direct GF(16)": (
-        CONE_FIELDS[2], 2, False, [(14, 9, 0), (8, 8, 0), (11, 12, 0), (8, 6, 1)], (False, 1)
+        CONE_FIELDS[2], 2, False, [(14, 9, 0), (8, 8, 0), (11, 12, 0), (8, 6, 1)], (False, 2)
     ),
 }
 
@@ -933,8 +935,8 @@ def _spy(name, calls):
 @given(fibre_cases())
 def test_fibre_checkers_match_reference_loops(case):
     ctx, cone, form, scale = case
-    walks, tables = [], []
-    with _spy("_lines_before_break", walks), _spy("_root_counts", tables):
+    tables = []
+    with _spy("_root_counts", tables):
         union = check_union_of_cone_lines(ctx, cone, form)
         # the vertex may be given as any nonzero multiple
         cone_ok = is_cone_with_vertex(ctx, form, ctx.vmul(scale, np.array(cone.vertex)))
@@ -942,9 +944,6 @@ def test_fibre_checkers_match_reference_loops(case):
     assert cone_ok == reference_is_cone_with_vertex(ctx, form, cone.vertex)
     # one root table per checker, unless it would not fit (GF(16), d = 4)
     assert len(tables) == 2 * (ctx.q2 ** (form.basis.d + 2) <= bounds.SCAN_TABLE_ELEMS)
-    # the fibres decide every verdict; the walk's count runs only for a
-    # failing form, and for each that fails with a nonzero count
-    assert (not union[0] and union[1] > 0) <= len(walks) <= (not union[0])
 
 
 @pytest.mark.parametrize("p,e,n,d,congruent", [(3, 1, 3, 3, True), (2, 2, 2, 3, False)])
@@ -1038,24 +1037,24 @@ def test_checkers_count_every_line_point_when_the_root_table_would_not_fit(gf9, 
     monkeypatch.setattr(bounds, "SCAN_TABLE_ELEMS", gf9.q2**4 - 1)  # q2^(d+2) for d = 2
     evaluated = _record_value_blocks(monkeypatch)
     assert _stacked(gf9, cone, stack) == by_table
-    # every point of the cone, again for the partial count of the second
-    # form, then every point of P^3
-    points = [len(cone.points)] * 2 + [len(enumerate_points(gf9, 3))]
+    # one read of every point of the cone for the whole stack, the failing
+    # second form included, then every point of P^3
+    points = [len(cone.points), len(enumerate_points(gf9, 3))]
     assert evaluated == [(10, m) for m in points]
 
 
-def test_only_a_form_failing_with_whole_lines_counts_lines_before_break(gf4):
+def test_a_form_failing_with_whole_lines_counts_them_in_the_one_pass(gf4, monkeypatch):
     cone = _cone(gf4, 3)
     x0x3 = product_of_hyperplanes(gf4, [(1, 0, 0, 0), (0, 0, 0, 1)])
     stack = [HomogeneousForm(x0x3.basis, c) for c in _maximizers(gf4, 3, 2)[:3]]
     stack += [x0x3, _anisotropic_binary_quadric(gf4, 3)]
-    counted = []
-    with _spy("_lines_before_break", counted):
-        unions = check_union_of_cone_lines(gf4, cone, stack)
+    evaluated = _record_value_blocks(monkeypatch)
+    unions = check_union_of_cone_lines(gf4, cone, stack)
+    # x0 x3: three whole lines and broken ones; the quadric: the vertex alone
     assert unions[-2:] == [(False, 3), (False, 0)]
     assert unions == [reference_check_union_of_cone_lines(gf4, cone, f) for f in stack]
-    # one count, for x0 x3 alone: three whole lines, then a broken one
-    assert [args[2].tolist() for args in counted] == [[list(x0x3.coeffs)]]
+    # the vertex and d = 2 points on each of the 9 lines, read once for the stack
+    assert evaluated == [(10, 1 + 2 * 9)]
 
 
 def test_one_hyperplane_on_p4_over_gf25_reads_fibres_only(monkeypatch):

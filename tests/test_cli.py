@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hermcodes import bounds, cli, codes, verify
+from hermcodes import bounds, cli, codes, make_field, verify
 from hermcodes.cli import main
 from hermcodes.limits import EVAL_BUDGET
 
@@ -162,8 +162,9 @@ def test_oracle_space_variety(tmp_path):
 
 
 def test_oracle_budget_refusal(tmp_path):
+    # q = 3 (3, 3): 1.5e18 classes x 253 points, in the bound's regime d <= q
     code, report, _ = run_cli(
-        ["oracle", "--p", "2", "--e", "1", "--n", "3", "--d", "3"], tmp_path
+        ["oracle", "--p", "3", "--e", "1", "--n", "3", "--d", "3"], tmp_path
     )
     assert code == 2
     assert "error" in report
@@ -235,6 +236,25 @@ def test_oracle_refuses_n1_before_the_scan(monkeypatch, capsys, tmp_path, variet
     code, report, _ = run_cli(argv, tmp_path)
     assert code == 1 and report is None
     assert "n >= 2" in _one_line_error(capsys)
+    assert scans == []
+
+
+@pytest.mark.parametrize("variety,d", [("cone", 3), ("nondegenerate", 3), ("space", 5)])
+@pytest.mark.parametrize("shard", [[], ["--shard", "0/2"]])
+def test_oracle_refuses_a_degree_past_its_bound_before_the_scan(
+    monkeypatch, capsys, tmp_path, variety, d, shard
+):
+    """The bounds hold for d <= q (d <= q^2 over P^n), so a larger degree
+    exits 1 before the scan, sharded or not: no partial report is written
+    that no merge could complete."""
+    scans = []
+    monkeypatch.setattr(
+        cli.bnd, "bruteforce_max_intersection", lambda *args, **kw: scans.append(args)
+    )
+    argv = ["oracle", "--p", "2", "--n", "2", "--d", str(d), "--variety", variety, *shard]
+    code, report, _ = run_cli(argv, tmp_path)
+    assert code == 1 and report is None
+    assert f"d = {d} outside the regime" in _one_line_error(capsys)
     assert scans == []
 
 
@@ -497,6 +517,55 @@ def test_verify_bounds_refuses_unknown_structure_before_the_scan(monkeypatch, ca
     assert main(argv) == 1
     assert f"n = {n}" in _one_line_error(capsys)
     assert scans == []
+
+
+@pytest.mark.parametrize("n,d", [(3, 3), (2, 3)])
+def test_verify_bounds_refuses_a_degree_past_q_before_the_scan(monkeypatch, capsys, n, d):
+    """d > q has no cone bound: exit 1 before the cone oracle and the
+    nondegenerate oracle (n = 3) scan, also when the scan would be over
+    budget (n = 3, d = 3)."""
+    scans = []
+    monkeypatch.setattr(
+        verify.bnd, "bruteforce_max_intersection", lambda *args, **kw: scans.append(args)
+    )
+    argv = ["verify", "--p", "2", "--suite", "bounds", "--n", str(n), "--d", str(d)]
+    assert main(argv) == 1
+    assert f"d = {d} outside the regime" in _one_line_error(capsys)
+    assert scans == []
+    for check in (verify.check_cone_oracle, verify.check_oracle_nondegenerate):
+        with pytest.raises(ValueError, match="outside the regime"):
+            check(make_field(2, 1), n, d)
+    assert scans == []
+
+
+@pytest.mark.parametrize(
+    "section,key,value,words",
+    [
+        ("scan", "total_forms", 455, "scan.total_forms = 455"),  # shard 0/3's hi
+        ("scan", "lo", -10, "scan range [-10, 455)"),
+        ("scan", "hi", 1366, "scan range [0, 1366)"),
+        ("scan", "total_forms", 1 << 63, "2^63"),
+        ("scan", "k", 7, "scan.k = 7"),
+        ("config", "d", 10**12, "scan.k = 6"),
+        ("config", "q2", 1, "config.q2 = 1"),
+    ],
+)
+def test_merge_refuses_scan_fields_that_disagree_with_the_cell(
+    tmp_path, capsys, section, key, value, words
+):
+    """The scan fields of a shard are held to its cell, q = 2 (2, 2): k = 6
+    monomials, 1,365 form classes, and 0 <= lo <= hi <= total_forms.
+    Before, shard 0/3 with total_forms set to its hi (455) merged alone into
+    a full report listing 1 of the 3 maximizers, and lo = -10 merged into a
+    partial report, both with exit 0."""
+    base = ["oracle", "--p", "2", "--n", "2", "--d", "2", "--shard", "0/3"]
+    _, report, path = run_cli(base, tmp_path)
+    assert report["scan"]["hi"] == 455 and report["scan"]["total_forms"] == 1365
+    report[section][key] = value
+    path.write_text(json.dumps(report))
+    assert main(["merge", str(path), "--out", str(tmp_path / "merged.json")]) == 1
+    assert words in _one_line_error(capsys)
+    assert not (tmp_path / "merged.json").exists()
 
 
 def test_merge_rejects_report_without_config_n(tmp_path, capsys):

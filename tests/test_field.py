@@ -782,8 +782,8 @@ def test_gf4_hand_tables(gf4):
     assert [gf4.norm(a) for a in range(4)] == [0, 1, 1, 1]
     assert [gf4.trace(a) for a in range(4)] == [0, 0, 1, 1]
     assert gf4.base_embed == (0, 1)
-    assert gf4.conjugation_maps(0) == (0, 0, 0)
-    assert gf4.conjugation_maps(2) == (3, 1, 1)  # w -> (w^2, w^3 = 1, w + w^2 = 1)
+    assert (gf4.frob(0), gf4.norm(0), gf4.trace(0)) == (0, 0, 0)
+    assert (gf4.frob(2), gf4.norm(2), gf4.trace(2)) == (3, 1, 1)  # w -> (w^2, w^3 = 1, w + w^2 = 1)
 
 
 def test_gf9_hand_tables(gf9):

@@ -15,7 +15,7 @@ from geometry_reference import (
     reference_line_through,
 )
 from hermcodes import BudgetExceededError, make_field, pi_count
-from hermcodes import bounds, projspace, verify
+from hermcodes import projspace, verify
 from hermcodes.projspace import (
     all_lines,
     check_point_budget,
@@ -210,7 +210,7 @@ def test_point_index_mutants_are_caught(gf4, gf9, monkeypatch, shift, count):
 
     cases = runs(gf4) + runs(gf9)
     assert not any(fails(run) for run in cases)
-    for module in (projspace, bounds, verify):
+    for module in (projspace, verify):
         monkeypatch.setattr(module, "point_index", mutant_point_index(shift, count))
     assert all(fails(run) for run in cases)
 
