@@ -31,6 +31,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, replace
+from functools import cache
 from itertools import chain
 from math import comb
 
@@ -392,7 +393,10 @@ def _add_budget_arg(sub) -> None:
     sub.add_argument("--budget", type=int, default=EVAL_BUDGET, help=text)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call (not at
+    import) and shared by every later ``main``: parsing does not change it."""
     parser = _Parser(
         prog="hermcodes",
         description="Hermitian-variety functional codes: parameters, bounds, witnesses",

@@ -196,11 +196,10 @@ def class_indices(ctx: FieldCtx, coeffs) -> np.ndarray:
     return seg_lo[first] + (tail * weights).sum(axis=1)
 
 
-# Scan kernel sizes, counted in array elements.  The low table holds at most
-# SCAN_TABLE_ELEMS codes; one comparison chunk, point axis first, holds at
-# most SCAN_CHUNK_ELEMS booleans, or a single table's worth when one prefix
-# already needs more.  Together they bound the scan's memory for every code
-# length m.
+# Scan kernel sizes, counted in array elements.  One point block's low table
+# holds at most SCAN_TABLE_ELEMS codes; one block's comparison chunk, point
+# axis first, holds at most SCAN_CHUNK_ELEMS booleans, or a single block
+# table's worth when one prefix already needs more.
 SCAN_TABLE_ELEMS = 1 << 20
 SCAN_CHUNK_ELEMS = 1 << 20
 
@@ -253,6 +252,7 @@ def _segment_counts(
     ctx: FieldCtx,
     values: np.ndarray,
     table: np.ndarray,
+    block: int,
     t: int,
     n_low: int,
     seg_lo: int,
@@ -264,30 +264,38 @@ def _segment_counts(
     pieces; the last n_low free digits are looked up in ``table``.
 
     The segment's leading and high rows are widened to int64 once, for
-    every chunk's prefix product.  Each chunk compares an (m, per, width)
-    block, point axis first, and adds its m planes, read as uint8, into one
-    reused accumulator of the narrowest dtype that holds m; the counts are
-    widened to int64 once per chunk."""
+    every chunk's prefix product.  Each chunk walks the point blocks of
+    ``block`` points: a block compares a (block, per, width) array, point
+    axis first, and adds its planes, read as uint8, into the chunk's one
+    reused accumulator of the narrowest dtype that holds the total m; the
+    counts are widened to int64 once per chunk."""
     k, m = values.shape
     width = ctx.q2**n_low
     low = table[:, :width]
     rows = values[t : k - n_low].astype(np.int64, copy=False)
-    per = max(1, SCAN_CHUNK_ELEMS // (width * max(m, 1)))
+    per = max(1, SCAN_CHUNK_ELEMS // (width * block))
     last = (b - 1) // width + 1
     acc = np.empty((per, width), dtype=np.min_scalar_type(m))
+    part = np.empty_like(acc) if m > block else None
     for h0 in range(a // width, last, per):
         h1 = min(h0 + per, last)
-        neg = _negated_prefixes(ctx, rows, h0, h1)
-        counts = np.add.reduce(
-            (low[:, None, :] == neg[:, :, None]).view(np.uint8),  # bools are 0/1 bytes
-            axis=0,
-            dtype=acc.dtype,
-            out=acc[: h1 - h0],
-        )
-        counts = counts.ravel().astype(np.int64)
+        counts = acc[: h1 - h0]
+        for b0 in range(0, max(m, 1), block):
+            span = slice(b0, b0 + block)
+            neg = _negated_prefixes(ctx, rows[:, span], h0, h1)
+            out = part[: h1 - h0] if b0 else counts
+            np.add.reduce(
+                (low[span, None, :] == neg[:, :, None]).view(np.uint8),  # bools are 0/1 bytes
+                axis=0,
+                dtype=acc.dtype,
+                out=out,
+            )
+            if b0:
+                counts += out
+        flat = counts.ravel().astype(np.int64)
         base = h0 * width
         first = max(a, base)
-        yield seg_lo + first, counts[first - base : min(b, h1 * width) - base]
+        yield seg_lo + first, flat[first - base : min(b, h1 * width) - base]
 
 
 def scan_zero_counts(
@@ -299,16 +307,36 @@ def scan_zero_counts(
 
     The pieces are contiguous from ``lo``, in index order, and never cross
     a leading-coefficient segment; each is one of the kernel's comparison
-    chunks (see ``SCAN_CHUNK_ELEMS``).  Within segment t the free
-    coefficients split into high digits (rows t+1 ..) and the last L low
-    digits.  The (m, q2^L) table of all combinations of the last L rows is
-    built once, one column per combination; each high-digit prefix is
-    reduced once to a column of m codes, negated, and compared with every
-    table column, as a + b = 0 exactly when a = -b.  A form's zero count is
-    the number of points where its table column equals its negated prefix.
-    The point axis comes first, so a chunk's counts are m contiguous boolean
-    planes added into a uint8 (m < 256), uint16 or wider accumulator; the
-    yielded counts are int64.
+    chunks.  Within segment t the free coefficients split into high digits
+    (rows t+1 ..) and the last L low digits.  The (m, q2^L) table of all
+    combinations of the last L rows is built once, one column per
+    combination; each high-digit prefix is reduced once to a column of m
+    codes, negated, and compared with every table column, as a + b = 0
+    exactly when a = -b.  A form's zero count is the number of points where
+    its table column equals its negated prefix.  The yielded counts are
+    int64.
+
+    Blocks: the point axis is cut into blocks of B = min(m,
+    ``SCAN_TABLE_ELEMS`` // q2^2) points, at least one, so that a block's
+    (B, q2^L) table keeps two low digits however long the code is.  A chunk
+    is a run of max(1, ``SCAN_CHUNK_ELEMS`` // (B q2^L)) prefixes; each
+    block compares its (B, prefixes, q2^L) booleans, point axis first, and
+    adds its planes into the chunk's one accumulator, uint8 (m < 256),
+    uint16 or wider as the total m needs, whatever the block.
+
+    Depth: L is the largest value that is at most the free digits of the
+    range's first segment, has q2^L B <= ``SCAN_TABLE_ELEMS``, and has
+    q2^(2L) <= 128 N for the N classes of the range.  Building the table
+    costs about m q2^L and reducing the prefixes about m N / q2^L, so the
+    best depth has q2^(2L) in proportion to N; the factor 128 is where a
+    sweep of every L over the benchmark's scans and shards put it.  A shard
+    or a short range builds only the table its range needs.
+
+    Memory: the tables of every block are held at once, m q2^L codes in the
+    code dtype: at most ``SCAN_TABLE_ELEMS`` for one block, at most q2^2
+    codes a point for several, and never more than m sqrt(128 N).  A
+    block's comparison holds at most ``SCAN_CHUNK_ELEMS`` booleans, or one
+    prefix's B q2^L when that is more.
     """
     k, m = values.shape
     q2 = ctx.q2
@@ -320,12 +348,20 @@ def scan_zero_counts(
     ]
     if not ranges:
         return
+    classes = sum(b - a for _, _, a, b in ranges)
+    block = max(1, min(m, SCAN_TABLE_ELEMS // q2**2))
     n_low = 0
-    while n_low < k - 1 - ranges[0][0] and q2 ** (n_low + 1) * max(m, 1) <= SCAN_TABLE_ELEMS:
+    while (
+        n_low < k - 1 - ranges[0][0]
+        and q2 ** (n_low + 1) * block <= SCAN_TABLE_ELEMS
+        and q2 ** (2 * n_low + 2) <= 128 * classes
+    ):
         n_low += 1
     table = combination_table(ctx, values[k - n_low :])
     for t, seg_lo, a, b in ranges:
-        yield from _segment_counts(ctx, values, table, t, min(n_low, k - 1 - t), seg_lo, a, b)
+        yield from _segment_counts(
+            ctx, values, table, block, t, min(n_low, k - 1 - t), seg_lo, a, b
+        )
 
 
 def multiply_linear(ctx: FieldCtx, form: HomogeneousForm, dual) -> HomogeneousForm:

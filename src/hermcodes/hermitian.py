@@ -206,17 +206,24 @@ class HermitianVariety:
             space = enumerate_points(self.ctx, self.n)
             pts = space[hermitian_form_values(self.ctx, self.matrix, space) == 0]
         else:
-            q2, dim = self.ctx.q2, self.n + 1
-            lines = np.repeat(self.fibre_base[None], q2, axis=0)
-            lines[..., self.n] = np.arange(q2)[:, None]  # P + t v with v = e_n
-            pts = np.concatenate([[self.vertex], normalize_rows(self.ctx, lines).reshape(-1, dim)])
+            # P + t v with v = e_n, normalized: (P, 0) at t = 0, since P is,
+            # and (P t^-1, 1) for t != 0, one vmul per t
+            q2, n, base = self.ctx.q2, self.n, self.fibre_base
+            pts = np.empty((1 + q2 * len(base), n + 1), dtype=np.int64)
+            pts[0] = self.vertex
+            lines = pts[1:].reshape(q2, len(base), n + 1)
+            lines[0] = base
+            lines[1:, :, n] = 1
+            for t, inv in enumerate(self.ctx.vinv(np.arange(1, q2)), start=1):
+                lines[t, :, :n] = self.ctx.vmul(inv, base[:, :n])
             # a counting sort on the distinct canonical positions, one int32
             # slot and one flag per point of P^n: it loads no sort kernel
             pos = point_index(self.ctx, pts)
-            slot = np.empty(pi_count(self.n, q2), dtype=np.int32)
+            slot = np.empty(pi_count(n, q2), dtype=np.int32)
             slot[pos] = np.arange(len(pts), dtype=np.int32)
             taken = np.zeros(len(slot), dtype=bool)
             taken[pos] = True
+            del pos  # freed before the sorted copy
             pts = pts[slot[taken]]
         pts.setflags(write=False)
         return pts

@@ -477,31 +477,31 @@ def check_section_dichotomy(ctx: FieldCtx, n: int) -> CheckResult:
     )
 
 
-def check_vertex_avoiding_sections(ctx: FieldCtx, n: int) -> CheckResult:
+def check_cone_sections(ctx: FieldCtx, n: int) -> tuple[CheckResult, CheckResult]:
+    """One classification of every hyperplane section of the rank-n cone,
+    two checks.  Vertex-avoiding sections are nondegenerate varieties one
+    dimension down.  Through-vertex sections are cones over the base
+    variety's hyperplane sections: allowed (count, restricted-rank) pairs
+    follow the tangent / non-tangent dichotomy one dimension down."""
     q = ctx.q
     cone = make_standard_cone(ctx, n)
-    expected = count_points_formula(n - 1, "nondegenerate", q)
     hyps = enumerate_hyperplanes(ctx, n)
-    avoiding = hyps[~incidence_matrix(ctx, [cone.vertex], hyps)[0]]
-    ranks, counts, kinds = hyperplane_sections(ctx, cone, avoiding)
-    ok = bool((kinds == "vertex_avoiding").all() and (counts == expected).all())
+    ranks, counts, kinds = hyperplane_sections(ctx, cone, hyps)
+    through = incidence_matrix(ctx, [cone.vertex], hyps)[0]
+
+    expected = count_points_formula(n - 1, "nondegenerate", q)
+    away = ~through
+    ok = bool((kinds[away] == "vertex_avoiding").all() and (counts[away] == expected).all())
     if n >= 2:
-        ok &= bool((ranks == n).all())
-    checked = len(avoiding)
+        ok &= bool((ranks[away] == n).all())
+    checked = int(away.sum())
     ok &= checked == ctx.q2**n
-    return _result(
+    avoiding = _result(
         "vertex_avoiding_sections",
         ok,
         f"cone in P^{n}, q={q}: all {checked} vertex-avoiding sections have {expected} points",
     )
 
-
-def check_vertex_incident_sections(ctx: FieldCtx, n: int) -> CheckResult:
-    """Through-vertex sections of the rank-n cone are cones over the base
-    variety's hyperplane sections: allowed (count, restricted-rank) pairs
-    follow the tangent / non-tangent dichotomy one dimension down."""
-    q = ctx.q
-    cone = make_standard_cone(ctx, n)
     # cone over the base's non-tangent section vs cone over its tangent section
     nontangent_base = count_points_formula(n - 2, "nondegenerate", q)
     tangent_base = 1 + q * q * count_points_formula(n - 3, "nondegenerate", q) if n >= 3 else 1
@@ -509,23 +509,21 @@ def check_vertex_incident_sections(ctx: FieldCtx, n: int) -> CheckResult:
         (1 + q * q * nontangent_base, n - 1),
         (1 + q * q * tangent_base, n - 2),
     }
-    hyps = enumerate_hyperplanes(ctx, n)
-    incident = hyps[incidence_matrix(ctx, [cone.vertex], hyps)[0]]
-    ranks, counts, kinds = hyperplane_sections(ctx, cone, incident)
-    ok = bool((kinds == "vertex_incident").all())
+    ok = bool((kinds[through] == "vertex_incident").all())
     # first-appearance order of the pairs, as the detail prints them
-    tally = dict(Counter(zip(counts.tolist(), ranks.tolist())))
+    tally = dict(Counter(zip(counts[through].tolist(), ranks[through].tolist())))
     ok &= set(tally) <= allowed
     # tangent-type sections match the base variety's point count, the rest
     # fill up the pi_(n-1) hyperplanes through the vertex
     n_tangent_type = sum(v for (c, r), v in tally.items() if r == n - 2)
     ok &= n_tangent_type == count_points_formula(n - 1, "nondegenerate", q)
     ok &= sum(tally.values()) == pi_count(n - 1, ctx.q2)
-    return _result(
+    incident = _result(
         "vertex_incident_sections",
         ok,
         f"cone in P^{n}, q={q}: (count, rank) tallies {tally} within {sorted(allowed)}",
     )
+    return avoiding, incident
 
 
 def check_tangent_hyperplanes(ctx: FieldCtx, n: int) -> CheckResult:
@@ -815,8 +813,7 @@ def _hermitian_suite(ctx: FieldCtx, n: int | None, d: int | None, seed: int) -> 
         out.append(check_section_dichotomy(ctx, nn))
         out.append(check_tangent_hyperplanes(ctx, nn))
     for nn in range(2, n_max + 1):
-        out.append(check_vertex_avoiding_sections(ctx, nn))
-        out.append(check_vertex_incident_sections(ctx, nn))
+        out.extend(check_cone_sections(ctx, nn))
     return out
 
 

@@ -417,6 +417,15 @@ def reference_check_tangent_hyperplanes(ctx, n):
     )
 
 
+def reference_check_cone_sections(ctx, n):
+    """The two cone-section references, in the order ``check_cone_sections``
+    returns its checks."""
+    return (
+        reference_check_vertex_avoiding_sections(ctx, n),
+        reference_check_vertex_incident_sections(ctx, n),
+    )
+
+
 # verify's check name -> its reference, for monkeypatching the suites
 REFERENCE_CHECKS = {
     "check_incidence_duality": reference_check_incidence_duality,
@@ -424,7 +433,6 @@ REFERENCE_CHECKS = {
     "check_congruence_reduction": reference_check_congruence_reduction,
     "check_line_trichotomy": reference_check_line_trichotomy,
     "check_section_dichotomy": reference_check_section_dichotomy,
-    "check_vertex_avoiding_sections": reference_check_vertex_avoiding_sections,
-    "check_vertex_incident_sections": reference_check_vertex_incident_sections,
+    "check_cone_sections": reference_check_cone_sections,
     "check_tangent_hyperplanes": reference_check_tangent_hyperplanes,
 }

@@ -4,7 +4,11 @@ the shard/merge path."""
 import enum
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -921,3 +925,53 @@ def test_merge_fuzz_ends_in_a_documented_exit(shard_pair, data):
                 report[section][key] = value
             path.write_text(json.dumps(report))
         _assert_clean_exit(*_run_captured(["merge", *map(str, paths)]))
+
+
+def _fresh_process(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``python -m hermcodes.cli argv``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run(
+        [sys.executable, "-m", "hermcodes.cli", *argv], env=env, capture_output=True, text=True
+    )
+    return run.returncode, run.stdout, run.stderr
+
+
+def test_one_parser_serves_every_main_call_of_a_process(monkeypatch):
+    calls = [
+        ["params", "--p", "2", "--n", "2", "--d", "1"],
+        ["oracle", "--p", "2", "--n", "2", "--bogus", "1"],
+        ["oracle", "--p", "2", "--n", "2", "--d", "1", "--shard", "1/2"],
+        ["verify", "--p", "2", "--suite", "nope"],
+        ["params", "--p", "2", "--n", "2", "--d", "1"],
+    ]
+    built = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    cli.build_parser.cache_clear()
+    try:
+        got = []
+        for argv in calls:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            got.append((code, out.getvalue(), err.getvalue()))
+    finally:
+        cli.build_parser.cache_clear()
+    assert built.count("hermcodes") == 1  # the subcommand parsers are built with it
+    assert got == [_fresh_process(argv) for argv in calls]
+    assert [code for code, _, _ in got] == [0, 1, 0, 1, 0]
+    assert got[0] == got[4] and got[1][2].startswith("error: hermcodes oracle: ")
+
+
+def test_the_parser_is_not_built_at_import():
+    code = "import hermcodes.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == ["0"]

@@ -341,3 +341,70 @@ def test_fibre_route_is_priced_by_its_base_points():
         bruteforce_max_intersection(ctx, cone, 2, 1, budget=62)
     with pytest.raises(BudgetExceededError, match="scan needs 273 form evaluations"):
         bruteforce_max_intersection(ctx, cone.points, 2, 1, budget=272)
+
+
+# ---------------------------------------------------------------------------
+# Point blocks and the depth of the low table
+# ---------------------------------------------------------------------------
+
+
+def _table_depths(monkeypatch):
+    """Patch ``forms.combination_table`` to record the number of rows, the
+    depth L, of each table the kernel builds, and return that record."""
+    depths, real = [], forms.combination_table
+
+    def recording(ctx, rows):
+        depths.append(rows.shape[-2])
+        return real(ctx, rows)
+
+    monkeypatch.setattr(forms, "combination_table", recording)
+    return depths
+
+
+@pytest.mark.parametrize("m", [1, 99, 100, 101, 255, 256, 301])
+@pytest.mark.parametrize("field", [(2, 1), (3, 1)])
+def test_point_blocks_add_into_one_accumulator(monkeypatch, field, m):
+    """A patched table size cuts the points into blocks of 100: m = 255 and
+    256 take three blocks, the uint8 / uint16 edge of the total m.  The last
+    row is zero, so the form x_(k-1) vanishes at all m points; an
+    accumulator sized by the block would wrap its count at m = 256."""
+    ctx = make_field(*field)
+    k = 4 if ctx.q2 == 4 else 3
+    monkeypatch.setattr(forms, "SCAN_TABLE_ELEMS", 100 * ctx.q2**2)
+    depths = _table_depths(monkeypatch)
+    rng = np.random.default_rng(m)
+    values = rng.integers(0, ctx.q2, size=(k, m))
+    values[rng.random(values.shape) < 0.3] = 0
+    values[:, : m // 3] = 0
+    values[-1] = 0
+    total = projective_form_count(ctx.q2, k)
+    _assert_same(ctx, values, 0, total)
+    _, counts = _collect(scan_zero_counts(ctx, values, total - 1, total))
+    assert counts.tolist() == [m]
+    for lo, hi in ((1, total - 1), (ctx.q2 + 3, 2 * ctx.q2**2 + 5), (total - ctx.q2 - 2, total)):
+        _assert_same(ctx, values, lo, hi)
+    if m > 100:  # two low digits in every block, however many blocks
+        assert max(depths) == 2
+
+
+def test_counts_do_not_depend_on_the_depth_of_the_range(monkeypatch):
+    """The full scan, every shard of T = 2 .. 7 and odd ranges of the q = 2
+    (3, 2) cone code give the counts of the full scan, whatever depth each
+    range takes; the full scan equals the reference."""
+    ctx = FIELDS[(2, 1)]
+    cone = make_standard_cone(ctx, 3)
+    values = monomial_values(ctx, monomial_basis(3, 2), cone.points)
+    total = projective_form_count(ctx.q2, values.shape[0])
+    depths = _table_depths(monkeypatch)
+    _, full = _collect(scan_zero_counts(ctx, values, 0, total))
+    _, ref = _collect(reference_scan_zero_counts(ctx, values, 0, total))
+    assert np.array_equal(full, ref)
+    ranges = [forms.shard_range(total, (i, count)) for count in range(2, 8) for i in range(count)]
+    ranges += [(total // 3 + 1, total // 3 + 40_000), (total - 30_001, total - 5), (5, 5), (7, 8)]
+    for lo, hi in ranges:
+        pieces, counts = _collect(scan_zero_counts(ctx, values, lo, hi))
+        assert np.array_equal(counts, full[lo:hi])
+        assert [start for start, _ in pieces] == list(np.cumsum([lo] + [n for _, n in pieces])[:-1])
+    # the depth follows the range: 6 for the whole scan and the halves, 5 for
+    # thirds to sevenths, 1 for one class
+    assert depths[0] == 6 and set(depths) == {1, 5, 6}

@@ -18,7 +18,7 @@ from geometry_reference import (
     reference_check_line_basics,
 )
 from hermcodes import hermitian, make_field, verify
-from hermcodes.projspace import enumerate_points, normalize_rows
+from hermcodes.projspace import enumerate_hyperplanes, enumerate_points, normalize_rows
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -37,14 +37,15 @@ def test_sections_checks_fail_on_corrupted_counts(gf9, monkeypatch):
     sections = verify.hyperplane_sections
 
     def off_by_one(ctx, variety, duals):
+        # the last section of each kind counts one point too many
         ranks, counts, kinds = sections(ctx, variety, duals)
         counts = counts.copy()
-        counts[-1] += 1
+        for kind in set(kinds.tolist()):
+            counts[np.flatnonzero(kinds == kind)[-1]] += 1
         return ranks, counts, kinds
 
     monkeypatch.setattr(verify, "hyperplane_sections", off_by_one)
-    assert not verify.check_vertex_avoiding_sections(gf9, 3).passed
-    assert not verify.check_vertex_incident_sections(gf9, 3).passed
+    assert not any(check.passed for check in verify.check_cone_sections(gf9, 3))
     assert not verify.check_section_dichotomy(gf9, 3).passed
 
 
@@ -202,15 +203,22 @@ def test_line_basics_fails_on_one_corrupted_line(gf9, monkeypatch, corrupt):
 def test_section_checks_fail_on_one_flipped_gram_entry(gf9, monkeypatch):
     gram = hermitian._section_gram_matrices
 
-    def flipped(ctx, matrix, duals):
-        out = gram(ctx, matrix, duals).copy()
-        out[0, 0, 0] = 0 if out[0, 0, 0] else 1
-        return out
+    def flipped_at(i):
+        def flipped(ctx, matrix, duals):
+            out = gram(ctx, matrix, duals).copy()
+            out[i, 0, 0] = 0 if out[i, 0, 0] else 1
+            return out
 
-    monkeypatch.setattr(hermitian, "_section_gram_matrices", flipped)
+        return flipped
+
+    # the first dual (0:0:0:1) avoids the cone's vertex (0:0:0:1); a dual
+    # with last entry 0 passes through it
+    through = int(np.flatnonzero(enumerate_hyperplanes(gf9, 3)[:, -1] == 0)[0])
+    monkeypatch.setattr(hermitian, "_section_gram_matrices", flipped_at(0))
     assert not verify.check_section_dichotomy(gf9, 3).passed
-    assert not verify.check_vertex_avoiding_sections(gf9, 3).passed
-    assert not verify.check_vertex_incident_sections(gf9, 3).passed
+    assert [check.passed for check in verify.check_cone_sections(gf9, 3)] == [False, True]
+    monkeypatch.setattr(hermitian, "_section_gram_matrices", flipped_at(through))
+    assert [check.passed for check in verify.check_cone_sections(gf9, 3)] == [True, False]
 
 
 def test_congruence_check_evaluates_bounded_trial_blocks():
