@@ -15,7 +15,7 @@ The oracle bounds and the extremal witnesses rest on these values.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import attrgetter
 from typing import Iterator
@@ -30,7 +30,7 @@ from .forms import (
     SCAN_TABLE_ELEMS,
     coeffs_at_indices,
     combination_table,
-    intersection_count,
+    form_values,
     monomial_basis,
     monomial_values,
     product_of_hyperplanes,
@@ -210,13 +210,16 @@ def oracle_bound(
 @dataclass(frozen=True)
 class ExtremalWitness:
     """A form attaining an intersection bound against the standard cone,
-    with the attained count, a structural description tag, and the duals of
-    the linear factors whose product it is."""
+    with the attained count, a structural description tag, the duals of
+    the linear factors whose product it is, and its codeword's support: the
+    read-only positions of the cone points where the form does not vanish,
+    from the one evaluation that checked the count."""
 
     form: HomogeneousForm
     predicted_count: int
     description: str
     factor_duals: tuple[tuple[int, ...], ...]
+    support: np.ndarray = field(repr=False, compare=False)
 
 
 def _generator_line_dual(ctx: FieldCtx, base_point) -> list[int]:
@@ -288,7 +291,9 @@ def construct_extremal_form(ctx: FieldCtx, variety: HermitianVariety, d: int) ->
     predicted = oracle_bound("cone", n, d, q).value
     form = product_of_hyperplanes(ctx, lifted)
     form = HomogeneousForm(basis=form.basis, coeffs=projectivize_coeffs(ctx, form.coeffs))
-    attained = intersection_count(ctx, form, variety.points)
+    support = np.flatnonzero(form_values(ctx, form, variety.points))
+    support.setflags(write=False)
+    attained = len(variety.points) - len(support)
     if attained != predicted:
         raise RuntimeError(
             f"geometry bug: witness attains {attained}, predicted {predicted}"
@@ -298,6 +303,7 @@ def construct_extremal_form(ctx: FieldCtx, variety: HermitianVariety, d: int) ->
         predicted_count=predicted,
         description=description,
         factor_duals=tuple(tuple(int(c) for c in u) for u in lifted),
+        support=support,
     )
 
 
@@ -370,7 +376,7 @@ def _summarize(pieces, m: int, cap: int) -> tuple[np.ndarray, list[int]]:
             best, kept = piece_best, []
         if piece_best == best and len(kept) < cap:
             hits = np.flatnonzero(zeros == best)[: cap - len(kept)]
-            kept.extend(start + int(i) for i in hits)
+            kept.extend((hits + start).tolist())
     return hist, kept
 
 

@@ -35,12 +35,10 @@ from functools import cache
 from itertools import chain
 from math import comb
 
-import numpy as np
-
 from . import bounds as bnd
 from . import codes as cds
 from .field import FieldCtx, make_field
-from .forms import form_to_json, form_values, projective_form_count
+from .forms import form_to_json, projective_form_count
 from .hermitian import make_standard_cone
 from .limits import EVAL_BUDGET, MAXIMIZER_CAP, BudgetExceededError, check_count_digits
 from .verify import SUITES, run_suite
@@ -356,8 +354,7 @@ def cmd_construct(args) -> int:
     witness = bnd.construct_extremal_form(ctx, cone, args.d)
     code = cds.build_code(ctx, cone, args.d)
     theory = cds.theoretical_parameters(args.n, args.d, ctx.q)
-    values = form_values(ctx, witness.form, cone.points)
-    support = np.flatnonzero(values).tolist()
+    support = witness.support.tolist()
     weight = len(support)
     report = _report("construct", ctx, args.n, args.d)
     report["witness"] = {

@@ -28,8 +28,10 @@ an XOR:
   the code with digits (sum digit mod p).  The 2e digits are split evenly
   into as few groups as keep every unspread table within ``TABLE_LIMIT``
   entries; the sum is one lookup per group.
-- Powers read the antilog table at log(a) * k mod (q^2 - 1); the preimage
-  solvers take the first code whose norm or trace table entry matches.
+- Powers read the antilog table at log(a) * k mod (q^2 - 1).  The trace
+  preimage is the first code whose trace table entry matches; the norm
+  preimage is the smallest code among the q + 1 powers of the generator
+  that share the norm.
 
 The intermediate field GF(q) is not modelled separately: it is the fixed
 set of the conjugation ``x -> x^q`` inside GF(q^2), exposed as the sorted
@@ -425,13 +427,22 @@ class FieldCtx:
     def in_base_field(self, a: int) -> bool:
         return a in self._base_set
 
-    # -- preimage solvers (first match in the table, smallest code) ---------
+    # -- preimage solvers (smallest code) -----------------------------------
 
     def norm_preimage(self, b: int) -> int:
         """Smallest code lam with lam^(q+1) = b, for b in GF(q)*."""
-        if b == 0 or not self.in_base_field(b):
+        return int(self.vnorm_preimage(b))
+
+    def vnorm_preimage(self, b):
+        """Elementwise :meth:`norm_preimage` over an array of codes of
+        GF(q)*.  b = g^(m(q+1)) has the q + 1 preimages g^(m + j(q-1)),
+        j = 0 .. q, and the smallest of their codes is taken."""
+        b = np.asarray(b, dtype=np.int64)
+        if not ((b > 0) & (b < self.q2)).all() or (self._frob_t[b] != b).any():
             raise ValueError(f"norm preimage requires b in GF(q)*, got {b}")
-        return int(np.argmax(self._norm_t == b))  # the norm is onto GF(q)*
+        q = self.q
+        logs = self.log_table[b][..., None] // (q + 1) + (q - 1) * np.arange(q + 1)
+        return self.exp_table[logs % (self.q2 - 1)].min(axis=-1)
 
     def trace_preimage(self, b: int) -> int:
         """Smallest code lam with lam + lam^q = b, for b in GF(q)."""

@@ -7,8 +7,9 @@ congruence reduction to diag(1,...,1,0,...,0), the standard rank-n cone
 and nondegenerate varieties, closed-form point counts, polar tangent
 hyperplanes, and hyperplane sections with their rank-based
 classification.  Every route takes a stack of points or hyperplanes, and
-form evaluation and the congruence transform also take a stack of
-matrices, so sampled checks evaluate all their trials at once.
+form evaluation, the congruence transform and the congruence reduction
+also take a stack of matrices, so sampled checks reduce and evaluate all
+their trials at once.
 
 Sections are computed for a whole stack of hyperplanes at once.  The rank
 of each section is the rank of the Gram matrix B^T H B^(q) of the form in
@@ -55,12 +56,14 @@ __all__ = [
 
 
 def is_hermitian(ctx: FieldCtx, matrix) -> bool:
+    """True when the matrix, or every matrix of a stack (..., n+1, n+1), is
+    nonzero with H^T = H^(q)."""
     h = np.asarray(matrix, dtype=np.int64)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         return False
-    if not h.any():
+    if not h.any(axis=(-2, -1)).all():
         return False
-    return bool(np.array_equal(h.T, ctx.vfrob(h)))
+    return bool(np.array_equal(h.swapaxes(-1, -2), ctx.vfrob(h)))
 
 
 def validate_hermitian(ctx: FieldCtx, matrix) -> np.ndarray:
@@ -99,7 +102,7 @@ def congruence_transform(ctx: FieldCtx, matrix, s) -> np.ndarray:
     return mat_mul(ctx, mat_mul(ctx, s.swapaxes(-1, -2), h), ctx.vfrob(s))
 
 
-def canonical_congruence(ctx: FieldCtx, matrix) -> tuple[np.ndarray, int]:
+def canonical_congruence(ctx: FieldCtx, matrix) -> tuple[np.ndarray, int | np.ndarray]:
     """Invertible S with S^T H S^(q) = diag(1,...,1,0,...,0), plus the rank.
 
     Sesquilinear symmetric elimination with deterministic pivoting: the
@@ -107,59 +110,76 @@ def canonical_congruence(ctx: FieldCtx, matrix) -> tuple[np.ndarray, int]:
     first; when the remaining diagonal vanishes, the lexicographically
     smallest nonzero off-diagonal entry h_ij is used to create a diagonal
     1 by the basis change e_i -> e_i + lam*e_j, where lam solves
-    h_ij*lam^q + h_ij^q*lam = 1 through the trace preimage.
-    """
-    h0 = validate_hermitian(ctx, matrix)
-    dim = h0.shape[0]
-    a = h0.copy()
-    s = identity(dim)
+    h_ij*lam^q + h_ij^q*lam = 1 through the trace preimage.  The pivot then
+    moves to position t, the basis changes e_j -> e_j + c_j*e_t with
+    c_j = -(h_tj / h_tt)^q clear row and column t at once, and e_t is
+    scaled by the inverse norm preimage of h_tt.
 
-    def add_multiple(target: int, source: int, coeff: int) -> None:
-        # basis change v_target += coeff * v_source
-        cq = ctx.frob(coeff)
-        s[:, target] = ctx.vadd(s[:, target], ctx.vmul(coeff, s[:, source]))
-        a[:, target] = ctx.vadd(a[:, target], ctx.vmul(cq, a[:, source]))
-        a[target, :] = ctx.vadd(a[target, :], ctx.vmul(coeff, a[source, :]))
+    A stack (..., n+1, n+1) of matrices gives the stack of S and an int64
+    array of ranks of the stack's shape.  Every matrix keeps its own pivot
+    rule, and each pivot position is one vectorized step over the whole
+    stack: a matrix whose reduction has stopped gets zero coefficients."""
+    h = validate_hermitian(ctx, matrix)
+    dim = h.shape[-1]
+    a = h.reshape(-1, dim, dim).copy()
+    s = np.zeros_like(a)
+    s[:, np.arange(dim), np.arange(dim)] = 1
+    rank = np.count_nonzero(a.diagonal(axis1=1, axis2=2), axis=1)
+    # diag(1,...,1,0,...,0) itself, as the standard varieties' matrices are,
+    # would take only steps that change nothing: S = I
+    if not np.array_equal(a, s * (np.arange(dim) < rank[:, None])[:, None, :]):
+        s, rank = _reduce_stack(ctx, a, s)
+    if h.ndim == 2:
+        return s[0], int(rank[0])
+    return s.reshape(h.shape), rank.reshape(h.shape[:-2])
 
-    def swap(i: int, j: int) -> None:
-        s[:, [i, j]] = s[:, [j, i]]
-        a[:, [i, j]] = a[:, [j, i]]
-        a[[i, j], :] = a[[j, i], :]
 
-    def scale(i: int, factor: int) -> None:
-        fq = ctx.frob(factor)
-        s[:, i] = ctx.vmul(factor, s[:, i])
-        a[:, i] = ctx.vmul(fq, a[:, i])
-        a[i, :] = ctx.vmul(factor, a[i, :])
-
-    t = 0
-    while t < dim:
-        pivot = next((i for i in range(t, dim) if a[i, i]), None)
-        if pivot is None:
-            off = next(
-                ((i, j) for i in range(t, dim) for j in range(i + 1, dim) if a[i, j]),
-                None,
-            )
-            if off is None:
-                break
-            i, j = off
-            mu = ctx.trace_preimage(1)
-            lam = ctx.mul(mu, ctx.inv(ctx.frob(int(a[i, j]))))
-            add_multiple(i, j, lam)
-            pivot = i
-        if pivot != t:
-            swap(t, pivot)
-        diag = int(a[t, t])
-        for j in range(dim):
-            if j != t and a[t, j]:
-                coeff = ctx.frob(ctx.neg(ctx.div(int(a[t, j]), diag)))
-                add_multiple(j, t, coeff)
-        factor = ctx.inv(ctx.norm_preimage(diag))
-        if factor != 1:  # a diagonal 1 is already normalized
-            scale(t, factor)
-        t += 1
-
-    return s, t
+def _reduce_stack(ctx: FieldCtx, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pivot steps of :func:`canonical_congruence` on a (count, dim, dim)
+    stack a, updated in step with the basis stack s: (S, ranks)."""
+    count, dim = a.shape[:2]
+    rank = np.zeros(count, dtype=np.int64)
+    for t in range(dim):
+        nonzero = a.diagonal(axis1=1, axis2=2)[:, t:] != 0
+        pivot = t + nonzero.argmax(axis=1)
+        live = nonzero.any(axis=1)
+        if not live.all() and t < dim - 1:
+            # no diagonal pivot left: the first nonzero h_ij, t <= i < j
+            flat = np.flatnonzero(~live)
+            upper = np.triu(a[flat, t:, t:] != 0, 1).reshape(len(flat), -1)
+            found = upper.any(axis=1)
+            k = flat[found]
+            i, j = np.divmod(np.argmax(upper[found], axis=1), dim - t)
+            i, j = i + t, j + t
+            lam = ctx.vmul(ctx.trace_preimage(1), ctx.vinv(ctx.vfrob(a[k, i, j])))
+            s[k, :, i] = ctx.vadd(s[k, :, i], ctx.vmul(lam[:, None], s[k, :, j]))
+            a[k, :, i] = ctx.vadd(a[k, :, i], ctx.vmul(ctx.vfrob(lam)[:, None], a[k, :, j]))
+            a[k, i, :] = ctx.vadd(a[k, i, :], ctx.vmul(lam[:, None], a[k, j, :]))
+            pivot[k], live[k] = i, True
+        if not live.any():
+            break
+        (moved,) = (pivot != t).nonzero()
+        if moved.size:
+            perm = np.tile(np.arange(dim), (len(moved), 1))
+            perm[:, t] = pivot[moved]
+            perm[np.arange(len(moved)), pivot[moved]] = t
+            s[moved] = np.take_along_axis(s[moved], perm[:, None, :], axis=2)
+            a[moved] = a[moved[:, None, None], perm[:, :, None], perm[:, None, :]]
+        # a stopped matrix is zero in row t, so it gets zero coefficients
+        diag = np.where(live, a[:, t, t], 1)
+        row = a[:, t, :].copy()
+        row[:, t] = 0
+        if row.any():
+            coeff = ctx.vfrob(ctx.vneg(ctx.vmul(row, ctx.vinv(diag)[:, None])))
+            s = ctx.vadd(s, ctx.vmul(s[:, :, t, None], coeff[:, None, :]))
+            a = ctx.vadd(a, ctx.vmul(coeff[:, :, None], a[:, None, t, :]))
+            a[:, t, :t] = 0
+            a[:, t, t + 1 :] = 0
+        if (diag != 1).any():
+            s[:, :, t] = ctx.vmul(ctx.vinv(ctx.vnorm_preimage(diag))[:, None], s[:, :, t])
+            a[:, t, t] = live
+        rank += live
+    return s, rank
 
 
 class HermitianVariety:
@@ -178,6 +198,8 @@ class HermitianVariety:
     def __init__(self, ctx: FieldCtx, matrix):
         self.ctx = ctx
         self.matrix = validate_hermitian(ctx, matrix)
+        if self.matrix.ndim != 2:
+            raise ValueError("a variety is defined by one matrix, not a stack")
         self.matrix.setflags(write=False)
         self.n = self.matrix.shape[0] - 1
         s, self.rank = canonical_congruence(ctx, self.matrix)

@@ -56,34 +56,37 @@ def row_reduce(ctx: FieldCtx, matrix) -> tuple[np.ndarray, list[int]]:
 
 def batch_rank(ctx: FieldCtx, matrices) -> np.ndarray:
     """Ranks of a stack of matrices (..., rows, cols), as an int64 array of
-    the stack's shape.  Column by column, every matrix that has a pivot
-    candidate at or below its current rank swaps the first one up and clears
-    the column beneath it, all in one vectorized step."""
+    the stack's shape.  Elimination runs in place under a mask of the rows
+    not yet used as pivots: column by column, every matrix takes its first
+    unused row with a nonzero entry there as the pivot and clears that
+    column from its other unused rows, all in one vectorized step over the
+    columns still to the right.  A matrix with no pivot in the column gets
+    zero factors, so the stack is never split."""
     a = np.array(matrices, dtype=np.int64)
     if a.ndim < 2:
         raise ValueError("matrices must have at least two dimensions")
     stack, (rows, cols) = a.shape[:-2], a.shape[-2:]
     a = a.reshape(-1, rows, cols)
-    rank = np.zeros(len(a), dtype=np.int64)
-    row_ids = np.arange(rows)
+    unused = np.ones((len(a), rows), dtype=bool)
+    index = np.arange(len(a))
     for c in range(cols):
-        below = row_ids[None, :] >= rank[:, None]
-        candidates = (a[:, :, c] != 0) & below
-        todo = np.nonzero(candidates.any(axis=1))[0]
-        if todo.size == 0:
-            if (rank == rows).all():
+        column = a[:, :, c]
+        candidates = unused & (column != 0)
+        found = candidates.any(axis=1)
+        if not found.any():
+            if not unused.any():
                 break
             continue
-        top = rank[todo]
-        piv = np.argmax(candidates[todo], axis=1)
-        pivot_rows = a[todo, piv]
-        a[todo, piv] = a[todo, top]
-        a[todo, top] = pivot_rows
-        factors = ctx.vmul(ctx.vneg(a[todo, :, c]), ctx.vinv(pivot_rows[:, c])[:, None])
-        factors[~below[todo] | (row_ids[None, :] == top[:, None])] = 0
-        a[todo] = ctx.vadd(a[todo], ctx.vmul(factors[:, :, None], pivot_rows[:, None, :]))
-        rank[todo] += 1
-    return rank.reshape(stack)
+        pivot = np.argmax(candidates, axis=1)
+        unused[index, pivot] &= ~found
+        if c + 1 == cols:
+            break
+        lead = np.where(found, column[index, pivot], 1)
+        factors = ctx.vmul(ctx.vneg(column), ctx.vinv(lead)[:, None])
+        factors *= candidates & unused
+        live = a[:, :, c + 1 :]
+        live[...] = ctx.vadd(live, ctx.vmul(factors[:, :, None], live[index, pivot][:, None, :]))
+    return (rows - unused.sum(axis=1)).reshape(stack)
 
 
 def matrix_rank(ctx: FieldCtx, matrix) -> int:

@@ -11,13 +11,15 @@ are dual coefficient vectors under the same normalization, and the dual
 space enumerates identically.
 
 Lines are built directly, not found by walking point pairs: each line is
-the row space of one reduced 2 x (n+1) echelon matrix (pivot columns
-c1 < c2 plus free entries), its q^2 + 1 points are r1 and r2 + t*r1, and
-their positions are read in closed form.  The lines through a stack of
-point pairs are spanned the same way, all at once.  Incidence between many
-points and many hyperplanes is one chunked product; the number of points
-on each of many hyperplanes is read from the exhaustive scan kernel,
-without the full incidence matrix.
+the row space of one 2 x (n+1) matrix in reduced echelon form read from
+the right, whose rows a and b are normalized points with last 1s in
+columns ca > cb and a[cb] = 0.  Its q^2 + 1 points b and a + s*b are then
+normalized as built, and their positions are read in closed form.  The
+lines through a stack of point pairs are spanned from the pairs and
+normalized, all at once.  Incidence between many points and many
+hyperplanes is one chunked product; the number of points on each of many
+hyperplanes is read from the exhaustive scan kernel, without the full
+incidence matrix.
 """
 
 from __future__ import annotations
@@ -127,8 +129,10 @@ def point_index(ctx: FieldCtx, rows) -> np.ndarray:
     k + 1, (0, x) sits at idx(x), (1, 0, ..., 0) at N_k and (c, x) at
     c N_k + 1 + idx(x)."""
     rows = np.asarray(rows, dtype=np.int64)
-    sizes = (ctx.q2 ** np.arange(rows.shape[-1] - 1, -1, -1, dtype=np.int64) - 1) // (ctx.q2 - 1)
-    return (rows * sizes).sum(axis=-1) + np.count_nonzero(rows, axis=-1) - 1
+    width = rows.shape[-1]
+    sizes = (ctx.q2 ** np.arange(width - 1, -1, -1, dtype=np.int64) - 1) // (ctx.q2 - 1)
+    # two products over the short last axis, faster than sum and count_nonzero
+    return rows @ sizes + (rows != 0) @ np.ones(width, dtype=np.int64) - 1
 
 
 def incidence_matrix(ctx: FieldCtx, points, duals) -> np.ndarray:
@@ -165,43 +169,38 @@ def hyperplane_point_counts(ctx: FieldCtx, points, duals) -> np.ndarray:
     return counts[index - lo]
 
 
-def _span_points(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(..., q^2 + 1, n+1) normalized points of the lines spanned by the
-    independent rows a, b: first a, then b + t*a for every code t.  The
-    points are written into one array, so about three of that size are held
-    at once."""
+def line_through(ctx: FieldCtx, a, b) -> np.ndarray:
+    """The q^2 + 1 rational points of the line through distinct points a, b,
+    normalized, in canonical order.  a and b may be stacks (..., n+1) of
+    pairs, giving (..., q^2 + 1, n+1); every pair must be distinct.  The
+    points a and b + t*a, t over every code, are written into one array and
+    normalized."""
+    a, b = normalize_rows(ctx, [a, b])
+    if (a == b).all(axis=-1).any():
+        raise ValueError("line_through requires two distinct points")
     t = np.arange(ctx.q2, dtype=np.int64)[:, None]
     pts = np.empty(a.shape[:-1] + (ctx.q2 + 1, a.shape[-1]), dtype=np.int64)
     pts[..., 0, :] = a
     pts[..., 1:, :] = ctx.vadd(b[..., None, :], ctx.vmul(t, a[..., None, :]))
-    return normalize_rows(ctx, pts)
-
-
-def line_through(ctx: FieldCtx, a, b) -> np.ndarray:
-    """The q^2 + 1 rational points of the line through distinct points a, b,
-    normalized, in canonical order.  a and b may be stacks (..., n+1) of
-    pairs, giving (..., q^2 + 1, n+1); every pair must be distinct."""
-    a, b = normalize_rows(ctx, [a, b])
-    if (a == b).all(axis=-1).any():
-        raise ValueError("line_through requires two distinct points")
-    pts = _span_points(ctx, a, b)
+    pts = normalize_rows(ctx, pts)
     order = np.argsort(point_index(ctx, pts), axis=-1)
     return np.take_along_axis(pts, order[..., None], axis=-2)
 
 
-def _echelon_pairs(q2: int, n: int) -> np.ndarray:
-    """(L, 2, n+1) reduced echelon row pairs, one per line of P^n: row 1 has
-    its leading 1 in column c1, row 2 in column c2 > c1 (where row 1 is 0),
-    and every entry right of a leading 1 is free."""
+def _canonical_pairs(q2: int, n: int) -> np.ndarray:
+    """(L, 2, n+1) row pairs (a, b), one per line of P^n, both rows in
+    canonical point form: b has its last nonzero entry 1 in column cb, a in
+    column ca > cb with a[cb] = 0, and every other entry left of a row's
+    last 1 is free (the row space's reduced echelon form read from the
+    right)."""
     blocks = []
-    for c1 in range(n + 1):
-        for c2 in range(c1 + 1, n + 1):
-            free = [(0, j) for j in range(c1 + 1, n + 1) if j != c2]
-            free += [(1, j) for j in range(c2 + 1, n + 1)]
+    for ca in range(n + 1):
+        for cb in range(ca):
+            free = [(0, j) for j in range(ca) if j != cb] + [(1, j) for j in range(cb)]
             size = q2 ** len(free)
             pairs = np.zeros((size, 2, n + 1), dtype=np.int64)
-            pairs[:, 0, c1] = 1
-            pairs[:, 1, c2] = 1
+            pairs[:, 0, ca] = 1
+            pairs[:, 1, cb] = 1
             index = np.arange(size, dtype=np.int64)
             for place, (row, col) in enumerate(reversed(free)):
                 pairs[:, row, col] = index // q2**place % q2
@@ -216,10 +215,14 @@ def all_lines(ctx: FieldCtx, n: int, budget: int = POINT_BUDGET) -> np.ndarray:
     over point pairs (i < j) would first meet each line.  The budget bounds
     both the q^(2(n+1)) tuples of the point enumeration and the
     L * (q^2 + 1) line points; it is checked before anything is built, and
-    n < 1 is refused as :func:`check_point_budget` refuses it.  A block of
-    lines holds about four arrays of its span's size (the span, its
-    normalization, the position sum), each within a quarter of
-    CHUNK_ELEMS codes (or one line's)."""
+    n < 1 is refused as :func:`check_point_budget` refuses it.
+
+    Each line is spanned by its canonical pair (a, b) (see
+    :func:`_canonical_pairs`): b and a + s*b, s over every code, are its
+    q^2 + 1 points, already normalized, since b vanishes right of cb and a
+    ends in 1 at ca > cb.  A block of lines holds about three arrays of its
+    span's size (s*b, a + s*b and the position sum), each within a quarter
+    of CHUNK_ELEMS codes (or one line's)."""
     q2 = ctx.q2
     count = (q2 ** (n + 1) - 1) * (q2**n - 1) // ((q2 * q2 - 1) * (q2 - 1))
     tuples, visits = q2 ** (n + 1), count * (q2 + 1)
@@ -229,12 +232,15 @@ def all_lines(ctx: FieldCtx, n: int, budget: int = POINT_BUDGET) -> np.ndarray:
             f"{visits} points > budget {budget}"
         )
     check_point_budget(ctx, n, budget)
-    pairs = _echelon_pairs(q2, n)
+    pairs = _canonical_pairs(q2, n)
+    s = np.arange(q2, dtype=np.int64)[:, None]
     lines = np.empty((count, q2 + 1), dtype=np.int64)
     step = max(1, CHUNK_ELEMS // 4 // ((q2 + 1) * (n + 1)))
     for lo in range(0, count, step):
-        block = pairs[lo : lo + step]
-        lines[lo : lo + step] = point_index(ctx, _span_points(ctx, block[:, 0], block[:, 1]))
+        a, b = pairs[lo : lo + step, 0, None], pairs[lo : lo + step, 1, None]
+        block = lines[lo : lo + step]
+        block[:, :1] = point_index(ctx, b)
+        block[:, 1:] = point_index(ctx, ctx.vadd(a, ctx.vmul(s, b)))
     lines.sort(axis=1)
-    return lines[np.lexsort((lines[:, 1], lines[:, 0]))]
-
+    # two lines share at most one point, so the first two indices key each row
+    return lines[np.argsort(lines[:, 0] * pi_count(n, q2) + lines[:, 1])]

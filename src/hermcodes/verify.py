@@ -407,14 +407,13 @@ def check_congruence_reduction(ctx: FieldCtx, n: int, trials: int, seed: int = 1
     """Random Hermitian matrices H reduce to diag(1..1, 0..0) under their
     canonical congruence S, with S invertible and the rank of H kept; for
     n <= 3 also H and the diagonal form have as many zeros on P^n.  The
-    trials are drawn first and checked as one stack, the point counts in
-    blocks of at most about CHUNK_ELEMS form values (or one matrix's)."""
+    trials are drawn first, reduced in one stacked call and checked as one
+    stack, the point counts in blocks of at most about CHUNK_ELEMS form
+    values (or one matrix's)."""
     rng = random.Random(seed)
     dim = n + 1
     hs = np.array([random_hermitian(ctx, n, rng) for _ in range(trials)]).reshape(-1, dim, dim)
-    reductions = [canonical_congruence(ctx, h) for h in hs]
-    s = np.array([s for s, _ in reductions]).reshape(hs.shape)
-    ranks = np.array([r for _, r in reductions], dtype=np.int64)
+    s, ranks = canonical_congruence(ctx, hs)
     diag = congruence_transform(ctx, hs, s)
     expected = np.zeros_like(diag)
     expected[:, np.arange(dim), np.arange(dim)] = np.arange(dim)[None, :] < ranks[:, None]

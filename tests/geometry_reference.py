@@ -17,19 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from hermcodes.hermitian import (
-    canonical_congruence,
     count_points_formula,
     make_nondegenerate,
     make_standard_cone,
 )
-from hermcodes.linalg import mat_mul, matrix_rank, row_reduce
+from hermcodes.linalg import identity, mat_mul, matrix_rank, row_reduce
 from hermcodes.projspace import (
     enumerate_hyperplanes,
     enumerate_points,
     pi_count,
 )
 from hermcodes.verify import CheckResult, random_hermitian
-from loop_reference import reference_normalize_vector
+from loop_reference import reference_norm_preimage, reference_normalize_vector
 
 
 @dataclass(frozen=True)
@@ -137,6 +136,52 @@ def reference_congruence_transform(ctx, matrix, s) -> np.ndarray:
     """S^T H S^(q) for one matrix H and one basis change S."""
     s = np.asarray(s, dtype=np.int64)
     return mat_mul(ctx, mat_mul(ctx, s.T, np.asarray(matrix, dtype=np.int64)), ctx.vfrob(s))
+
+
+def reference_canonical_congruence(ctx, matrix) -> tuple[np.ndarray, int]:
+    """The congruence reduction of one matrix, one basis change at a time:
+    the diagonal pivot or the created one moves to position t, then every
+    nonzero h_tj is cleared by its own e_j -> e_j + c_j e_t and e_t is
+    scaled unless its norm preimage is 1."""
+    h = np.asarray(matrix, dtype=np.int64)
+    dim = h.shape[0]
+    a = h.copy()
+    s = identity(dim)
+
+    def add_multiple(target, source, coeff):
+        cq = ctx.frob(coeff)
+        s[:, target] = ctx.vadd(s[:, target], ctx.vmul(coeff, s[:, source]))
+        a[:, target] = ctx.vadd(a[:, target], ctx.vmul(cq, a[:, source]))
+        a[target, :] = ctx.vadd(a[target, :], ctx.vmul(coeff, a[source, :]))
+
+    t = 0
+    while t < dim:
+        pivot = next((i for i in range(t, dim) if a[i, i]), None)
+        if pivot is None:
+            off = next(
+                ((i, j) for i in range(t, dim) for j in range(i + 1, dim) if a[i, j]), None
+            )
+            if off is None:
+                break
+            i, j = off
+            lam = ctx.mul(ctx.trace_preimage(1), ctx.inv(ctx.frob(int(a[i, j]))))
+            add_multiple(i, j, lam)
+            pivot = i
+        if pivot != t:
+            s[:, [t, pivot]] = s[:, [pivot, t]]
+            a[:, [t, pivot]] = a[:, [pivot, t]]
+            a[[t, pivot], :] = a[[pivot, t], :]
+        diag = int(a[t, t])
+        for j in range(dim):
+            if j != t and a[t, j]:
+                add_multiple(j, t, ctx.frob(ctx.neg(ctx.div(int(a[t, j]), diag))))
+        factor = ctx.inv(reference_norm_preimage(ctx, diag))
+        if factor != 1:
+            s[:, t] = ctx.vmul(factor, s[:, t])
+            a[:, t] = ctx.vmul(ctx.frob(factor), a[:, t])
+            a[t, :] = ctx.vmul(factor, a[t, :])
+        t += 1
+    return s, t
 
 
 def reference_section_gram_matrices(ctx, matrix, duals) -> np.ndarray:
@@ -278,7 +323,7 @@ def reference_check_congruence_reduction(ctx, n, trials, seed=1):
     ok = True
     for _ in range(trials):
         h = random_hermitian(ctx, n, rng)
-        s, r = canonical_congruence(ctx, h)
+        s, r = reference_canonical_congruence(ctx, h)
         ok &= matrix_rank(ctx, s) == n + 1
         diag = reference_congruence_transform(ctx, h, s)
         expected = np.zeros_like(diag)

@@ -186,9 +186,29 @@ def test_construct_extremal(p, n, d, expected):
     witness = construct_extremal_form(ctx, cone, d)
     assert witness.predicted_count == expected
     # the witness count is validated at construction; cross-check anyway
-    from hermcodes.forms import intersection_count
+    from hermcodes.forms import form_values, intersection_count
 
     assert intersection_count(ctx, witness.form, cone.points) == expected
+    # the support is read from the same evaluation: the nonzero positions
+    support = np.flatnonzero(form_values(ctx, witness.form, cone.points))
+    assert np.array_equal(witness.support, support) and not witness.support.flags.writeable
+    assert len(cone.points) - len(witness.support) == expected
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2)])
+def test_construct_extremal_refuses_a_missed_count(monkeypatch, n, d):
+    # the witness is evaluated once; a count off its prediction still raises
+    ctx = make_field(3, 1)
+    cone = make_standard_cone(ctx, n)
+    real = bounds.oracle_bound
+
+    def off_by_one(*args):
+        bound = real(*args)
+        return dataclasses.replace(bound, value=bound.value + 1)
+
+    monkeypatch.setattr(bounds, "oracle_bound", off_by_one)
+    with pytest.raises(RuntimeError, match="witness attains"):
+        construct_extremal_form(ctx, cone, d)
 
 
 def test_concurrent_secants_attain_bezout():

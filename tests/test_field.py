@@ -895,6 +895,14 @@ def test_preimage_solvers_match_former_loops_on_every_code(ctx):
                 continue
             got = solver(b)
             assert type(got) is int and got == want
+    # the vector solver: every b of GF(q)* at once, in any shape
+    units = np.array([b for b in ctx.base_embed if b])
+    want = [reference_norm_preimage(ctx, int(b)) for b in units]
+    assert ctx.vnorm_preimage(units).tolist() == want
+    assert ctx.vnorm_preimage(np.stack([units, units])).tolist() == [want, want]
+    for bad in (0, ctx.q2, next(b for b in range(ctx.q2) if b not in ctx.base_embed)):
+        with pytest.raises(ValueError):
+            ctx.vnorm_preimage(np.append(units, bad))
 
 
 @settings(max_examples=300, deadline=None)

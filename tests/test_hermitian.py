@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geometry_reference import (
+    reference_canonical_congruence,
     reference_congruence_transform,
     reference_evaluate_hermitian_form,
     reference_hermitian_form_values,
@@ -61,6 +62,15 @@ def test_is_hermitian(gf4):
     assert not is_hermitian(gf4, m)
     m[1, 0] = 3
     assert is_hermitian(gf4, m)
+    # a stack is Hermitian when every matrix is nonzero and Hermitian
+    assert is_hermitian(gf4, np.array([m, identity(3)]))
+    assert not is_hermitian(gf4, np.array([m, np.zeros((3, 3), dtype=int)]))
+    bad = m.copy()
+    bad[1, 0] = 2
+    assert not is_hermitian(gf4, np.array([[m, identity(3)], [identity(3), bad]]))
+    assert not is_hermitian(gf4, np.zeros((2, 3), dtype=int))
+    with pytest.raises(ValueError, match="not a stack"):
+        HermitianVariety(gf4, np.array([m, identity(3)]))
     with pytest.raises(ValueError):
         HermitianVariety(gf4, np.zeros((3, 3), dtype=int))
     # entries outside the codes [0, q2) are refused, not read from another
@@ -129,6 +139,72 @@ def test_canonical_congruence_random(gf4, n):
         before = int((hermitian_form_values(gf4, h, space) == 0).sum())
         after = int((hermitian_form_values(gf4, diag, space) == 0).sum())
         assert before == after
+
+
+CONGRUENCE_KINDS = ("random", "zero_diagonal", "rank_deficient", "off_diagonal")
+
+
+def congruence_case(ctx, n, kind, rng, draws):
+    """A nonzero Hermitian matrix of P^n: random; random with its diagonal
+    cleared; a moved diagonal form of rank below n + 1; or one conjugate
+    pair h_ij, h_ji off the diagonal."""
+    while True:
+        if kind == "rank_deficient":
+            h = diagonal_form(ctx, n, draws.randint(1, n), rng, moved=True)
+        elif kind == "off_diagonal":
+            i, j = sorted(draws.sample(range(n + 1), 2))
+            c = draws.randrange(1, ctx.q2)
+            h = np.zeros((n + 1, n + 1), dtype=np.int64)
+            h[i, j], h[j, i] = c, ctx.frob(c)
+        else:
+            h = random_hermitian(ctx, n, draws)
+            if kind == "zero_diagonal":
+                h[np.arange(n + 1), np.arange(n + 1)] = 0
+        if h.any():
+            return h
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (17, 1)])
+def test_stacked_congruence_matches_single_calls_and_the_reference_loop(p, e):
+    ctx = make_field(p, e)
+    rng, draws = np.random.default_rng(100 * p + e), random.Random(100 * p + e)
+    for n in (1, 2, 3, 4):
+        hs = np.array([congruence_case(ctx, n, kind, rng, draws) for kind in CONGRUENCE_KINDS * 6])
+        s, ranks = canonical_congruence(ctx, hs)
+        assert s.shape == hs.shape and s.dtype == np.int64
+        assert ranks.shape == (len(hs),) and ranks.dtype == np.int64
+        for h, got_s, got_r in zip(hs, s, ranks):
+            one_s, one_r = canonical_congruence(ctx, h)
+            ref_s, ref_r = reference_canonical_congruence(ctx, h)
+            assert type(one_r) is int and one_r == got_r == ref_r
+            assert np.array_equal(one_s, got_s) and np.array_equal(ref_s, got_s)
+        diag = congruence_transform(ctx, hs, s)
+        expected = np.zeros_like(diag)
+        expected[:, np.arange(n + 1), np.arange(n + 1)] = np.arange(n + 1) < ranks[:, None]
+        assert np.array_equal(diag, expected)
+        # nested leading axes reduce matrix by matrix as the flat stack does
+        nested_s, nested_r = canonical_congruence(ctx, hs.reshape(4, 6, n + 1, n + 1))
+        assert np.array_equal(nested_s, s.reshape(4, 6, n + 1, n + 1))
+        assert np.array_equal(nested_r, ranks.reshape(4, 6))
+
+
+def test_stacked_congruence_edge_cases(gf9):
+    s, ranks = canonical_congruence(gf9, np.zeros((0, 3, 3), dtype=np.int64))
+    assert s.shape == (0, 3, 3) and ranks.shape == (0,)
+    # canonical matrices reduce with S = I, alone or beside one that is not
+    canonical = np.array([np.diag(d) for d in ([1, 1, 1], [1, 1, 0], [1, 0, 0])])
+    s, ranks = canonical_congruence(gf9, canonical)
+    assert np.array_equal(s, np.broadcast_to(identity(3), s.shape)) and ranks.tolist() == [3, 2, 1]
+    mixed = np.concatenate([canonical, [np.diag([1, 0, 1])]])
+    s, ranks = canonical_congruence(gf9, mixed)
+    assert np.array_equal(s[:3], np.broadcast_to(identity(3), (3, 3, 3)))
+    for h, got_s, got_r in zip(mixed, s, ranks):
+        ref_s, ref_r = reference_canonical_congruence(gf9, h)
+        assert np.array_equal(got_s, ref_s) and got_r == ref_r
+    with pytest.raises(ValueError, match="nonzero Hermitian"):
+        canonical_congruence(gf9, np.array([identity(3), np.zeros((3, 3), dtype=np.int64)]))
+    with pytest.raises(ValueError, match="outside the codes"):
+        canonical_congruence(gf9, np.array([identity(3), 9 * identity(3)]))
 
 
 def test_count_formulas():

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermcodes import linalg, make_field
+from hermcodes import count_points_formula, linalg, make_field, make_nondegenerate
+from hermcodes.hermitian import _section_gram_matrices
 from hermcodes.linalg import (
     SAMPLE_COLS_PER_ROW,
     batch_rank,
@@ -12,6 +15,7 @@ from hermcodes.linalg import (
     matrix_rank,
     row_reduce,
 )
+from hermcodes.projspace import enumerate_hyperplanes
 from loop_reference import random_invertible
 
 
@@ -104,6 +108,26 @@ def test_batch_rank_matches_row_reduce(case):
         assert int(batch_rank(ctx, stack[0])) == matrix_rank(ctx, stack[0])
         nested = batch_rank(ctx, np.stack([stack, stack]))
         assert nested.shape == (2, len(stack)) and (nested == ranks).all()
+
+
+def test_batch_rank_eliminates_in_place(gf9):
+    # the 7,381 section Gram matrices of U_4 over GF(9) (0.9 MiB): the copy
+    # under elimination and two temporaries over the columns still live.
+    # Gathering and scattering the matrices that still needed a pivot
+    # peaked at 4.8 times the stack.
+    stack = _section_gram_matrices(
+        gf9, make_nondegenerate(gf9, 4).matrix, enumerate_hyperplanes(gf9, 4)
+    )
+    tracemalloc.start()
+    try:
+        ranks = batch_rank(gf9, stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # tangent sections (one per point of U_4) have rank 3, the others rank 4
+    assert int((ranks == 3).sum()) == count_points_formula(4, "nondegenerate", 3)
+    assert int((ranks == 4).sum()) == len(stack) - count_points_formula(4, "nondegenerate", 3)
+    assert peak <= 4 * stack.nbytes
 
 
 def test_stacked_mat_mul_matches_reference(gf9):

@@ -156,20 +156,20 @@ def test_congruence_check_fails_on_one_wrong_reduction(gf9, monkeypatch, wrong, 
     # scaling the first basis vector by c scales the first diagonal entry by N(c)
     c = next(c for c in range(2, gf9.q2) if gf9.norm(c) != 1)
 
-    def corrupted(ctx, matrix):
-        s, r = reduce(ctx, matrix)
-        calls.append(r)
-        if len(calls) == trials // 2:  # one trial in the middle of the stack
-            if wrong == "basis":
-                s = s.copy()
-                s[:, 0] = ctx.vmul(c, s[:, 0])
-            else:
-                r = r + 1 if r <= n else r - 1
+    def corrupted(ctx, matrices):
+        s, r = reduce(ctx, matrices)
+        calls.append(len(matrices))
+        k = trials // 2 - 1  # one trial in the middle of the stack
+        s, r = s.copy(), r.copy()
+        if wrong == "basis":
+            s[k, :, 0] = ctx.vmul(c, s[k, :, 0])
+        else:
+            r[k] = r[k] + 1 if r[k] <= n else r[k] - 1
         return s, r
 
     monkeypatch.setattr(verify, "canonical_congruence", corrupted)
     assert not verify.check_congruence_reduction(gf9, n, trials).passed
-    assert len(calls) == trials
+    assert calls == [trials]  # every trial reduced in one stacked call
 
 
 @pytest.mark.parametrize("corrupt", ["duplicate", "drop", "drop_everywhere"])
